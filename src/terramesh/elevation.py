@@ -2,8 +2,8 @@
 
 Per-point height variance follows first-order error propagation of the range
 sensor noise and the small-angle rotation uncertainty of the camera pose.
-Vertex heights fuse their surrounding faces' interior points sequentially,
-one scalar Kalman update per point.
+Vertex heights fuse their surrounding faces' interior points with a scalar
+Kalman filter, applied per frame in its closed information form.
 """
 
 from __future__ import annotations
@@ -13,14 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InconsistentCertaintyError, InputError
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-
-# toggled by tests to force the pure-python fusion loop
-USE_COMPILED_KERNEL = njit is not None
 
 
 @dataclass(frozen=True)
@@ -123,43 +115,40 @@ def kalman_update(z_mean, z_var, z_obs, var_obs):
     return mean, var
 
 
-def _fuse_loop(face_ids, face_vertices, obs_z, obs_var, z_mean, z_var, touched):
-    # sequential fusion: each point updates its face's three vertices; a
-    # vertex's updates therefore arrive in point order, one scalar Kalman
-    # step each.  Returns the index of the first inconsistent zero-variance
-    # pair, or -1 on success.
-    for i in range(face_ids.shape[0]):
-        f = face_ids[i]
-        z = obs_z[i]
-        var = obs_var[i]
-        for j in range(3):
-            v = face_vertices[f, j]
-            if not touched[v]:
-                z_mean[v] = z
-                z_var[v] = var
-                touched[v] = True
-            else:
-                denom = z_var[v] + var
-                if denom == 0.0:
-                    if z != z_mean[v]:
-                        return i
-                else:
-                    z_mean[v] = (z_mean[v] * var + z * z_var[v]) / denom
-                    z_var[v] = z_var[v] * var / denom
-    return -1
+def _fuse_noisy(mesh, verts, z, var):
+    """Information-form update of ``mesh`` by positive-variance observations."""
+    w = 1.0 / var
+    n_v = mesh.z_mean.size
+    info = np.bincount(verts, weights=w, minlength=n_v)
+    info_z = np.bincount(verts, weights=z * w, minlength=n_v)
 
-
-_fuse_compiled = njit(cache=True)(_fuse_loop) if njit is not None else None
+    hit = np.flatnonzero(info)
+    info, info_z = info[hit], info_z[hit]
+    prior_var = mesh.z_var[hit]
+    touched = mesh.touched[hit]
+    prior = touched & (prior_var > 0.0)
+    info[prior] += 1.0 / prior_var[prior]
+    info_z[prior] += mesh.z_mean[hit[prior]] / prior_var[prior]
+    fused = prior | ~touched  # an exact prior keeps its value
+    mesh.z_mean[hit[fused]] = info_z[fused] / info[fused]
+    mesh.z_var[hit[fused]] = 1.0 / info[fused]
+    mesh.touched[hit] = True
 
 
 def update_elevation(mesh, pose, noise_model: SensorNoiseModel, sigma_pose=None):
     """Fuse the current frame's interior points into the vertex heights.
 
-    Every vertex absorbs, one scalar Kalman step at a time, the heights of
-    all interior points of the faces incident to it (up to six).  The fused
-    result is independent of the update order up to rounding, so points are
-    visited in projection order.  A vertex's first observation replaces its
-    uninformed initial state.
+    A point observes the three vertices of its face, so every vertex absorbs
+    the heights of all interior points of the faces incident to it (up to
+    six).  The scalar Kalman filter does not depend on the update order, so
+    a frame's updates collapse to their information form (Fankhauser et al.,
+    RA-L 2018): per vertex, ``1/var = 1/var_prior + sum 1/var_i`` and
+    ``mean/var = mean_prior/var_prior + sum z_i/var_i``.  A vertex seen for
+    the first time has no prior; its state is the frame's posterior alone.
+
+    Zero-variance observations and zero-variance priors are exact and win
+    over any noisy information.  Exact values that disagree on a vertex
+    raise :class:`InconsistentCertaintyError` before the mesh is modified.
     """
     pts = mesh.points
     if pts is None or pts.count == 0:
@@ -167,14 +156,30 @@ def update_elevation(mesh, pose, noise_model: SensorNoiseModel, sigma_pose=None)
     if sigma_pose is None:
         sigma_pose = pose.rotation_cov
 
+    # one entry per (point, vertex of its face) pair
     depth = pts.pos_sensor[:, 2]
     var = point_height_variances(pts.pos_sensor, noise_model.variance(depth), pose, sigma_pose)
-    z = np.ascontiguousarray(pts.pos_map[:, 2])
+    var = np.repeat(var, 3)
+    z = np.repeat(pts.pos_map[:, 2], 3)
+    verts = mesh.face_vertex_ids[pts.face_ids].reshape(-1)
 
-    fuse = _fuse_compiled if (USE_COMPILED_KERNEL and _fuse_compiled is not None) else _fuse_loop
-    bad = fuse(pts.face_ids, mesh.face_vertex_ids, z, var, mesh.z_mean, mesh.z_var, mesh.touched)
-    if bad >= 0:
-        raise InconsistentCertaintyError(
-            f"zero-variance disagreement while fusing point {bad}"
-        )
+    exact = var == 0.0
+    exact_v = None
+    if exact.any():
+        exact_v, inverse = np.unique(verts[exact], return_inverse=True)
+        exact_z = np.empty(exact_v.size)
+        exact_z[inverse] = z[exact]
+        prior_exact = mesh.touched[exact_v] & (mesh.z_var[exact_v] == 0.0)
+        if np.any(exact_z[inverse] != z[exact]) or np.any(
+            prior_exact & (mesh.z_mean[exact_v] != exact_z)
+        ):
+            raise InconsistentCertaintyError("two exact heights disagree on a vertex; cannot fuse")
+        verts, z, var = verts[~exact], z[~exact], var[~exact]
+
+    if var.size:
+        _fuse_noisy(mesh, verts, z, var)
+    if exact_v is not None:
+        mesh.z_mean[exact_v] = exact_z
+        mesh.z_var[exact_v] = 0.0
+        mesh.touched[exact_v] = True
     return mesh

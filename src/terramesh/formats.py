@@ -258,29 +258,34 @@ def read_bundle(directory):
         raise FormatError(f"bundle manifest is not valid JSON: {exc}") from exc
     if manifest.get("format") != BUNDLE_FORMAT or manifest.get("version") != BUNDLE_VERSION:
         raise FormatError("unsupported bundle format or version")
-    w, h, k = manifest["width"], manifest["height"], manifest["num_classes"]
-    intr = _intrinsics_from_dict(manifest["intrinsics"])
-    frames = []
-    for entry in manifest["frames"]:
-        depth = np.fromfile(directory / entry["depth_file"], dtype="<f4")
-        scores = np.fromfile(directory / entry["scores_file"], dtype="<f4")
-        if depth.size != w * h:
-            raise FormatError(f"{entry['depth_file']}: expected {w * h} values, got {depth.size}")
-        if scores.size != w * h * k:
-            raise FormatError(
-                f"{entry['scores_file']}: expected {w * h * k} values, got {scores.size}"
+    try:
+        w, h, k = manifest["width"], manifest["height"], manifest["num_classes"]
+        intr = _intrinsics_from_dict(manifest["intrinsics"])
+        frames = []
+        for entry in manifest["frames"]:
+            depth = np.fromfile(directory / entry["depth_file"], dtype="<f4")
+            scores = np.fromfile(directory / entry["scores_file"], dtype="<f4")
+            if depth.size != w * h:
+                raise FormatError(
+                    f"{entry['depth_file']}: expected {w * h} values, got {depth.size}"
+                )
+            if scores.size != w * h * k:
+                raise FormatError(
+                    f"{entry['scores_file']}: expected {w * h * k} values, got {scores.size}"
+                )
+            frames.append(
+                FrameBundle(
+                    depth=depth.reshape(h, w),
+                    scores=scores.reshape(h, w, k),
+                    pose=_pose_from_dict(entry["pose"]),
+                    intrinsics=intr,
+                    frame_id=int(entry["frame_id"]),
+                    timestamp=float(entry["timestamp"]),
+                    valid=bool(entry.get("valid", True)),
+                )
             )
-        frames.append(
-            FrameBundle(
-                depth=depth.reshape(h, w),
-                scores=scores.reshape(h, w, k),
-                pose=_pose_from_dict(entry["pose"]),
-                intrinsics=intr,
-                frame_id=int(entry["frame_id"]),
-                timestamp=float(entry["timestamp"]),
-                valid=bool(entry.get("valid", True)),
-            )
-        )
+    except KeyError as exc:
+        raise FormatError(f"bundle manifest misses key {exc.args[0]!r}") from exc
     return manifest, frames
 
 
@@ -330,7 +335,8 @@ def validate_bundle(directory) -> list:
         if not issues and entry.get("valid", True):
             scores = np.fromfile(directory / entry["scores_file"], dtype="<f4").reshape(h, w, k)
             sums = scores.sum(axis=2)
-            if np.any(scores < 0) or np.abs(sums - 1.0).max() > 1e-4:
+            # written so that NaN fails both comparisons
+            if not (np.all(scores >= 0) and np.abs(sums - 1.0).max() <= 1e-4):
                 issues.append(f"frame {fid}: score vectors are not normalized")
     return issues
 

@@ -45,10 +45,11 @@ class FrameBundle:
         h, w = depth.shape
         if (w, h) != (self.intrinsics.width, self.intrinsics.height):
             raise InputError(f"frame {self.frame_id}: image size disagrees with intrinsics")
-        if np.any(scores < 0):
-            raise InputError(f"frame {self.frame_id}: negative class scores")
+        # written so that NaN fails both comparisons
+        if not np.all(scores >= 0):
+            raise InputError(f"frame {self.frame_id}: negative or NaN class scores")
         sums = scores.sum(axis=2, dtype=float)
-        if np.abs(sums - 1.0).max() > score_tol:
+        if not np.abs(sums - 1.0).max() <= score_tol:
             raise InputError(f"frame {self.frame_id}: score vectors are not normalized")
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy import signal, stats
 from scipy.special import ndtr
 
 from .errors import (
@@ -133,6 +132,8 @@ class ForceLog:
 
 def smooth_exponential(x, alpha_coeff):
     """First-order exponential smoothing y_i = a*x_i + (1-a)*y_{i-1}, y_0 = x_0."""
+    from scipy import signal  # deferred: only force-log fitting needs it
+
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         return x.copy()
@@ -195,6 +196,8 @@ def fit_and_select(samples, min_samples: int = 30) -> FitSelection:
     data contains non-positive values.  The family with the smallest KS
     statistic wins; ties break in the fixed family order.
     """
+    from scipy import stats  # deferred: importing it costs most of the CLI start-up
+
     x = np.asarray(samples, dtype=float)
     if x.size < min_samples:
         raise InsufficientDataError(f"need at least {min_samples} samples, got {x.size}")

@@ -3,7 +3,9 @@
 Nothing here shares code with the implementation under test: the predictive
 distribution is integrated numerically over the simplex, Gaussian fusion is
 the closed-form batch formula, and height variance comes from brute-force
-Monte-Carlo sampling of the perturbation model.
+Monte-Carlo sampling of the perturbation model.  Per-frame vertex fusion is
+checked against the sequential loop below: one scalar Kalman step per point
+and vertex, in point order.
 """
 
 import numpy as np
@@ -74,6 +76,35 @@ def batch_gaussian_fusion(obs, obs_vars, prior_mean=None, prior_var=None):
         precision += 1.0 / prior_var
         weighted += prior_mean / prior_var
     return weighted / precision, 1.0 / precision
+
+
+def sequential_vertex_fusion(face_ids, face_vertices, obs_z, obs_var, z_mean, z_var, touched):
+    """Reference per-frame vertex fusion, updating the state arrays in place.
+
+    Sequential fusion: each point updates its face's three vertices; a
+    vertex's updates therefore arrive in point order, one scalar Kalman step
+    each.  Returns the index of the first inconsistent zero-variance pair,
+    or -1 on success.
+    """
+    for i in range(face_ids.shape[0]):
+        f = face_ids[i]
+        z = obs_z[i]
+        var = obs_var[i]
+        for j in range(3):
+            v = face_vertices[f, j]
+            if not touched[v]:
+                z_mean[v] = z
+                z_var[v] = var
+                touched[v] = True
+            else:
+                denom = z_var[v] + var
+                if denom == 0.0:
+                    if z != z_mean[v]:
+                        return i
+                else:
+                    z_mean[v] = (z_mean[v] * var + z * z_var[v]) / denom
+                    z_var[v] = z_var[v] * var / denom
+    return -1
 
 
 def sample_psd(rng, scale):

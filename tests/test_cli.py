@@ -180,6 +180,20 @@ class TestRun:
             assert summary["frames_skipped"] == 2
             assert summary["faces_with_estimate"] == 0
 
+    def test_manifest_without_pose_is_one_error_line(self, sim_dir, tmp_path, capsys):
+        import shutil
+
+        broken = tmp_path / "nopose"
+        shutil.copytree(sim_dir, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        del manifest["frames"][1]["pose"]
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("run", "--bundle", broken, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'pose'" in err
+        assert len(err.splitlines()) == 1
+
     def test_timing_csv_schema(self, run_dir):
         with open(run_dir / "timing.csv") as fh:
             rows = list(csv.reader(fh))
@@ -323,6 +337,18 @@ class TestValidateAndBench:
         next(broken.glob("*.depth.f32")).unlink()
         assert run_cli("validate", "--bundle", broken) == 1
         assert "invalid:" in capsys.readouterr().out
+
+    def test_validate_nan_scores(self, sim_dir, tmp_path, capsys):
+        import shutil
+
+        broken = tmp_path / "nan"
+        shutil.copytree(sim_dir, broken)
+        target = sorted(broken.glob("*.scores.f32"))[0]
+        arr = np.fromfile(target, dtype="<f4")
+        arr[:10] = np.nan
+        arr.tofile(target)
+        assert run_cli("validate", "--bundle", broken) == 1
+        assert "not normalized" in capsys.readouterr().out
 
     def test_bench_writes_csv(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import terramesh.elevation as elevation
 from terramesh.elevation import (
     SensorNoiseModel,
     height_variance,
@@ -15,7 +14,13 @@ from terramesh.errors import ConfigurationError, InconsistentCertaintyError, Inp
 from terramesh.geometry import Pose
 from terramesh.mesh import FramePoints, MeshConfig, assign_face_ids, init_mesh
 
-from oracles import batch_gaussian_fusion, mc_height_variance, random_rotation, sample_psd
+from oracles import (
+    batch_gaussian_fusion,
+    mc_height_variance,
+    random_rotation,
+    sample_psd,
+    sequential_vertex_fusion,
+)
 
 
 def yaw(angle):
@@ -158,6 +163,13 @@ def test_kalman_properties(z_var, obs_var, z_mean, z_obs):
     assert lo - 1e-12 <= mean <= hi + 1e-12
 
 
+class ExactSensor:
+    """Noise model of a perfect range sensor: every depth has zero variance."""
+
+    def variance(self, depth):
+        return np.zeros_like(depth, dtype=float)
+
+
 def make_frame_points(mesh, pos_map, scores=None):
     k = mesh.cfg.num_classes
     if scores is None:
@@ -247,21 +259,67 @@ class TestUpdateElevation:
         assert mesh.z_var[vid] == pytest.approx(0.1**2 / 6, rel=1e-9)
         assert mesh.z_mean[vid] == pytest.approx(0.4)
 
-    def test_compiled_and_python_kernels_agree(self, rng, monkeypatch):
-        if elevation._fuse_compiled is None:
-            pytest.skip("compiled kernel unavailable")
-        cfg = MeshConfig(0.5, 1.0, 2)
+    def test_matches_sequential_oracle(self, rng):
+        # four frames over shifting windows: later frames meet vertices that
+        # already carry a prior as well as fresh ones
+        mesh = init_mesh(MeshConfig(0.25, 1.0, 2))
+        model = SensorNoiseModel()
+        z_mean, z_var, touched = mesh.z_mean.copy(), mesh.z_var.copy(), mesh.touched.copy()
+        for lo in (-1.0, -0.8, -0.6, -1.0):
+            n = 400
+            pos = np.column_stack(
+                [rng.uniform(lo, lo + 1.2, n), rng.uniform(-1, 1, n), rng.normal(0.0, 0.2, n)]
+            )
+            pos_sensor = np.column_stack(
+                [rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), rng.uniform(0.5, 4.0, n)]
+            )
+            pose = Pose(random_rotation(rng), rng.standard_normal(3), sample_psd(rng, 1e-3))
+            fids = assign_face_ids(mesh, pos[:, :2])
+            mesh.points = FramePoints.from_assignment(pos, pos_sensor, np.full((n, 2), 0.5), fids)
+            pts = mesh.points
+            var = point_height_variances(
+                pts.pos_sensor, model.variance(pts.pos_sensor[:, 2]), pose, pose.rotation_cov
+            )
+            bad = sequential_vertex_fusion(
+                pts.face_ids, mesh.face_vertex_ids, pts.pos_map[:, 2], var, z_mean, z_var, touched
+            )
+            assert bad == -1
+            update_elevation(mesh, pose, model)
+            mesh.clear_points()
+            assert np.array_equal(mesh.touched, touched)
+            np.testing.assert_allclose(mesh.z_mean, z_mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mesh.z_var, z_var, rtol=1e-12, atol=0)
+        assert 0 < touched.sum() < touched.size
+
+    def test_exact_observation_overrides_noisy_prior(self):
+        mesh = init_mesh(MeshConfig(1.0, 1.0, 2))
+        pos = np.array([[0.5, 0.25, 0.2]])
+        mesh.points = make_frame_points(mesh, pos)
+        update_elevation(mesh, Pose.identity(), SensorNoiseModel(a=0.05, b=0.0, c=0.0))
+        verts = np.nonzero(mesh.touched)[0]
+        for z in (0.5, 0.9):  # the exact frame, then a noisy one
+            model = ExactSensor() if z == 0.5 else SensorNoiseModel(a=0.05, b=0.0, c=0.0)
+            mesh.points = make_frame_points(mesh, np.array([[0.5, 0.25, z]]))
+            update_elevation(mesh, Pose.identity(), model)
+            mesh.clear_points()
+            assert np.all(mesh.z_mean[verts] == 0.5)
+            assert np.all(mesh.z_var[verts] == 0.0)
+        assert mesh.touched.sum() == verts.size
+
+    def test_disagreeing_exact_observations_leave_mesh_unchanged(self, rng):
+        mesh = init_mesh(MeshConfig(0.5, 1.0, 2))
         pos = np.column_stack(
-            [rng.uniform(-1, 1, 500), rng.uniform(-1, 1, 500), rng.normal(0.0, 0.2, 500)]
+            [rng.uniform(-1, 1, 200), rng.uniform(-1, 1, 200), rng.normal(0.2, 0.1, 200)]
         )
-        pose = Pose(random_rotation(rng), rng.standard_normal(3), sample_psd(rng, 1e-3))
-        results = []
-        for use_compiled in (True, False):
-            monkeypatch.setattr(elevation, "USE_COMPILED_KERNEL", use_compiled)
-            mesh = init_mesh(cfg)
-            mesh.points = make_frame_points(mesh, pos)
-            update_elevation(mesh, pose, SensorNoiseModel())
-            results.append((mesh.z_mean.copy(), mesh.z_var.copy(), mesh.touched.copy()))
-        assert np.array_equal(results[0][0], results[1][0])
-        assert np.array_equal(results[0][1], results[1][1])
-        assert np.array_equal(results[0][2], results[1][2])
+        mesh.points = make_frame_points(mesh, pos)
+        update_elevation(mesh, Pose.identity(), SensorNoiseModel())
+        mesh.clear_points()
+        # faces 0 and 1 split one cell and share an edge
+        shared = np.intersect1d(mesh.face_vertex_ids[0], mesh.face_vertex_ids[1])
+        assert shared.size == 2
+        cents = mesh.face_centroids()[[0, 1]]
+        mesh.points = make_frame_points(mesh, np.column_stack([cents, [0.1, 0.2]]))
+        before = (mesh.z_mean.tobytes(), mesh.z_var.tobytes(), mesh.touched.tobytes())
+        with pytest.raises(InconsistentCertaintyError):
+            update_elevation(mesh, Pose.identity(), ExactSensor())
+        assert (mesh.z_mean.tobytes(), mesh.z_var.tobytes(), mesh.touched.tobytes()) == before

@@ -68,6 +68,16 @@ class TestFrameValidation:
         with pytest.raises(InputError):
             frame.validate()
 
+    def test_mapper_skips_and_counts_nan_scores(self):
+        frame = overhead_frame(np.zeros((4, 6)), 0)
+        frame.scores[0, 0, 0] = np.nan
+        mapper = Mapper(mesh_10())
+        assert not mapper.process(frame)
+        assert mapper.frames_skipped == 1
+        assert mapper.frames_processed == 0
+        assert not mapper.mesh.touched.any()
+        assert not np.isnan(mapper.mesh.alpha).any()
+
     def test_mapper_skips_and_counts(self):
         frame = overhead_frame(np.zeros((4, 6)), 0)
         frame.valid = False
