@@ -1,8 +1,10 @@
 """Command-line harness: simulate | run | eval | fitdist | validate | bench.
 
-Every subcommand exits 0 on success and nonzero with a single
-``error: <message>`` line on stderr otherwise.  Seeds are mandatory wherever
-randomness exists; nothing is seeded from the wall clock.
+Every subcommand exits 0 on success and 2 with a single ``error: <message>``
+line on stderr otherwise, except that ``validate`` reports a readable but
+invalid bundle as ``invalid: <issue>`` lines on stdout with exit code 1.
+Seeds are mandatory wherever randomness exists; nothing is seeded from the
+wall clock.
 """
 
 from __future__ import annotations
@@ -239,8 +241,16 @@ def cmd_eval(args) -> int:
         raise CliError("no estimate files supplied")
 
     side, extent, k, center = mesh_key
+    if len(models) != k:
+        raise CliError(f"{args.truth} has {len(models)} models, the estimates have {k} classes")
     mesh = init_mesh(MeshConfig(side_length_m=side, half_extent_m=extent, num_classes=int(k)))
     mesh.center = np.asarray(center, dtype=float)
+    for path, (_, estimates) in zip(args.estimates, loaded):
+        if estimates.known.size != mesh.num_faces:
+            raise CliError(
+                f"{path}: holds {estimates.known.size} faces, "
+                f"its mesh configuration has {mesh.num_faces}"
+            )
     centroids = mesh.face_centroids()
     truth_classes = world.class_map.classify(centroids[:, 0], centroids[:, 1])
 
@@ -293,9 +303,11 @@ def _read_force_csv(path, mass_override):
         start = 1
     if len(rows) <= start or [c.strip() for c in rows[start]] != ["t_seconds", "force_newtons"]:
         raise CliError(f"{path}: expected header 't_seconds,force_newtons'")
-    for row in rows[start + 1 :]:
+    for number, row in enumerate(rows[start + 1 :], start=start + 2):
         if not row:
             continue
+        if len(row) < 2:
+            raise CliError(f"{path}: row {number} has one column, expected 't_seconds,force_newtons'")
         times.append(float(row[0]))
         forces.append(float(row[1]))
     if mass is None:

@@ -25,6 +25,10 @@ DENSITY_FLOOR = 1e-300
 # a density is "present" on the grid above this level; used only to detect
 # estimates with no mass over the truth's support
 SUPPORT_LEVEL = 1e-12
+# known faces per block of kl_per_face: 8 x 4096 float64 is 256 KB per working
+# array.  At 16 and 32 rows a fresh process took 70-87k minor page faults per
+# 5,000 faces and 0.43-0.55 s instead of 0.25 s
+KL_BLOCK_ROWS = 8
 
 LOW_FRICTION_THRESHOLD = 0.5
 
@@ -40,13 +44,30 @@ def _component_pdfs(models, grid) -> np.ndarray:
     return np.exp(-0.5 * z * z) / (sigmas[:, None] * math.sqrt(2.0 * math.pi))
 
 
-def _kl_on_grid(p_dens, q_dens, grid) -> np.ndarray:
+def _truth_terms(p_dens):
+    """What KL needs of truth densities: floored, their log, support mask."""
     p = np.maximum(p_dens, DENSITY_FLOOR)
-    q = np.maximum(q_dens, DENSITY_FLOOR)
-    integrand = p * (np.log(p) - np.log(q))
-    kl = np.trapezoid(integrand, grid, axis=-1)
-    no_mass = np.any((p_dens > SUPPORT_LEVEL) & (q_dens <= DENSITY_FLOOR), axis=-1)
-    kl = np.where(no_mass, np.inf, kl)
+    return p, np.log(p), p_dens > SUPPORT_LEVEL
+
+
+def _kl_on_grid(p_floor, log_p, p_support, q, grid, scratch) -> np.ndarray:
+    """KL(p || q) along the last axis by trapezoidal quadrature over ``grid``.
+
+    The truth terms come from :func:`_truth_terms`.  Overwrites the estimate
+    densities ``q`` and ``scratch`` (one node fewer than ``q``).  The sum is
+    ``np.trapezoid``'s, operation for operation, written into a buffer the
+    caller reuses: in a new process, the block-sized temporaries that
+    ``np.trapezoid`` allocates were page-faulted back in on every block.
+    """
+    no_mass = np.any(p_support & (q <= DENSITY_FLOOR), axis=-1)
+    np.maximum(q, DENSITY_FLOOR, out=q)
+    np.log(q, out=q)
+    np.subtract(log_p, q, out=q)
+    np.multiply(p_floor, q, out=q)
+    np.add(q[..., 1:], q[..., :-1], out=scratch)
+    np.multiply(np.diff(grid), scratch, out=scratch)
+    np.divide(scratch, 2.0, out=scratch)
+    kl = np.where(no_mass, np.inf, scratch.sum(axis=-1))
     # quadrature may dip a hair negative for identical inputs
     if np.any(kl[np.isfinite(kl)] < -1e-6):
         raise EvaluationError("KL quadrature produced a significantly negative value")
@@ -56,7 +77,8 @@ def _kl_on_grid(p_dens, q_dens, grid) -> np.ndarray:
 def kl_mixture(p_true, q_est) -> float:
     """KL(p || q) between two property mixtures by fixed-grid quadrature."""
     grid = _grid()
-    return float(_kl_on_grid(p_true.pdf(grid), q_est.pdf(grid), grid))
+    q = q_est.pdf(grid)
+    return float(_kl_on_grid(*_truth_terms(p_true.pdf(grid)), q, grid, np.empty(q.size - 1)))
 
 
 def gaussian_kl(mu1, s1, mu2, s2) -> float:
@@ -65,16 +87,29 @@ def gaussian_kl(mu1, s1, mu2, s2) -> float:
 
 
 def kl_per_face(estimates: FaceEstimates, truth_classes, models):
-    """Per-face KL(truth || estimate); NaN where the estimate is unknown."""
+    """Per-face KL(truth || estimate); NaN where the estimate is unknown.
+
+    Streamed through blocks of ``KL_BLOCK_ROWS`` known faces, so working
+    memory does not grow with the map.  A face's truth density is one of the
+    K component rows, so what KL needs of it is computed once per class.
+    """
     truth_classes = np.asarray(truth_classes)
     grid = _grid()
     comp = _component_pdfs(models, grid)
+    p_floor, log_p, p_support = _truth_terms(comp)
     out = np.full(truth_classes.size, np.nan)
-    known = estimates.known
-    if np.any(known):
-        q = estimates.weights[known] @ comp
-        p = comp[truth_classes[known]]
-        out[known] = _kl_on_grid(p, q, grid)
+    faces = np.flatnonzero(estimates.known)
+    bounds = list(range(0, faces.size, KL_BLOCK_ROWS)) + [faces.size]
+    if faces.size > 1 and bounds[-1] - bounds[-2] == 1:
+        # a one-row product goes through BLAS gemv, which rounds differently
+        # from the gemm every other row sees: fold the lone row into the block
+        del bounds[-2]
+    scratch = np.empty((KL_BLOCK_ROWS + 1, grid.size - 1))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        rows = faces[start:stop]
+        cls = truth_classes[rows]
+        q = estimates.weights[rows] @ comp
+        out[rows] = _kl_on_grid(p_floor[cls], log_p[cls], p_support[cls], q, grid, scratch[: rows.size])
     return out
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -72,18 +74,30 @@ def read_arrays(path):
             meta = json.loads(fh.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: unreadable header: {exc}") from exc
+        try:
+            header = meta["header"]
+            layout = [
+                (str(entry["name"]), np.dtype(entry["dtype"]), tuple(int(n) for n in entry["shape"]))
+                for entry in meta["arrays"]
+            ]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"{path}: malformed header: {exc!r}") from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: malformed header: 'header' is not an object")
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
         arrays = {}
-        for entry in meta["arrays"]:
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
-                raise FormatError(f"{path}: truncated array {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        for name, dtype, shape in layout:
+            if dtype.hasobject or dtype.itemsize == 0 or min(shape, default=0) < 0:
+                raise FormatError(f"{path}: array {name!r} has dtype {dtype} and shape {shape}")
+            nbytes = math.prod(shape) * dtype.itemsize
+            if nbytes > remaining:
+                raise FormatError(f"{path}: truncated array {name!r}")
+            buf = fh.read(nbytes)
+            remaining -= nbytes
+            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after declared arrays")
-    return meta["header"], arrays
+    return header, arrays
 
 
 # -- map export ---------------------------------------------------------------
@@ -286,6 +300,8 @@ def read_bundle(directory):
             )
     except KeyError as exc:
         raise FormatError(f"bundle manifest misses key {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise FormatError(f"bundle manifest has a field of the wrong type: {exc}") from exc
     return manifest, frames
 
 
@@ -409,7 +425,14 @@ def load_estimates(path):
     header, arrays = read_arrays(path)
     if header.get("kind") != ESTIMATES_KIND:
         raise FormatError(f"{path}: not an estimates file")
-    return header, FaceEstimates(
-        weights=arrays["weights"].astype(float),
-        known=arrays["known"].astype(bool),
-    )
+    try:
+        known, weights = arrays["known"], arrays["weights"]
+    except KeyError as exc:
+        raise FormatError(f"{path}: misses array {exc.args[0]!r}") from exc
+    k = header.get("num_classes")
+    if known.ndim != 1 or weights.shape != (known.size, k):
+        raise FormatError(
+            f"{path}: known has shape {known.shape} and weights {weights.shape}; "
+            f"expected (F,) and (F, {k})"
+        )
+    return header, FaceEstimates(weights=weights.astype(float), known=known.astype(bool))

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from terramesh.cli import main
-from terramesh.formats import load_estimates, load_map, read_bundle, validate_bundle
+from terramesh.formats import (
+    load_estimates,
+    load_map,
+    read_arrays,
+    read_bundle,
+    validate_bundle,
+    write_arrays,
+)
 from terramesh.properties import GRAVITY, load_models
 from terramesh.sim import scenario_library, world_to_dict
 
@@ -194,6 +201,18 @@ class TestRun:
         assert err.startswith("error:") and "'pose'" in err
         assert len(err.splitlines()) == 1
 
+    def test_manifest_with_null_pose_is_one_error_line(self, sim_dir, tmp_path, capsys):
+        import shutil
+
+        broken = tmp_path / "nullpose"
+        shutil.copytree(sim_dir, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        manifest["frames"][1]["pose"] = None
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("run", "--bundle", broken, "--out", tmp_path / "out") == 2
+        one_error_line(capsys)
+
     def test_timing_csv_schema(self, run_dir):
         with open(run_dir / "timing.csv") as fh:
             rows = list(csv.reader(fh))
@@ -260,6 +279,103 @@ class TestEval:
         assert "mesh configuration differs" in capsys.readouterr().err
 
 
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    return err
+
+
+def rewrite_estimates(src, dst, **changes):
+    """Copy an estimates file, replacing header fields and arrays."""
+    header, arrays = read_arrays(src)
+    for name, value in changes.items():
+        if name in arrays:
+            arrays[name] = value(arrays[name])
+        else:
+            header[name] = value(header[name])
+    write_arrays(dst, header, arrays)
+    return dst
+
+
+class TestEvalInputs:
+    def eval_one(self, sim_dir, estimates, tmp_path, truth=None):
+        return run_cli(
+            "eval", "--truth", truth or sim_dir / "truth.json", "--out", tmp_path / "report",
+            "--estimates", estimates,
+        )
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"weights": lambda w: w[:-1]},
+            {"weights": lambda w: w[:, :-1]},
+            {"known": lambda k: k.reshape(-1, 1)},
+            {"num_classes": lambda k: k + 1},
+        ],
+        ids=["weights-rows", "weights-classes", "known-2d", "header-classes"],
+    )
+    def test_estimate_arrays_disagreeing_with_header(self, sim_dir, run_dir, tmp_path, capsys, changes):
+        bad = rewrite_estimates(run_dir / "estimates.bin", tmp_path / "bad.bin", **changes)
+        capsys.readouterr()
+        assert self.eval_one(sim_dir, bad, tmp_path) == 2
+        assert "bad.bin" in one_error_line(capsys)
+
+    def test_estimates_without_weights(self, sim_dir, run_dir, tmp_path, capsys):
+        header, arrays = read_arrays(run_dir / "estimates.bin")
+        write_arrays(tmp_path / "noweights.bin", header, {"known": arrays["known"]})
+        capsys.readouterr()
+        assert self.eval_one(sim_dir, tmp_path / "noweights.bin", tmp_path) == 2
+        assert "'weights'" in one_error_line(capsys)
+
+    def test_face_count_disagreeing_with_mesh(self, sim_dir, run_dir, tmp_path, capsys):
+        bad = rewrite_estimates(
+            run_dir / "estimates.bin", tmp_path / "short.bin",
+            known=lambda k: k[:-3], weights=lambda w: w[:-3],
+        )
+        capsys.readouterr()
+        assert self.eval_one(sim_dir, bad, tmp_path) == 2
+        assert "faces" in one_error_line(capsys)
+
+    def test_truth_model_count_disagreeing_with_classes(self, sim_dir, run_dir, tmp_path, capsys):
+        doc = json.loads((sim_dir / "truth.json").read_text())
+        doc["models"] = doc["models"][:-1]
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.eval_one(sim_dir, run_dir / "estimates.bin", tmp_path, truth=truth) == 2
+        assert "models" in one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda meta: meta.pop("arrays"),
+            lambda meta: meta.pop("header"),
+            lambda meta: meta["arrays"][0].pop("name"),
+            lambda meta: meta["arrays"][0].pop("dtype"),
+            lambda meta: meta["arrays"][1].pop("shape"),
+            lambda meta: meta["arrays"][0].update(dtype="not-a-dtype"),
+            lambda meta: meta["arrays"][0].update(dtype="|O"),
+            lambda meta: meta["arrays"][1].update(shape=[10**15, 10]),
+            lambda meta: meta.update(header=[1, 2]),
+            lambda meta: meta.update(arrays=7),
+        ],
+        ids=[
+            "no-arrays", "no-header", "no-name", "no-dtype", "no-shape", "bad-dtype",
+            "object-dtype", "huge-shape", "header-list", "arrays-int",
+        ],
+    )
+    def test_malformed_container_header(self, sim_dir, run_dir, tmp_path, capsys, corrupt):
+        raw = (run_dir / "estimates.bin").read_bytes()
+        magic, meta_line, body = raw.split(b"\n", 2)
+        meta = json.loads(meta_line)
+        corrupt(meta)
+        bad = tmp_path / "corrupt.bin"
+        bad.write_bytes(magic + b"\n" + json.dumps(meta).encode() + b"\n" + body)
+        capsys.readouterr()
+        assert self.eval_one(sim_dir, bad, tmp_path) == 2
+        assert "corrupt.bin" in one_error_line(capsys)
+
+
 class TestFitdist:
     def write_log(self, path, mu, mass, n=6000, noise=0.05, seed=0, metadata_mass=False):
         rng = np.random.default_rng(seed)
@@ -303,6 +419,16 @@ class TestFitdist:
         self.write_log(logs / "wood.csv", 0.37, 3.0, seed=3)
         assert run_cli("fitdist", "--logs", logs, "--out", tmp_path / "m.tsv") == 2
         assert "mass" in capsys.readouterr().err
+
+    def test_short_row_is_one_error_line(self, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        path = logs / "wood.csv"
+        path.write_text("# mass_kg=3.0\nt_seconds,force_newtons\n0.0,9.5\n0.01\n0.02,9.4\n")
+        capsys.readouterr()
+        assert run_cli("fitdist", "--logs", logs, "--out", tmp_path / "m.tsv") == 2
+        err = one_error_line(capsys)
+        assert "wood.csv" in err and "row 4" in err
 
     def test_empty_dir_is_error(self, tmp_path, capsys):
         logs = tmp_path / "empty"

@@ -5,6 +5,7 @@ import pytest
 
 from terramesh.errors import EvaluationError
 from terramesh.evaluation import (
+    KL_BLOCK_ROWS,
     BenchRow,
     accuracy,
     bench_update,
@@ -22,7 +23,7 @@ from terramesh.evaluation import (
 from terramesh.pipeline import FaceEstimates
 from terramesh.properties import PropertyMixture, PropertyModel, load_default_models
 
-from oracles import gaussian_kl_reference
+from oracles import dense_kl_per_face, gaussian_kl_reference
 
 
 def single(mu, sigma):
@@ -95,6 +96,50 @@ class TestKlMixture:
             p = single(models[truth[i]].mu, models[truth[i]].sigma)
             q = PropertyMixture(weights[i], models)
             assert per_face[i] == pytest.approx(kl_mixture(p, q), rel=1e-9)
+
+    def test_blocked_matches_dense_oracle(self, rng):
+        # several blocks mixed with unknown faces and a known face with no
+        # mass must all come out as in the one-grid form, bit for bit
+        _, models = load_default_models()
+        n = 1000
+        truth = rng.integers(0, 10, size=n)
+        weights = rng.dirichlet(np.full(10, 0.3), size=n)
+        known = rng.random(n) < 0.9
+        weights[~known] = 0.0
+        no_mass = np.flatnonzero(known)[500]
+        weights[no_mass] = 0.0
+        per_face = kl_per_face(FaceEstimates(weights=weights, known=known), truth, models)
+        assert np.array_equal(per_face, dense_kl_per_face(weights, known, truth, models), equal_nan=True)
+        assert per_face[no_mass] == np.inf
+        assert np.isnan(per_face[~known]).all()
+
+    def test_lone_tail_row_matches_dense_oracle(self, rng):
+        # one row is left after whole blocks; on its own that row's product
+        # would round differently from the dense product
+        _, models = load_default_models()
+        n = 4 * KL_BLOCK_ROWS + 1
+        for _ in range(30):
+            truth = rng.integers(0, 10, size=n)
+            weights = rng.dirichlet(np.ones(10), size=n)
+            known = np.ones(n, dtype=bool)
+            per_face = kl_per_face(FaceEstimates(weights=weights, known=known), truth, models)
+            assert np.array_equal(per_face, dense_kl_per_face(weights, known, truth, models))
+
+    def test_memory_does_not_grow_with_known_faces(self, rng):
+        import tracemalloc
+
+        _, models = load_default_models()
+        n = 4000
+        truth = rng.integers(0, 10, size=n)
+        est = FaceEstimates(weights=rng.dirichlet(np.ones(10), size=n), known=np.ones(n, dtype=bool))
+        tracemalloc.start()
+        try:
+            kl_per_face(est, truth, models)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one dense (faces x 4096) float64 grid would be 131 MB
+        assert peak < 16e6
 
     def test_summary_requires_known_faces(self):
         _, models = load_default_models()
