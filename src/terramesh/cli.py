@@ -157,10 +157,7 @@ def cmd_run(args) -> int:
     if last_scores is None:
         # every frame was skipped: the baselines have no current frame, so
         # all faces stay unknown
-        last_scores = FaceScores(
-            sums=np.zeros_like(mapper.mesh.alpha),
-            counts=np.zeros(mapper.mesh.num_faces, dtype=np.int64),
-        )
+        last_scores = FaceScores.empty(mapper.mesh.num_faces, mesh_cfg.num_classes)
     estimates = estimate_properties(mapper.mesh, kind, models, last_scores)
 
     out = Path(args.out)

@@ -118,21 +118,23 @@ def kalman_update(z_mean, z_var, z_obs, var_obs):
 def _fuse_noisy(mesh, verts, z, var):
     """Information-form update of ``mesh`` by positive-variance observations."""
     w = 1.0 / var
-    n_v = mesh.z_mean.size
+    n_v = mesh.num_vertices
     info = np.bincount(verts, weights=w, minlength=n_v)
     info_z = np.bincount(verts, weights=z * w, minlength=n_v)
 
-    hit = np.flatnonzero(info)
+    hit = np.flatnonzero(info != 0.0)  # a bool scan is far cheaper than a float one
     info, info_z = info[hit], info_z[hit]
-    prior_var = mesh.z_var[hit]
-    touched = mesh.touched[hit]
+    slot = mesh.vertex_slots(hit)
+    ring = mesh.ring
+    prior_var = ring.z_var[slot]
+    touched = ring.touched[slot]
     prior = touched & (prior_var > 0.0)
     info[prior] += 1.0 / prior_var[prior]
-    info_z[prior] += mesh.z_mean[hit[prior]] / prior_var[prior]
+    info_z[prior] += ring.z_mean[slot[prior]] / prior_var[prior]
     fused = prior | ~touched  # an exact prior keeps its value
-    mesh.z_mean[hit[fused]] = info_z[fused] / info[fused]
-    mesh.z_var[hit[fused]] = 1.0 / info[fused]
-    mesh.touched[hit] = True
+    ring.z_mean[slot[fused]] = info_z[fused] / info[fused]
+    ring.z_var[slot[fused]] = 1.0 / info[fused]
+    ring.touched[slot] = True
 
 
 def update_elevation(mesh, pose, noise_model: SensorNoiseModel, sigma_pose=None):
@@ -169,9 +171,11 @@ def update_elevation(mesh, pose, noise_model: SensorNoiseModel, sigma_pose=None)
         exact_v, inverse = np.unique(verts[exact], return_inverse=True)
         exact_z = np.empty(exact_v.size)
         exact_z[inverse] = z[exact]
-        prior_exact = mesh.touched[exact_v] & (mesh.z_var[exact_v] == 0.0)
+        exact_slot = mesh.vertex_slots(exact_v)
+        ring = mesh.ring
+        prior_exact = ring.touched[exact_slot] & (ring.z_var[exact_slot] == 0.0)
         if np.any(exact_z[inverse] != z[exact]) or np.any(
-            prior_exact & (mesh.z_mean[exact_v] != exact_z)
+            prior_exact & (ring.z_mean[exact_slot] != exact_z)
         ):
             raise InconsistentCertaintyError("two exact heights disagree on a vertex; cannot fuse")
         verts, z, var = verts[~exact], z[~exact], var[~exact]
@@ -179,7 +183,7 @@ def update_elevation(mesh, pose, noise_model: SensorNoiseModel, sigma_pose=None)
     if var.size:
         _fuse_noisy(mesh, verts, z, var)
     if exact_v is not None:
-        mesh.z_mean[exact_v] = exact_z
-        mesh.z_var[exact_v] = 0.0
-        mesh.touched[exact_v] = True
+        ring.z_mean[exact_slot] = exact_z
+        ring.z_var[exact_slot] = 0.0
+        ring.touched[exact_slot] = True
     return mesh

@@ -149,11 +149,34 @@ def save_map(mesh: Mesh, path, class_names, frame_count: int = 0, extra: dict | 
         fh.write("\n".join(sidecar) + "\n")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+_MESH_FIELDS = (
+    ("side_length_m", _is_number, "a finite number"),
+    ("half_extent_m", _is_number, "a finite number"),
+    ("num_classes", lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    ("center", lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)), "two finite numbers"),
+)
+
+
+def _check_header(path, header: dict, kind: str, fields=()) -> None:
+    """Raise :class:`FormatError` unless a map or estimates header is of
+    ``kind`` and holds the mesh fields plus ``fields``, each of its type."""
+    if header.get("kind") != kind:
+        raise FormatError(f"{path}: not a {kind} file")
+    for name, ok, what in _MESH_FIELDS + tuple(fields):
+        if name not in header:
+            raise FormatError(f"{path}: header misses {name!r}")
+        if not ok(header[name]):
+            raise FormatError(f"{path}: header field {name!r} must be {what}, not {header[name]!r}")
+
+
 def load_map(path):
     """Rebuild a mesh from :func:`save_map` output; returns ``(mesh, header)``."""
     header, arrays = read_arrays(path)
-    if header.get("kind") != MAP_KIND:
-        raise FormatError(f"{path}: not a map export")
+    _check_header(path, header, MAP_KIND)
     cfg = MeshConfig(
         side_length_m=header["side_length_m"],
         half_extent_m=header["half_extent_m"],
@@ -423,8 +446,7 @@ def load_estimates(path):
     from .pipeline import FaceEstimates  # local import to avoid a cycle
 
     header, arrays = read_arrays(path)
-    if header.get("kind") != ESTIMATES_KIND:
-        raise FormatError(f"{path}: not an estimates file")
+    _check_header(path, header, ESTIMATES_KIND, [("estimator", lambda v: isinstance(v, str), "a string")])
     try:
         known, weights = arrays["known"], arrays["weights"]
     except KeyError as exc:

@@ -7,6 +7,21 @@ south-east triangle of a cell precedes the north-west one in face-index
 order.  All state lives in flat numpy arrays (struct-of-arrays) so per-frame
 updates stay vectorizable.
 
+Vertex and face state is stored as a ring buffer over the window, as grid_map
+stores a moving map (Fankhauser & Hutter, "A Universal Grid Map Library",
+2016).  ``Mesh.ring`` holds the arrays in storage order: canonical vertex
+``(iy, ix)`` lives at ``((iy + r) % n_v, (ix + c) % n_v)`` and canonical cell
+``(cy, cx)`` at ``((cy + r) % n_c, (cx + c) % n_c)``, where ``(r, c)`` is the
+window's accumulated ``(row, col)`` start offset.  :func:`recenter` clears
+the rows and columns that enter the window and moves the offset, so a shift
+costs the cells that enter, not the map.  Face and vertex ids everywhere
+else (``assign_face_ids``, ``face_vertex_ids``, exports) are canonical
+window ids; the per-frame writers translate them to storage slots with
+:meth:`Mesh.vertex_slots` / :meth:`Mesh.face_slots`.  The public
+``z_mean``/``z_var``/``touched``/``alpha``/``observed`` are canonical views:
+the first access after a shift rolls the storage back to offset zero once
+(``np.roll`` is exact), and assigning one of them does the same first.
+
 Concurrency: a mesh is a single-writer structure.  Exactly one frame update
 may mutate it at a time; reads (export, evaluation) happen between updates.
 """
@@ -109,23 +124,58 @@ class FramePoints:
         return np.nonzero(self.face_ids == face_id)[0]
 
 
+@dataclass
+class RingState:
+    """Vertex and face state in ring storage order (see the module docstring)."""
+
+    z_mean: np.ndarray
+    z_var: np.ndarray
+    touched: np.ndarray
+    alpha: np.ndarray
+    observed: np.ndarray
+
+
+def _canonical_view(name: str, doc: str) -> property:
+    def get(mesh):
+        mesh._canonicalize()
+        return getattr(mesh.ring, name)
+
+    def put(mesh, value):
+        mesh._canonicalize()
+        setattr(mesh.ring, name, np.ascontiguousarray(value))
+
+    return property(get, put, doc=doc)
+
+
 class Mesh:
     """Triangular elevation/semantics map over a regular grid.
 
     Use :func:`init_mesh` to construct one.
     """
 
+    z_mean = _canonical_view("z_mean", "(V,) fused vertex heights, canonical order.")
+    z_var = _canonical_view("z_var", "(V,) vertex height variances, canonical order.")
+    touched = _canonical_view("touched", "(V,) vertices observed at least once.")
+    alpha = _canonical_view("alpha", "(F, K) accumulated class evidence, canonical order.")
+    observed = _canonical_view("observed", "(F,) faces any processed frame observed.")
+
     def __init__(self, cfg: MeshConfig, center_xy=(0.0, 0.0)):
         self.cfg = cfg
         self.center = np.asarray(center_xy, dtype=float).reshape(2)
         n_v = cfg.num_vertices
         n_f = cfg.num_faces
-        self.z_mean = np.zeros(n_v)
-        self.z_var = np.zeros(n_v)
-        # zero-variance initialization would freeze the filter, so vertices
-        # are flagged untouched and adopt their first observation wholesale
-        self.touched = np.zeros(n_v, dtype=bool)
-        self.alpha = np.zeros((n_f, cfg.num_classes))
+        self.ring = RingState(
+            z_mean=np.zeros(n_v),
+            z_var=np.zeros(n_v),
+            # zero-variance initialization would freeze the filter, so
+            # vertices are flagged untouched and adopt their first
+            # observation wholesale
+            touched=np.zeros(n_v, dtype=bool),
+            alpha=np.zeros((n_f, cfg.num_classes)),
+            observed=np.zeros(n_f, dtype=bool),
+        )
+        # accumulated (row, col) window shift since storage was last canonical
+        self._start = (0, 0)
         self.face_vertex_ids = _build_face_vertex_ids(cfg.cells_per_side)
         self.points: FramePoints | None = None
         self._face_inv = None
@@ -206,6 +256,44 @@ class Mesh:
         self._face_inv = None
         self._face_xy = None
 
+    # -- ring storage -------------------------------------------------------
+
+    def vertex_slots(self, vids: np.ndarray) -> np.ndarray:
+        """Ring-storage indices of canonical vertex ids."""
+        r, c = self._start
+        if r == 0 and c == 0:
+            return vids  # storage is canonical: frames without recentering skip the arithmetic
+        n = self.cfg.vertices_per_side
+        iy, ix = np.divmod(vids, n)
+        return (iy + r % n) % n * n + (ix + c % n) % n
+
+    def face_slots(self, fids: np.ndarray) -> np.ndarray:
+        """Ring-storage indices of canonical face ids."""
+        r, c = self._start
+        if r == 0 and c == 0:
+            return fids
+        n = self.cfg.cells_per_side
+        cell, tri = np.divmod(fids, 2)
+        cy, cx = np.divmod(cell, n)
+        return 2 * ((cy + r % n) % n * n + (cx + c % n) % n) + tri
+
+    def _ring_grids(self):
+        """``(name, grid side)`` of every ring-stored array."""
+        n_v, n_c = self.cfg.vertices_per_side, self.cfg.cells_per_side
+        return (("z_mean", n_v), ("z_var", n_v), ("touched", n_v), ("alpha", n_c), ("observed", n_c))
+
+    def _canonicalize(self):
+        """Roll ring storage back to offset zero (exact; a no-op when there)."""
+        r, c = self._start
+        if r == 0 and c == 0:
+            return
+        for name, n in self._ring_grids():
+            arr = getattr(self.ring, name)
+            grid = arr.reshape(n, n, -1)
+            # one array at a time, so at most one extra copy is alive
+            setattr(self.ring, name, np.roll(grid, (-(r % n), -(c % n)), axis=(0, 1)).reshape(arr.shape))
+        self._start = (0, 0)
+
 
 def _build_face_vertex_ids(n_cells: int) -> np.ndarray:
     n_verts = n_cells + 1
@@ -280,6 +368,10 @@ def _lam_direct(corner_x, corner_y, px, py):
 
 
 _NO_FACE = np.iinfo(np.int64).max
+# lattice offsets of the three corners of a cell's south-east (row 0) and
+# north-west (row 1) triangle, in the order of _build_face_vertex_ids
+_CORNER_DX = np.array([[0, 1, 1], [0, 1, 0]])
+_CORNER_DY = np.array([[0, 0, 1], [0, 1, 1]])
 
 
 def _batch_candidate_lookup(mesh: Mesh, xy: np.ndarray) -> np.ndarray:
@@ -326,11 +418,14 @@ def _batch_candidate_lookup(mesh: Mesh, xy: np.ndarray) -> np.ndarray:
             col += 2
     fids.sort(axis=1)
 
+    # corners from the cell indices, with the lattice arithmetic of
+    # vertex_positions (ox + i*side), so no (F, 3) corner table is needed
     safe = np.where(fids == _NO_FACE, 0, fids)
-    corner_x, corner_y = mesh.face_corner_coords()
-    lam = _lam_direct(
-        corner_x[safe], corner_y[safe], xs[:, None], ys[:, None]
-    )  # (m, 18, 3)
+    cell, tri = np.divmod(safe, 2)
+    cy, cx = np.divmod(cell, n)
+    corner_x = ox + (cx[..., None] + _CORNER_DX[tri]) * side
+    corner_y = oy + (cy[..., None] + _CORNER_DY[tri]) * side
+    lam = _lam_direct(corner_x, corner_y, xs[:, None], ys[:, None])  # (m, 18, 3)
     ok = np.all((lam >= 0.0) & (lam <= 1.0), axis=2) & (fids != _NO_FACE)
     has = ok.any(axis=1)
     first = np.argmax(ok, axis=1)
@@ -390,12 +485,24 @@ def assign_face_ids(mesh: Mesh, xy: np.ndarray) -> np.ndarray:
     return fids
 
 
+def _entering(shift: int, start: int, n: int) -> tuple:
+    """Storage slices (at most two) of the canonical lines that enter a ring
+    of ``n`` lines when the window moves by ``shift`` and its offset becomes
+    ``start``."""
+    k = min(abs(shift), n)
+    lo = ((n - k if shift > 0 else 0) + start) % n
+    if lo + k <= n:
+        return (slice(lo, lo + k),)
+    return slice(lo, n), slice(0, lo + k - n)
+
+
 def recenter(mesh: Mesh, new_center_xy) -> Mesh:
     """Shift the window toward ``new_center_xy`` by whole cells, in place.
 
     Vertex and face state that stays inside the window is preserved exactly;
     cells entering the window are reinitialized as at startup.  Displacements
-    below one cell leave the mesh untouched.
+    below one cell leave the mesh untouched.  Only the entering rows and
+    columns of the ring storage are written.
     """
     if mesh.points is not None:
         raise InputError("cannot recenter while a frame update is in flight")
@@ -405,34 +512,15 @@ def recenter(mesh: Mesh, new_center_xy) -> Mesh:
     if shift[0] == 0 and shift[1] == 0:
         return mesh
 
-    n_v = mesh.cfg.vertices_per_side
-    n_c = mesh.cfg.cells_per_side
     dx, dy = int(shift[0]), int(shift[1])
-
-    def shift_grid(arr, fill):
-        out = np.full_like(arr, fill)
-        src_x = slice(max(dx, 0), n_v + min(dx, 0))
-        dst_x = slice(max(-dx, 0), n_v + min(-dx, 0))
-        src_y = slice(max(dy, 0), n_v + min(dy, 0))
-        dst_y = slice(max(-dy, 0), n_v + min(-dy, 0))
-        if src_x.start < src_x.stop and src_y.start < src_y.stop:
-            out[dst_y, dst_x] = arr[src_y, src_x]
-        return out
-
-    mesh.z_mean = shift_grid(mesh.z_mean.reshape(n_v, n_v), 0.0).reshape(-1)
-    mesh.z_var = shift_grid(mesh.z_var.reshape(n_v, n_v), 0.0).reshape(-1)
-    mesh.touched = shift_grid(mesh.touched.reshape(n_v, n_v), False).reshape(-1)
-
-    k = mesh.cfg.num_classes
-    alpha = mesh.alpha.reshape(n_c, n_c, 2 * k)
-    out = np.zeros_like(alpha)
-    src_x = slice(max(dx, 0), n_c + min(dx, 0))
-    dst_x = slice(max(-dx, 0), n_c + min(-dx, 0))
-    src_y = slice(max(dy, 0), n_c + min(dy, 0))
-    dst_y = slice(max(-dy, 0), n_c + min(-dy, 0))
-    if src_x.start < src_x.stop and src_y.start < src_y.stop:
-        out[dst_y, dst_x] = alpha[src_y, src_x]
-    mesh.alpha = out.reshape(-1, k)
+    r, c = mesh._start[0] + dy, mesh._start[1] + dx
+    mesh._start = (r, c)
+    for name, n in mesh._ring_grids():
+        grid = getattr(mesh.ring, name).reshape(n, n, -1)
+        for rows in _entering(dy, r, n):
+            grid[rows] = 0
+        for cols in _entering(dx, c, n):
+            grid[:, cols] = 0
 
     mesh.center = mesh.center + shift * side
     mesh._invalidate_caches()

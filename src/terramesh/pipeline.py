@@ -109,19 +109,49 @@ class FrameTiming:
 
 @dataclass
 class FaceScores:
-    """Per-face score sums and point counts from a single frame."""
+    """Per-face score sums and point counts from a single frame.
 
-    sums: np.ndarray
-    counts: np.ndarray
+    Only the observed faces are stored: ``ids`` (ascending window face ids)
+    with their ``observed_sums`` (m, K) and ``observed_counts`` (m,).  The
+    dense (F, ...) ``sums``, ``counts``, ``known`` and :meth:`mean` are built
+    on demand.
+    """
+
+    ids: np.ndarray
+    observed_sums: np.ndarray
+    observed_counts: np.ndarray
+    num_faces: int
+
+    @classmethod
+    def empty(cls, num_faces: int, num_classes: int) -> "FaceScores":
+        return cls(
+            np.empty(0, dtype=np.int64),
+            np.empty((0, num_classes)),
+            np.empty(0, dtype=np.int64),
+            num_faces,
+        )
+
+    @property
+    def sums(self) -> np.ndarray:
+        out = np.zeros((self.num_faces, self.observed_sums.shape[1]))
+        out[self.ids] = self.observed_sums
+        return out
+
+    @property
+    def counts(self) -> np.ndarray:
+        out = np.zeros(self.num_faces, dtype=np.int64)
+        out[self.ids] = self.observed_counts
+        return out
 
     @property
     def known(self) -> np.ndarray:
-        return self.counts > 0
+        out = np.zeros(self.num_faces, dtype=bool)
+        out[self.ids] = True
+        return out
 
     def mean(self) -> np.ndarray:
-        out = np.zeros_like(self.sums)
-        mask = self.known
-        out[mask] = self.sums[mask] / self.counts[mask, None]
+        out = np.zeros((self.num_faces, self.observed_sums.shape[1]))
+        out[self.ids] = self.observed_sums / self.observed_counts[:, None]
         return out
 
 
@@ -140,32 +170,27 @@ class FaceEstimates:
         return PropertyMixture(self.weights[face_id], models)
 
 
-def _face_reduce(points: FramePoints, num_faces: int, num_classes: int, mode: str):
-    """Per-face score sums, hard-label counts and point counts for one frame.
+def _face_reduce(points: FramePoints, num_classes: int, mode: str):
+    """Per-face score sums, point counts and hard-label counts for one frame.
 
-    Reductions run over the observed faces only, so the per-frame cost
-    scales with the point count rather than the face count; the dense
-    outputs stay untouched (zero) elsewhere.  Returns ``(sums, counts,
-    hard_counts, observed_face_ids)``.
+    Reductions run over the faces the frame observes only, and every output
+    has one row per observed face, so the per-frame cost scales with the
+    point count rather than the face count.  Returns ``(observed face ids,
+    (m, K) sums, (m,) counts, (m, K) hard counts or None)``.
     """
-    sums = np.zeros((num_faces, num_classes))
-    counts = np.zeros(num_faces, dtype=np.int64)
-    hard = np.zeros((num_faces, num_classes), dtype=np.int64) if mode == "hard" else None
-    observed = np.empty(0, dtype=np.int64)
-    if points.count:
-        observed, inverse = np.unique(points.face_ids, return_inverse=True)
-        m = observed.size
-        counts[observed] = np.bincount(inverse, minlength=m)
-        seg = np.empty((m, num_classes))
-        for j in range(num_classes):
-            seg[:, j] = np.bincount(inverse, weights=points.scores[:, j], minlength=m)
-        sums[observed] = seg
-        if mode == "hard":
-            labels = np.argmax(points.scores, axis=1)
-            hard[observed] = np.bincount(
-                inverse * num_classes + labels, minlength=m * num_classes
-            ).reshape(m, num_classes)
-    return sums, counts, hard, observed
+    observed, inverse = np.unique(points.face_ids, return_inverse=True)
+    m = observed.size
+    counts = np.bincount(inverse, minlength=m)
+    sums = np.empty((m, num_classes))
+    for j in range(num_classes):
+        sums[:, j] = np.bincount(inverse, weights=points.scores[:, j], minlength=m)
+    hard = None
+    if mode == "hard":
+        labels = np.argmax(points.scores, axis=1)
+        hard = np.bincount(
+            inverse * num_classes + labels, minlength=m * num_classes
+        ).reshape(m, num_classes)
+    return observed, sums, counts, hard
 
 
 def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
@@ -191,12 +216,13 @@ def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
     update_elevation(mesh, frame.pose, config.noise_model, sigma_pose)
     t3 = time.perf_counter()
 
-    sums, counts, hard, observed = _face_reduce(
-        mesh.points, mesh.num_faces, mesh.cfg.num_classes, config.update_mode
+    observed, sums, counts, hard = _face_reduce(
+        mesh.points, mesh.cfg.num_classes, config.update_mode
     )
-    if config.accumulate_alpha and observed.size:
-        evidence = hard if config.update_mode == "hard" else sums
-        mesh.alpha[observed] += evidence[observed]
+    slots = mesh.face_slots(observed)
+    mesh.ring.observed[slots] = True
+    if config.accumulate_alpha:
+        mesh.ring.alpha[slots] += hard if config.update_mode == "hard" else sums
     t4 = time.perf_counter()
 
     mesh.clear_points()
@@ -207,7 +233,7 @@ def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
         semantics=t4 - t3,
         total=t4 - t0,
     )
-    return timing, FaceScores(sums=sums, counts=counts)
+    return timing, FaceScores(observed, sums, counts, mesh.num_faces)
 
 
 def process_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig | None = None) -> Mesh:
@@ -227,8 +253,12 @@ class Mapper:
         self.frames_processed = 0
         self.frames_skipped = 0
         self.timings: list[FrameTiming] = []
-        self.observed = np.zeros(mesh.num_faces, dtype=bool)
         self.last_scores: FaceScores | None = None
+
+    @property
+    def observed(self) -> np.ndarray:
+        """(F,) faces of the current window that a processed frame observed."""
+        return self.mesh.observed
 
     def process(self, frame: FrameBundle) -> bool:
         """Apply one frame; invalid frames are skipped and counted."""
@@ -240,7 +270,6 @@ class Mapper:
         timing, face_scores = _run_frame(self.mesh, frame, self.config)
         self.frames_processed += 1
         self.timings.append(timing)
-        self.observed |= face_scores.known
         self.last_scores = face_scores
         return True
 

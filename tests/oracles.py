@@ -6,10 +6,14 @@ the closed-form batch formula, and height variance comes from brute-force
 Monte-Carlo sampling of the perturbation model.  Per-frame vertex fusion is
 checked against the sequential loop below: one scalar Kalman step per point
 and vertex, in point order.  Blocked per-face KL is checked against the
-dense form below, which holds every known face's grid at once.
+dense form below, which holds every known face's grid at once.  The
+ring-buffer window is checked against the copying recenter below, which
+rebuilds every state array on each shift.
 """
 
 import numpy as np
+
+from terramesh.errors import InputError
 
 
 def _gauss_legendre_01(n):
@@ -177,3 +181,51 @@ def dense_kl_per_face(weights, known, truth_classes, models):
         no_mass = np.any((p_dens > 1e-12) & (q_dens <= 1e-300), axis=-1)
         out[known] = np.maximum(np.where(no_mass, np.inf, kl), 0.0)
     return out
+
+
+def copy_recenter(mesh, new_center_xy):
+    """Reference window shift: copy every surviving cell into fresh arrays.
+
+    The original whole-map form of ``mesh.recenter``, written against the
+    mesh's canonical views.
+    """
+    if mesh.points is not None:
+        raise InputError("cannot recenter while a frame update is in flight")
+    target = np.asarray(new_center_xy, dtype=float).reshape(2)
+    side = mesh.cfg.side_length_m
+    shift = np.trunc((target - mesh.center) / side).astype(np.int64)
+    if shift[0] == 0 and shift[1] == 0:
+        return mesh
+
+    n_v = mesh.cfg.vertices_per_side
+    n_c = mesh.cfg.cells_per_side
+    dx, dy = int(shift[0]), int(shift[1])
+
+    def shift_grid(arr, fill):
+        out = np.full_like(arr, fill)
+        src_x = slice(max(dx, 0), n_v + min(dx, 0))
+        dst_x = slice(max(-dx, 0), n_v + min(-dx, 0))
+        src_y = slice(max(dy, 0), n_v + min(dy, 0))
+        dst_y = slice(max(-dy, 0), n_v + min(-dy, 0))
+        if src_x.start < src_x.stop and src_y.start < src_y.stop:
+            out[dst_y, dst_x] = arr[src_y, src_x]
+        return out
+
+    mesh.z_mean = shift_grid(mesh.z_mean.reshape(n_v, n_v), 0.0).reshape(-1)
+    mesh.z_var = shift_grid(mesh.z_var.reshape(n_v, n_v), 0.0).reshape(-1)
+    mesh.touched = shift_grid(mesh.touched.reshape(n_v, n_v), False).reshape(-1)
+
+    k = mesh.cfg.num_classes
+    alpha = mesh.alpha.reshape(n_c, n_c, 2 * k)
+    out = np.zeros_like(alpha)
+    src_x = slice(max(dx, 0), n_c + min(dx, 0))
+    dst_x = slice(max(-dx, 0), n_c + min(-dx, 0))
+    src_y = slice(max(dy, 0), n_c + min(dy, 0))
+    dst_y = slice(max(-dy, 0), n_c + min(-dy, 0))
+    if src_x.start < src_x.stop and src_y.start < src_y.stop:
+        out[dst_y, dst_x] = alpha[src_y, src_x]
+    mesh.alpha = out.reshape(-1, k)
+
+    mesh.center = mesh.center + shift * side
+    mesh._invalidate_caches()
+    return mesh

@@ -125,6 +125,20 @@ class TestRun:
         for name in ("map.bin", "estimates.bin", "summary.json"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes()
 
+    def test_recenter_counts_faces_of_the_final_window(self, sim_dir, tmp_path):
+        # soft recursive evidence is positive on exactly the observed faces,
+        # so the count must follow the window as it moves
+        out = tmp_path / "recentered"
+        assert run_cli(
+            "run", "--bundle", sim_dir, "--out", out,
+            "--mesh-side", 0.1, "--mesh-extent", 1.0, "--recenter",
+        ) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        mesh, _ = load_map(out / "map.bin")
+        with_evidence = int((mesh.alpha.sum(axis=1) > 0).sum())
+        assert 0 < with_evidence < summary["faces_total"]
+        assert summary["faces_observed"] == with_evidence
+
     def test_config_file_with_flag_override(self, sim_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mesh_side": 0.5, "mesh_extent": 2.5, "estimator": "recursive"}))
@@ -358,10 +372,14 @@ class TestEvalInputs:
             lambda meta: meta["arrays"][1].update(shape=[10**15, 10]),
             lambda meta: meta.update(header=[1, 2]),
             lambda meta: meta.update(arrays=7),
+            lambda meta: meta["header"].pop("estimator"),
+            lambda meta: meta["header"].update(center=None),
+            lambda meta: meta["header"].update(side_length_m="x"),
         ],
         ids=[
             "no-arrays", "no-header", "no-name", "no-dtype", "no-shape", "bad-dtype",
             "object-dtype", "huge-shape", "header-list", "arrays-int",
+            "no-estimator", "null-center", "text-side-length",
         ],
     )
     def test_malformed_container_header(self, sim_dir, run_dir, tmp_path, capsys, corrupt):

@@ -106,6 +106,20 @@ class TestMapExport:
             load_map(path)
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_classes", None), ("center", [0.0]), ("half_extent_m", True), ("side_length_m", float("nan"))],
+    )
+    def test_rejects_mistyped_mesh_header(self, tmp_path, field, value):
+        path = tmp_path / "map.bin"
+        save_map(init_mesh(MeshConfig(0.5, 1.0, 2)), path, class_names=["a", "b"])
+        header, arrays = read_arrays(path)
+        header[field] = value
+        write_arrays(path, header, arrays)
+        with pytest.raises(FormatError, match=field):
+            load_map(path)
+
+
 class TestBundleIO:
     def test_roundtrip(self, small_bundle):
         out, frames, _ = small_bundle

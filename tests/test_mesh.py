@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,36 @@ class TestRecenter:
         )
         with pytest.raises(InputError):
             recenter(m, (5.0, 0.0))
+
+
+class TestLookupAfterRecenter:
+    def lattice_points(self, m):
+        """Every vertex (exactly as ``vertex_positions`` places it), edge
+        midpoint and cell centre of the window, plus half-steps outside it."""
+        steps = np.arange(-1, 2 * m.cfg.cells_per_side + 2) * (m.cfg.side_length_m / 2)
+        ox, oy = m.origin_xy
+        half = np.array([(ox + a, oy + b) for a in steps for b in steps])
+        return np.vstack([np.column_stack(m.vertex_positions()), half])
+
+    def test_candidate_scan_agrees_with_exhaustive_scan(self):
+        m = small_mesh(0.1, 0.5, 3)
+        for target in ((0.37, -0.21), (-0.93, 0.54), (0.3, 9.0)):
+            recenter(m, target)
+            for p in self.lattice_points(m):
+                assert face_lookup(m, p) == face_lookup(m, p, exhaustive=True)
+
+    def test_border_lookup_builds_no_corner_table(self):
+        m = init_mesh(MeshConfig(0.02, 5.0, 10))
+        recenter(m, (0.37, -0.21))
+        pts = m.center + np.array([[0.0, 0.0], [0.02, 0.04], [0.01, -0.3]])
+        tracemalloc.start()
+        try:
+            fids = assign_face_ids(m, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(fids >= 0)
+        assert peak < 1e6
 
 
 class TestIncidence:

@@ -1,10 +1,14 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import copy_recenter
 
 from terramesh.elevation import SensorNoiseModel
 from terramesh.errors import InputError
 from terramesh.geometry import CameraIntrinsics, Pose, pose_from_camera
-from terramesh.mesh import MeshConfig, init_mesh
+from terramesh.mesh import MeshConfig, init_mesh, recenter
 from terramesh.pipeline import (
     EstimatorKind,
     FrameBundle,
@@ -43,6 +47,15 @@ def scored_frame(score_rows, frame_id=0):
     pose = pose_from_camera([0.0, 0.0, 2.0], DOWN)
     depth = np.full((1, n), 2.0)
     return FrameBundle(depth=depth, scores=rows.reshape(1, n, k), pose=pose, intrinsics=intr, frame_id=frame_id)
+
+
+def frame_over(xy, rng, k, size=12, fx=6.0, frame_id=0):
+    """Square downward frame centred above ``xy``: random heights and scores."""
+    intr = CameraIntrinsics(fx=fx, fy=fx, cx=(size - 1) / 2, cy=(size - 1) / 2, width=size, height=size)
+    pose = pose_from_camera([xy[0], xy[1], 2.0], DOWN, rotation_cov=np.eye(3) * 1e-6)
+    depth = 2.0 - rng.uniform(0.0, 0.2, size=(size, size))
+    scores = rng.dirichlet(np.ones(k), size=(size, size))
+    return FrameBundle(depth=depth, scores=scores, pose=pose, intrinsics=intr, frame_id=frame_id)
 
 
 def mesh_10():
@@ -315,3 +328,57 @@ class TestLifecycle:
         assert first > 0
         mapper.process(overhead_frame(np.zeros((6, 8)), 1, frame_id=1))
         assert mapper.observed.sum() == first
+
+
+class TestRingWindow:
+    """The ring-buffer window against the copying recenter it replaced."""
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_random_walk_matches_copy_oracle(self, mode):
+        rng = np.random.default_rng(7)
+        cfg = MeshConfig(0.25, 1.5, 3)  # 12 cells, 13 vertices per side
+        ring, ref = init_mesh(cfg), init_mesh(cfg)
+        config = PipelineConfig(update_mode=mode)
+        n = cfg.cells_per_side
+        # shifts wider than the window, negative and zero shifts; within the
+        # first nine steps the column offset passes twice the ring length
+        steps = [(3, 0), (-2, 5), (7, 7), (7, -1), (7, 0), (7, 2), (7, 0), (0, -13),
+                 (n, 0), (-n - 1, n + 2), (0, 0), (7, 0)]
+        steps += [tuple(rng.integers(-15, 16, size=2)) for _ in range(12)]
+        assert sum(dx for dx, _ in steps[:9]) >= 2 * (n + 1)
+        frame_id = 0
+        for dx, dy in steps:
+            d = np.array([dx, dy], dtype=float)
+            target = ring.center + (d + 0.5 * np.sign(d)) * cfg.side_length_m
+            recenter(ring, target)
+            copy_recenter(ref, target)
+            self.assert_same(ring, ref)
+            for _ in range(rng.integers(1, 3)):
+                xy = ring.center + rng.uniform(-0.6, 0.6, size=2)
+                frame = frame_over(xy, rng, cfg.num_classes, frame_id=frame_id)
+                frame_id += 1
+                process_frame(ring, frame, config)
+                process_frame(ref, frame, config)
+                self.assert_same(ring, ref)
+        assert np.array_equal(ring.observed, ring.alpha.sum(axis=1) > 0)
+
+    @staticmethod
+    def assert_same(ring, ref):
+        # compare a copy, so the mesh under test keeps its ring offset
+        view = copy.deepcopy(ring)
+        for name in ("z_mean", "z_var", "touched", "alpha", "center"):
+            assert np.array_equal(getattr(view, name), getattr(ref, name)), name
+
+    def test_recentering_frame_memory_scales_with_points(self):
+        rng = np.random.default_rng(3)
+        mapper = Mapper(init_mesh(MeshConfig(0.02, 5.0, 10)), PipelineConfig(recenter=True))
+        assert mapper.process(frame_over((0.0, 0.0), rng, 10, size=10, fx=8.0))
+        frame = frame_over((0.37, -0.21), rng, 10, size=10, fx=8.0, frame_id=1)
+        tracemalloc.start()
+        try:
+            assert mapper.process(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(mapper.mesh.center, [0.36, -0.2])
+        assert peak < 8e6
