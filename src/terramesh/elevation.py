@@ -22,6 +22,8 @@ class SensorNoiseModel:
     The model maps to a diagonal sensor-frame covariance whose depth-axis
     entry is sigma^2; lateral noise is not modeled.  Defaults approximate a
     stereo depth camera's error scaling and are configurable, not normative.
+    ``max_range_m`` is the sensor's range: sigma must stay positive up to it,
+    and the pipeline drops depths beyond it.
     """
 
     a: float = 0.001

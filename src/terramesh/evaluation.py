@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import EvaluationError
 from .pipeline import FaceEstimates
+from .properties import ndtr, normal_pdf
 
 KL_GRID_LO = -0.5
 KL_GRID_HI = 1.5
@@ -35,13 +35,6 @@ LOW_FRICTION_THRESHOLD = 0.5
 
 def _grid():
     return np.linspace(KL_GRID_LO, KL_GRID_HI, KL_GRID_NODES)
-
-
-def _component_pdfs(models, grid) -> np.ndarray:
-    mus = np.array([m.mu for m in models])
-    sigmas = np.array([m.sigma for m in models])
-    z = (grid[None, :] - mus[:, None]) / sigmas[:, None]
-    return np.exp(-0.5 * z * z) / (sigmas[:, None] * math.sqrt(2.0 * math.pi))
 
 
 def _truth_terms(p_dens):
@@ -95,7 +88,9 @@ def kl_per_face(estimates: FaceEstimates, truth_classes, models):
     """
     truth_classes = np.asarray(truth_classes)
     grid = _grid()
-    comp = _component_pdfs(models, grid)
+    mus = np.array([m.mu for m in models])
+    sigmas = np.array([m.sigma for m in models])
+    comp = normal_pdf(grid, mus[:, None], sigmas[:, None])
     p_floor, log_p, p_support = _truth_terms(comp)
     out = np.full(truth_classes.size, np.nan)
     faces = np.flatnonzero(estimates.known)

@@ -103,6 +103,9 @@ def read_arrays(path):
 # -- map export ---------------------------------------------------------------
 
 
+MAP_ARRAYS = ("vertex_x", "vertex_y", "z_mean", "z_var", "touched", "face_vertices", "alpha")
+
+
 def save_map(mesh: Mesh, path, class_names, frame_count: int = 0, extra: dict | None = None) -> None:
     """Dump mesh state losslessly plus a human-readable sidecar header.
 
@@ -177,6 +180,9 @@ def load_map(path):
     """Rebuild a mesh from :func:`save_map` output; returns ``(mesh, header)``."""
     header, arrays = read_arrays(path)
     _check_header(path, header, MAP_KIND)
+    missing = [name for name in MAP_ARRAYS if name not in arrays]
+    if missing:
+        raise FormatError(f"{path}: map misses arrays {missing}")
     cfg = MeshConfig(
         side_length_m=header["side_length_m"],
         half_extent_m=header["half_extent_m"],
@@ -188,6 +194,9 @@ def load_map(path):
         raise FormatError(f"{path}: vertex lattice does not match configuration")
     if not np.array_equal(mesh.face_vertex_ids, arrays["face_vertices"]):
         raise FormatError(f"{path}: face table does not match configuration")
+    for name in ("z_mean", "z_var", "touched"):
+        if arrays[name].shape != (cfg.num_vertices,):
+            raise FormatError(f"{path}: {name} has shape {arrays[name].shape}, expected ({cfg.num_vertices},)")
     mesh.z_mean = arrays["z_mean"].astype(float)
     mesh.z_var = arrays["z_var"].astype(float)
     mesh.touched = arrays["touched"].astype(bool)

@@ -6,6 +6,7 @@ from any number of concurrent contexts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,12 +125,13 @@ def transform_to_map(p_sensor, pose: Pose) -> np.ndarray:
     return p @ pose.rotation - pose.translation
 
 
-def project_frame_arrays(depth, scores, intrinsics: CameraIntrinsics, pose: Pose):
+def project_frame_arrays(depth, scores, intrinsics: CameraIntrinsics, pose: Pose, max_range_m: float = math.inf):
     """Project a depth image and per-pixel score tensor into the map frame.
 
     Returns ``(positions_map (n,3), positions_sensor (n,3), point_scores
-    (n,k))`` for the pixels with finite, positive depth, in row-major pixel
-    order.  Depth values are metric z along the camera axis.
+    (n,k))`` for the pixels with finite, positive depth no greater than
+    ``max_range_m``, in row-major pixel order.  Depth values are metric z
+    along the camera axis.
     """
     depth = np.asarray(depth)
     scores = np.asarray(scores)
@@ -144,7 +146,7 @@ def project_frame_arrays(depth, scores, intrinsics: CameraIntrinsics, pose: Pose
         )
 
     d = depth.astype(float, copy=False)
-    valid = np.isfinite(d) & (d > 0)
+    valid = np.isfinite(d) & (d > 0) & (d <= max_range_m)
     d = d[valid]
     if d.size == 0:
         k = scores.shape[2]

@@ -199,8 +199,9 @@ def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
         recenter(mesh, camera_center(frame.pose)[:2])
 
     t0 = time.perf_counter()
+    # the noise model holds only up to the sensor's range: farther depths are dropped
     pos_map, pos_sensor, scores = project_frame_arrays(
-        frame.depth, frame.scores, frame.intrinsics, frame.pose
+        frame.depth, frame.scores, frame.intrinsics, frame.pose, config.noise_model.max_range_m
     )
     t1 = time.perf_counter()
 

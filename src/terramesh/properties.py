@@ -5,16 +5,19 @@ A face's property estimate is the mixture of these Gaussians weighted by the
 face's class predictive.  The fitting side ingests pull-force logs from a
 drag-sled style device (mu = F / (m * g)), low-pass filters them, fits three
 candidate families and ranks them by Kolmogorov-Smirnov distance.
+
+The normal CDF and density, the filter and the fits are written out here in
+closed form, so the package needs numpy alone at run time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     ConfigurationError,
@@ -29,6 +32,21 @@ GRAVITY = 9.81
 MODEL_FILE_MAGIC = "terramesh-friction-models v1"
 
 FIT_FAMILIES = ("gaussian", "lognormal", "weibull")
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def ndtr(z):
+    """Standard normal CDF, ``0.5 * erfc(-z / sqrt(2))``, elementwise."""
+    z = np.asarray(z, dtype=float)
+    tail = np.fromiter(map(math.erfc, (-_SQRT_HALF * z).ravel().tolist()), float, count=z.size)
+    return 0.5 * tail.reshape(z.shape)
+
+
+def normal_pdf(x, mu, sigma):
+    """Gaussian density, elementwise over broadcast ``x``, ``mu``, ``sigma``."""
+    z = (x - mu) / sigma
+    return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -68,9 +86,7 @@ class PropertyMixture:
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self._mus) / self._sigmas
-        dens = np.exp(-0.5 * z * z) / (self._sigmas * math.sqrt(2.0 * math.pi))
-        return dens @ self.weights
+        return normal_pdf(x[..., None], self._mus, self._sigmas) @ self.weights
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -131,15 +147,23 @@ class ForceLog:
 
 
 def smooth_exponential(x, alpha_coeff):
-    """First-order exponential smoothing y_i = a*x_i + (1-a)*y_{i-1}, y_0 = x_0."""
-    from scipy import signal  # deferred: only force-log fitting needs it
+    """First-order exponential smoothing y_i = a*x_i + (1-a)*y_{i-1}, y_{-1} = x_0.
 
+    Each step is ``(1-a)*y_prev + a*x``, the operation order of the direct
+    form filter with that initial state, so results are reproducible bit for
+    bit against it.
+    """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         return x.copy()
-    zi = signal.lfiltic([alpha_coeff], [1.0, -(1.0 - alpha_coeff)], y=[x[0]], x=[x[0]])
-    y, _ = signal.lfilter([alpha_coeff], [1.0, -(1.0 - alpha_coeff)], x, zi=zi)
-    return y
+    a = float(alpha_coeff)
+    keep = 1.0 - a
+    prev = float(x[0])
+    out = []
+    for xi in x.tolist():
+        prev = keep * prev + a * xi
+        out.append(prev)
+    return np.array(out)
 
 
 def friction_from_force(log: ForceLog, cutoff_hz: float | None = 5.0) -> np.ndarray:
@@ -167,6 +191,14 @@ def friction_from_force(log: ForceLog, cutoff_hz: float | None = 5.0) -> np.ndar
 # -- distribution fitting -----------------------------------------------------
 
 
+# closed-form CDF of each fitted family, keyed by the names of its fit parameters
+FAMILY_CDFS = {
+    "gaussian": lambda v, mu, sigma: ndtr((v - mu) / sigma),
+    "lognormal": lambda v, shape, scale: ndtr(np.log(v / scale) / shape),
+    "weibull": lambda v, shape, scale: -np.expm1(-((v / scale) ** shape)),
+}
+
+
 def ks_statistic(samples, cdf) -> float:
     """Two-sided sup distance between the empirical CDF and a fitted CDF.
 
@@ -178,6 +210,47 @@ def ks_statistic(samples, cdf) -> float:
     f = np.asarray(cdf(x), dtype=float)
     i = np.arange(1, n + 1)
     return float(max((i / n - f).max(), (f - (i - 1) / n).max()))
+
+
+def weibull_fit(samples) -> tuple[float, float]:
+    """Maximum-likelihood Weibull ``(shape, scale)`` with the location fixed at 0.
+
+    The shape c is the root of the profile-likelihood equation
+    ``1/c + mean(ln x) - sum(x^c ln x) / sum(x^c) = 0`` (Cohen, "Maximum
+    likelihood estimation in the Weibull distribution based on complete and
+    on censored samples", Technometrics 1965).  Its left side falls strictly
+    in c, from +inf at 0 to ``mean(ln x) - max(ln x) < 0``, so Newton steps
+    kept inside the sign bracket (bisection when a step leaves it) find the
+    single root.  Samples are divided by their maximum first: the equation
+    is unchanged and x^c stays in (0, 1].
+    """
+    x = np.asarray(samples, dtype=float)
+    top = float(x.max())
+    logs = np.log(x / top)
+    mean_log = float(logs.mean())
+    lo, hi = 0.0, math.inf
+    c = math.pi / (math.sqrt(6.0) * float(logs.std()))  # Menon's moment estimate
+    for _ in range(200):
+        w = np.exp(c * logs)
+        total = float(w.sum())
+        m1 = float(w @ logs) / total
+        m2 = float(w @ (logs * logs)) / total
+        g = 1.0 / c + mean_log - m1
+        if g > 0.0:
+            lo = c
+        elif g < 0.0:
+            hi = c
+        else:
+            break
+        step = c - g / (-1.0 / (c * c) - (m2 - m1 * m1))
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * c
+        done = abs(step - c) <= 1e-14 * c
+        c = step
+        if done:
+            break
+    scale = top * float(np.mean(np.exp(c * logs))) ** (1.0 / c)
+    return c, scale
 
 
 @dataclass
@@ -196,8 +269,6 @@ def fit_and_select(samples, min_samples: int = 30) -> FitSelection:
     data contains non-positive values.  The family with the smallest KS
     statistic wins; ties break in the fixed family order.
     """
-    from scipy import stats  # deferred: importing it costs most of the CLI start-up
-
     x = np.asarray(samples, dtype=float)
     if x.size < min_samples:
         raise InsufficientDataError(f"need at least {min_samples} samples, got {x.size}")
@@ -206,34 +277,21 @@ def fit_and_select(samples, min_samples: int = 30) -> FitSelection:
     if x.std() == 0.0:
         raise DegenerateDataError("samples have zero spread; fit is undefined")
 
-    params: dict = {}
-    ks: dict = {}
+    params: dict = {"gaussian": {"mu": float(x.mean()), "sigma": float(x.std())}}
     skipped: dict = {}
-
-    mu = float(x.mean())
-    sd = float(x.std())
-    params["gaussian"] = {"mu": mu, "sigma": sd}
-    ks["gaussian"] = ks_statistic(x, lambda v: stats.norm.cdf(v, loc=mu, scale=sd))
-
     if np.all(x > 0):
         logs = np.log(x)
         shape = float(logs.std())
-        scale = float(np.exp(logs.mean()))
         if shape == 0.0:
             skipped["lognormal"] = "degenerate log-spread"
         else:
-            params["lognormal"] = {"shape": shape, "scale": scale}
-            ks["lognormal"] = ks_statistic(
-                x, lambda v: stats.lognorm.cdf(v, shape, loc=0.0, scale=scale)
-            )
-        c, _, w_scale = stats.weibull_min.fit(x, floc=0.0)
-        params["weibull"] = {"shape": float(c), "scale": float(w_scale)}
-        ks["weibull"] = ks_statistic(
-            x, lambda v: stats.weibull_min.cdf(v, c, loc=0.0, scale=w_scale)
-        )
+            params["lognormal"] = {"shape": shape, "scale": float(np.exp(logs.mean()))}
+        c, w_scale = weibull_fit(x)
+        params["weibull"] = {"shape": c, "scale": w_scale}
     else:
         skipped["lognormal"] = "non-positive samples"
         skipped["weibull"] = "non-positive samples"
+    ks = {family: ks_statistic(x, partial(FAMILY_CDFS[family], **p)) for family, p in params.items()}
 
     best = min(
         (family for family in FIT_FAMILIES if family in ks),

@@ -9,10 +9,10 @@ identity sum(alpha') = sum(alpha) + n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigurationError, InputError
 
@@ -89,5 +89,5 @@ def dirichlet_pdf(theta, alpha) -> float:
         raise InputError("alpha components must be strictly positive")
     if np.any(theta <= 0) or abs(theta.sum() - 1.0) > 1e-6:
         raise InputError("theta must lie on the open probability simplex")
-    log_norm = gammaln(alpha.sum()) - gammaln(alpha).sum()
+    log_norm = math.lgamma(alpha.sum()) - sum(map(math.lgamma, alpha.tolist()))
     return float(np.exp(log_norm + ((alpha - 1.0) * np.log(theta)).sum()))

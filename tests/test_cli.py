@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -523,3 +525,40 @@ class TestEntryPoints:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--" in out
+
+
+# every data command in one fresh interpreter, then the modules it loaded
+NUMPY_ONLY_SCRIPT = """
+import sys
+from terramesh.cli import main
+
+work = sys.argv[1]
+bundle = work + "/bundle"
+steps = [
+    ["simulate", "--scenario", "two-class-split", "--seed", "5", "--out", bundle, "--frames", "2"],
+    ["validate", "--bundle", bundle],
+    ["run", "--bundle", bundle, "--out", work + "/run", "--mesh-side", "0.25", "--mesh-extent", "2.5"],
+    ["eval", "--truth", bundle + "/truth.json", "--out", work + "/report", "--estimates", work + "/run/estimates.bin"],
+    ["fitdist", "--logs", work + "/logs", "--out", work + "/models.tsv", "--mass", "2.0"],
+]
+for argv in steps:
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+print("scipy modules: " + " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+class TestRuntimeDependencies:
+    def test_commands_never_import_scipy(self, tmp_path):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        TestFitdist().write_log(logs / "ice.csv", 0.19, 2.0, n=500, seed=1)
+        import terramesh
+
+        env = dict(os.environ, PYTHONPATH=str(Path(terramesh.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_ONLY_SCRIPT, str(tmp_path)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "models.tsv").exists()
+        assert proc.stdout.splitlines()[-1] == "scipy modules: "

@@ -106,6 +106,26 @@ class TestMapExport:
             load_map(path)
 
 
+    @pytest.mark.parametrize("name, keep", [("z_mean", -3), ("z_var", 0), ("touched", 5)])
+    def test_rejects_vertex_arrays_of_the_wrong_length(self, tmp_path, name, keep):
+        path = tmp_path / "map.bin"
+        save_map(init_mesh(MeshConfig(0.5, 1.0, 2)), path, class_names=["a", "b"])
+        header, arrays = read_arrays(path)
+        assert arrays[name].shape == (25,)
+        arrays[name] = arrays[name][:keep]
+        write_arrays(path, header, arrays)
+        with pytest.raises(FormatError, match=f"map.bin: {name} has shape"):
+            load_map(path)
+
+    def test_rejects_map_without_an_array(self, tmp_path):
+        path = tmp_path / "map.bin"
+        save_map(init_mesh(MeshConfig(0.5, 1.0, 2)), path, class_names=["a", "b"])
+        header, arrays = read_arrays(path)
+        del arrays["z_var"]
+        write_arrays(path, header, arrays)
+        with pytest.raises(FormatError, match="misses arrays \\['z_var'\\]"):
+            load_map(path)
+
     @pytest.mark.parametrize(
         "field, value",
         [("num_classes", None), ("center", [0.0]), ("half_extent_m", True), ("side_length_m", float("nan"))],

@@ -137,6 +137,14 @@ class TestProjection:
         assert pos.shape[0] == 2
 
 
+    def test_depth_beyond_range_dropped(self):
+        depth = np.array([[1.5, 1e6, 30.0, 2.5, np.nan]])
+        intr = CameraIntrinsics(fx=10.0, fy=10.0, cx=2.0, cy=0.0, width=5, height=1)
+        scores = np.full((1, 5, 2), 0.5)
+        pos, _, _ = project_frame_arrays(depth, scores, intr, Pose.identity(), max_range_m=30.0)
+        assert np.array_equal(pos[:, 2], [1.5, 30.0, 2.5])
+
+
 class TestBarycentric:
     def test_centroid(self):
         lam = barycentric((1 / 3, 1 / 3), (0, 0), (1, 0), (0, 1))

@@ -111,6 +111,17 @@ class TestProcessFrame:
         assert not mesh.touched.any()
         assert np.all(mesh.alpha == 0.0)
 
+    def test_depth_beyond_sensor_range_is_dropped(self):
+        # one pixel at the principal point, straight down, 1e6 m away: the
+        # height it implies lies on the window's centre vertex
+        frame = overhead_frame(np.zeros((5, 5)), 2)
+        frame.depth = np.full((5, 5), np.nan)
+        frame.depth[2, 2] = 1e6
+        mapper = Mapper(mesh_10(), PipelineConfig(noise_model=SensorNoiseModel(max_range_m=20.0)))
+        assert mapper.process(frame)
+        assert not mapper.mesh.touched.any()
+        assert np.all(mapper.mesh.alpha == 0.0)
+
     def test_flat_plane_one_hot_grass(self):
         catalog, _ = load_default_models()
         grass = catalog.index("grass")
