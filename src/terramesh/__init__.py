@@ -10,13 +10,11 @@ from .errors import TerrameshError
 from .geometry import (
     CameraIntrinsics,
     Pose,
-    SemanticPoint,
     barycentric,
     in_simplex,
-    project_frame,
     transform_to_map,
 )
-from .mesh import Face, Mesh, MeshConfig, Vertex, face_lookup, init_mesh, recenter
+from .mesh import Mesh, MeshConfig, Vertex, face_lookup, init_mesh, recenter
 from .pipeline import (
     EstimatorKind,
     FrameBundle,
@@ -33,7 +31,6 @@ from .properties import (
     friction_from_force,
     load_default_models,
     load_models,
-    mixture_stats,
     property_mixture,
     save_models,
 )
@@ -46,7 +43,6 @@ __all__ = [
     "CameraIntrinsics",
     "ClassCatalog",
     "EstimatorKind",
-    "Face",
     "ForceLog",
     "FrameBundle",
     "Mapper",
@@ -56,7 +52,6 @@ __all__ = [
     "Pose",
     "PropertyMixture",
     "PropertyModel",
-    "SemanticPoint",
     "SensorNoiseModel",
     "TerrameshError",
     "Vertex",
@@ -75,9 +70,7 @@ __all__ = [
     "kalman_update",
     "load_default_models",
     "load_models",
-    "mixture_stats",
     "process_frame",
-    "project_frame",
     "property_mixture",
     "recenter",
     "render_frames",

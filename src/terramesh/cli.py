@@ -284,6 +284,13 @@ def cmd_eval(args) -> int:
 # -- fitdist -----------------------------------------------------------------------
 
 
+def _number(path, row, text):
+    try:
+        return float(text)
+    except ValueError:
+        raise CliError(f"{path}: row {row}: {text!r} is not a number") from None
+
+
 def _read_force_csv(path, mass_override):
     mass = mass_override
     times = []
@@ -294,7 +301,7 @@ def _read_force_csv(path, mass_override):
     if rows and rows[0] and rows[0][0].startswith("#"):
         token = rows[0][0].lstrip("# ").strip()
         if token.startswith("mass_kg="):
-            file_mass = float(token.split("=", 1)[1])
+            file_mass = _number(path, 1, token.split("=", 1)[1])
             if mass is None:
                 mass = file_mass
         start = 1
@@ -305,8 +312,8 @@ def _read_force_csv(path, mass_override):
             continue
         if len(row) < 2:
             raise CliError(f"{path}: row {number} has one column, expected 't_seconds,force_newtons'")
-        times.append(float(row[0]))
-        forces.append(float(row[1]))
+        times.append(_number(path, number, row[0]))
+        forces.append(_number(path, number, row[1]))
     if mass is None:
         raise CliError(f"{path}: device mass missing (use --mass or a '# mass_kg=' row)")
     return ForceLog(np.array(times), np.array(forces), mass_kg=mass)

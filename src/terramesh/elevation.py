@@ -3,7 +3,10 @@
 Per-point height variance follows first-order error propagation of the range
 sensor noise and the small-angle rotation uncertainty of the camera pose.
 Vertex heights fuse their surrounding faces' interior points with a scalar
-Kalman filter, applied per frame in its closed information form.
+Kalman filter, applied per frame in its closed information form.  The
+information sums run over the vertices of the faces the frame observes,
+taken from the frame's face grouping (``Mesh.point_groups``), so their
+cost follows the points, not the map.
 """
 
 from __future__ import annotations
@@ -96,8 +99,17 @@ def point_height_variances(pos_sensor, depth_var, pose, sigma_pose=None):
     r3 = pose.rotation[:, 2]
     var = (r3[2] ** 2) * np.asarray(depth_var, dtype=float)
     if np.any(sigma_pose):
-        j_p = np.cross(np.broadcast_to(r3, pos_sensor.shape), pos_sensor)
-        var = var + np.einsum("ni,ij,nj->n", j_p, sigma_pose, j_p)
+        # the products of np.cross(r3, p) and of einsum("ni,ij,nj->n") in
+        # their own order, so the result keeps their bits without
+        # broadcasting r3 or building (n, 3) temporaries
+        p0, p1, p2 = pos_sensor[:, 0], pos_sensor[:, 1], pos_sensor[:, 2]
+        a0, a1, a2 = r3
+        j_p = (a1 * p2 - a2 * p1, a2 * p0 - a0 * p2, a0 * p1 - a1 * p0)
+        quad = np.zeros(p0.shape)
+        for a in range(3):
+            for b in range(3):
+                quad += (j_p[a] * sigma_pose[a, b]) * j_p[b]
+        var = var + quad
     return np.maximum(var, 0.0)
 
 
@@ -117,16 +129,22 @@ def kalman_update(z_mean, z_var, z_obs, var_obs):
     return mean, var
 
 
-def _fuse_noisy(mesh, verts, z, var):
-    """Information-form update of ``mesh`` by positive-variance observations."""
-    w = 1.0 / var
-    n_v = mesh.num_vertices
-    info = np.bincount(verts, weights=w, minlength=n_v)
-    info_z = np.bincount(verts, weights=z * w, minlength=n_v)
+def _fuse_noisy(mesh, vertices, rows, z, var):
+    """Information-form update of ``mesh`` by positive-variance observations.
 
-    hit = np.flatnonzero(info != 0.0)  # a bool scan is far cheaper than a float one
-    info, info_z = info[hit], info_z[hit]
-    slot = mesh.vertex_slots(hit)
+    Point ``i`` observes height ``z[i]`` with variance ``var[i]`` at the
+    three vertices ``vertices[rows[i]]``.  The sums run over the frame's
+    vertices, not the map's, and each adds its terms in point order.
+    """
+    w = 1.0 / var
+    rows = rows.reshape(-1)
+    info = np.bincount(rows, weights=np.repeat(w, 3), minlength=vertices.size)
+    info_z = np.bincount(rows, weights=np.repeat(z * w, 3), minlength=vertices.size)
+
+    hit = info != 0.0  # vertices that only exact observations reach stay out
+    if not hit.all():
+        vertices, info, info_z = vertices[hit], info[hit], info_z[hit]
+    slot = mesh.vertex_slots(vertices)
     ring = mesh.ring
     prior_var = ring.z_var[slot]
     touched = ring.touched[slot]
@@ -149,6 +167,9 @@ def update_elevation(mesh, pose, noise_model: SensorNoiseModel, sigma_pose=None)
     RA-L 2018): per vertex, ``1/var = 1/var_prior + sum 1/var_i`` and
     ``mean/var = mean_prior/var_prior + sum z_i/var_i``.  A vertex seen for
     the first time has no prior; its state is the frame's posterior alone.
+    The sums run over the vertices of the frame's face grouping (built
+    here by ``mesh.point_groups()``, then reused by the class reduction),
+    each adding its terms in point order.
 
     Zero-variance observations and zero-variance priors are exact and win
     over any noisy information.  Exact values that disagree on a vertex
@@ -160,30 +181,32 @@ def update_elevation(mesh, pose, noise_model: SensorNoiseModel, sigma_pose=None)
     if sigma_pose is None:
         sigma_pose = pose.rotation_cov
 
-    # one entry per (point, vertex of its face) pair
+    groups = mesh.point_groups()
     depth = pts.pos_sensor[:, 2]
     var = point_height_variances(pts.pos_sensor, noise_model.variance(depth), pose, sigma_pose)
-    var = np.repeat(var, 3)
-    z = np.repeat(pts.pos_map[:, 2], 3)
-    verts = mesh.face_vertex_ids[pts.face_ids].reshape(-1)
+    z = pts.pos_map[:, 2]
+    # each point's three corners, as rows of groups.vertices
+    rows = np.take(groups.corners, groups.inverse, axis=0)
 
     exact = var == 0.0
     exact_v = None
     if exact.any():
-        exact_v, inverse = np.unique(verts[exact], return_inverse=True)
+        verts = groups.vertices[rows[exact].reshape(-1)]
+        z_exact = np.repeat(z[exact], 3)
+        exact_v, inverse = np.unique(verts, return_inverse=True)
         exact_z = np.empty(exact_v.size)
-        exact_z[inverse] = z[exact]
+        exact_z[inverse] = z_exact
         exact_slot = mesh.vertex_slots(exact_v)
         ring = mesh.ring
         prior_exact = ring.touched[exact_slot] & (ring.z_var[exact_slot] == 0.0)
-        if np.any(exact_z[inverse] != z[exact]) or np.any(
+        if np.any(exact_z[inverse] != z_exact) or np.any(
             prior_exact & (ring.z_mean[exact_slot] != exact_z)
         ):
             raise InconsistentCertaintyError("two exact heights disagree on a vertex; cannot fuse")
-        verts, z, var = verts[~exact], z[~exact], var[~exact]
+        rows, z, var = rows[~exact], z[~exact], var[~exact]
 
     if var.size:
-        _fuse_noisy(mesh, verts, z, var)
+        _fuse_noisy(mesh, groups.vertices, rows, z, var)
     if exact_v is not None:
         ring.z_mean[exact_slot] = exact_z
         ring.z_var[exact_slot] = 0.0

@@ -99,22 +99,6 @@ class CameraIntrinsics:
             raise InputError("image dimensions must be positive")
 
 
-@dataclass
-class SemanticPoint:
-    """A projected measurement: map-frame position plus a class-score vector."""
-
-    position: np.ndarray
-    scores: np.ndarray
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        self.scores = np.asarray(self.scores, dtype=float)
-        if not np.all(np.isfinite(self.position)) or not np.all(np.isfinite(self.scores)):
-            raise InputError("semantic point entries must be finite")
-        if np.any(self.scores < 0) or abs(self.scores.sum() - 1.0) > 1e-6:
-            raise InputError("scores must be non-negative and sum to 1")
-
-
 def transform_to_map(p_sensor, pose: Pose) -> np.ndarray:
     """Map sensor-frame points into the map frame: ``R^T p - t``.
 
@@ -126,12 +110,14 @@ def transform_to_map(p_sensor, pose: Pose) -> np.ndarray:
 
 
 def project_frame_arrays(depth, scores, intrinsics: CameraIntrinsics, pose: Pose, max_range_m: float = math.inf):
-    """Project a depth image and per-pixel score tensor into the map frame.
+    """Project a depth image into the map frame.
 
-    Returns ``(positions_map (n,3), positions_sensor (n,3), point_scores
-    (n,k))`` for the pixels with finite, positive depth no greater than
-    ``max_range_m``, in row-major pixel order.  Depth values are metric z
-    along the camera axis.
+    Returns ``(positions_map (n,3), positions_sensor (n,3), pixels (n,))``
+    for the pixels with finite, positive depth no greater than
+    ``max_range_m``, in row-major pixel order.  ``pixels`` holds each
+    point's flat index ``v * width + u``, its row in ``scores.reshape(-1,
+    k)``; the scores themselves are not gathered here.  Depth values are
+    metric z along the camera axis.
     """
     depth = np.asarray(depth)
     scores = np.asarray(scores)
@@ -145,27 +131,20 @@ def project_frame_arrays(depth, scores, intrinsics: CameraIntrinsics, pose: Pose
             f"image is {w}x{h} but intrinsics declare {intrinsics.width}x{intrinsics.height}"
         )
 
-    d = depth.astype(float, copy=False)
-    valid = np.isfinite(d) & (d > 0) & (d <= max_range_m)
-    d = d[valid]
-    if d.size == 0:
-        k = scores.shape[2]
+    d = depth.astype(float, copy=False).reshape(-1)
+    pixels = np.flatnonzero(np.isfinite(d) & (d > 0) & (d <= max_range_m))
+    if pixels.size == 0:
         empty3 = np.empty((0, 3))
-        return empty3, empty3.copy(), np.empty((0, k))
+        return empty3, empty3.copy(), pixels
 
-    vv, uu = np.nonzero(valid)
+    d = d[pixels]
+    vv = pixels // w
+    uu = pixels - vv * w
     x = (uu - intrinsics.cx) * d / intrinsics.fx
     y = (vv - intrinsics.cy) * d / intrinsics.fy
     pos_sensor = np.column_stack([x, y, d])
     pos_map = transform_to_map(pos_sensor, pose)
-    point_scores = scores[vv, uu].astype(float)
-    return pos_map, pos_sensor, point_scores
-
-
-def project_frame(depth, scores, intrinsics: CameraIntrinsics, pose: Pose):
-    """Object form of :func:`project_frame_arrays` (one SemanticPoint per pixel)."""
-    pos_map, _, point_scores = project_frame_arrays(depth, scores, intrinsics, pose)
-    return [SemanticPoint(p, s) for p, s in zip(pos_map, point_scores)]
+    return pos_map, pos_sensor, pixels
 
 
 def barycentric(p_xy, v1, v2, v3) -> np.ndarray:

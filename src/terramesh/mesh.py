@@ -22,6 +22,15 @@ window ids; the per-frame writers translate them to storage slots with
 the first access after a shift rolls the storage back to offset zero once
 (``np.roll`` is exact), and assigning one of them does the same first.
 
+A frame's in-window points live in :class:`FramePoints`.
+:meth:`Mesh.point_groups` groups them by face, and the observed faces'
+corners by vertex, once per frame (:class:`FaceGroups`, shared by height
+fusion and the class reduction).  It does so without sorting the points and
+without scanning the map: two persistent int32 scratch arrays, one slot per
+window face and one per vertex, map ids to ranks, and only the distinct ids
+are sorted.  Every slot a frame reads is written earlier in that frame, so
+the scratch arrays are never cleared.
+
 Concurrency: a mesh is a single-writer structure.  Exactly one frame update
 may mutate it at a time; reads (export, evaluation) happen between updates.
 """
@@ -33,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .geometry import SemanticPoint
 
 
 @dataclass(frozen=True)
@@ -83,13 +91,21 @@ class Vertex:
 
 
 @dataclass
-class Face:
-    """Read view of one mesh face (alpha is a live array view)."""
+class FaceGroups:
+    """One frame's points grouped by face, and the faces' corners by vertex.
 
-    index: int
-    vertex_ids: np.ndarray
-    alpha: np.ndarray
-    interior_points: list
+    ``faces`` (m,) are the observed window face ids, ascending, and
+    ``inverse`` (n,) gives each point's row in ``faces``: together they are
+    ``np.unique(face_ids, return_inverse=True)``.  ``vertices`` (h,) are the
+    distinct corners of the observed faces, ascending, and ``corners`` (m, 3)
+    names each observed face's corners by their rows in ``vertices``, so a
+    point's three corners are ``corners[inverse]``.
+    """
+
+    faces: np.ndarray
+    inverse: np.ndarray
+    vertices: np.ndarray
+    corners: np.ndarray
 
 
 @dataclass
@@ -97,31 +113,42 @@ class FramePoints:
     """Per-frame measurement buffers in projection order.
 
     Points keep the order they were projected in; ``face_ids`` names the
-    owning face of each point.  Use :func:`FramePoints.from_assignment` to
-    drop points that fell outside the mesh window.
+    owning face of each point and ``scores`` is class-major: row ``j`` holds
+    every point's score for class ``j``.  Use
+    :func:`FramePoints.from_assignment` to drop points that fell outside the
+    mesh window.  ``groups`` caches the frame's :class:`FaceGroups` (see
+    :meth:`Mesh.point_groups`), which height fusion and the class reduction
+    share.
     """
 
     pos_map: np.ndarray
     pos_sensor: np.ndarray
     scores: np.ndarray
     face_ids: np.ndarray
+    groups: FaceGroups | None = None
 
     @classmethod
-    def from_assignment(cls, pos_map, pos_sensor, scores, face_ids):
-        keep = face_ids >= 0
+    def from_assignment(cls, pos_map, pos_sensor, scores, face_ids, rows=None):
+        """Keep the points with a face; read their scores once.
+
+        ``scores`` is a (N, K) table and ``rows`` each point's row in it
+        (by default point ``i`` reads row ``i``); the points in the window
+        read theirs with one gather into a class-major (K, n) float array.
+        """
+        keep = np.flatnonzero(face_ids >= 0)
+        rows = keep if rows is None else rows[keep]
+        # np.take gathers rows of a 2-D array far faster than fancy indexing
+        scores = np.take(np.asarray(scores), rows, axis=0)
         return cls(
-            pos_map=pos_map[keep],
-            pos_sensor=pos_sensor[keep],
-            scores=scores[keep].astype(float, copy=False),
+            pos_map=np.take(pos_map, keep, axis=0),
+            pos_sensor=np.take(pos_sensor, keep, axis=0),
+            scores=scores.T.astype(float, order="C"),
             face_ids=face_ids[keep],
         )
 
     @property
     def count(self) -> int:
         return int(self.face_ids.size)
-
-    def indices_for_face(self, face_id: int) -> np.ndarray:
-        return np.nonzero(self.face_ids == face_id)[0]
 
 
 @dataclass
@@ -178,7 +205,9 @@ class Mesh:
         self._start = (0, 0)
         self.face_vertex_ids = _build_face_vertex_ids(cfg.cells_per_side)
         self.points: FramePoints | None = None
-        self._face_inv = None
+        # point_groups' scratch, never cleared (see the module docstring)
+        self._face_scratch = np.empty(n_f, dtype=np.int32)
+        self._vertex_scratch = np.empty(n_v, dtype=np.int32)
         self._face_xy = None
         self._incident = None
 
@@ -214,18 +243,23 @@ class Mesh:
         vx, vy = self.vertex_positions()
         return Vertex(float(vx[vid]), float(vy[vid]), float(self.z_mean[vid]), float(self.z_var[vid]))
 
-    def face(self, fid: int) -> Face:
-        pts = []
-        if self.points is not None:
-            idx = self.points.indices_for_face(fid)
-            pts = [
-                SemanticPoint(p, s)
-                for p, s in zip(self.points.pos_map[idx], self.points.scores[idx])
-            ]
-        return Face(fid, self.face_vertex_ids[fid].copy(), self.alpha[fid], pts)
-
     def clear_points(self):
         self.points = None
+
+    def point_groups(self) -> FaceGroups:
+        """The current frame's :class:`FaceGroups`, built on first use.
+
+        Faces and vertices are grouped through the two scratch arrays
+        without sorting the points: only the ``m`` observed face ids and
+        the corners of those faces are sorted.
+        """
+        pts = self.points
+        if pts.groups is None:
+            faces, inverse = _group(pts.face_ids, self._face_scratch)
+            corner_ids = self.face_vertex_ids[faces]
+            vertices, corners = _group(corner_ids.reshape(-1), self._vertex_scratch)
+            pts.groups = FaceGroups(faces, inverse, vertices, corners.reshape(corner_ids.shape))
+        return pts.groups
 
     def incident_faces(self) -> np.ndarray:
         """(V, 6) face ids incident to each vertex, ascending, -1 padded."""
@@ -240,20 +274,7 @@ class Mesh:
             self._face_xy = (vx[self.face_vertex_ids], vy[self.face_vertex_ids])
         return self._face_xy
 
-    def face_inverse_transforms(self) -> np.ndarray:
-        """(F, 3, 3) inverses of the barycentric basis matrices, cached."""
-        if self._face_inv is None:
-            vx, vy = self.vertex_positions()
-            ids = self.face_vertex_ids
-            m = np.empty((self.num_faces, 3, 3))
-            m[:, 0, :] = 1.0
-            m[:, 1, :] = vx[ids]
-            m[:, 2, :] = vy[ids]
-            self._face_inv = np.linalg.inv(m)
-        return self._face_inv
-
     def _invalidate_caches(self):
-        self._face_inv = None
         self._face_xy = None
 
     # -- ring storage -------------------------------------------------------
@@ -293,6 +314,21 @@ class Mesh:
             # one array at a time, so at most one extra copy is alive
             setattr(self.ring, name, np.roll(grid, (-(r % n), -(c % n)), axis=(0, 1)).reshape(arr.shape))
         self._start = (0, 0)
+
+
+def _group(ids: np.ndarray, scratch: np.ndarray):
+    """``np.unique(ids, return_inverse=True)`` for ids that index ``scratch``.
+
+    Each id's slot receives the position of a point carrying it; the one
+    point per id that reads its own position back names the id once.  Only
+    those distinct ids are sorted, and their ranks, written into the same
+    slots, are read back as the inverse.
+    """
+    order = np.arange(ids.size, dtype=np.int32)
+    scratch[ids] = order
+    distinct = np.sort(ids[scratch[ids] == order])
+    scratch[distinct] = order[: distinct.size]
+    return distinct, scratch[ids].astype(np.intp)
 
 
 def _build_face_vertex_ids(n_cells: int) -> np.ndarray:

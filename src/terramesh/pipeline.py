@@ -4,6 +4,14 @@ One frame update runs projection, point-to-face assignment, elevation fusion
 and class accumulation, in that order, clearing the interior-point buffers at
 the end.  Exactly one frame is in flight at a time (the mesh is
 single-writer); the stages themselves are vectorized internally.
+
+Projection keeps each point's flat pixel index, not its scores.  After
+assignment, the points inside the window read their scores once, from the
+frame's (H*W, K) score view into class-major (K, n) rows (timed as part of
+assignment).  Elevation fusion groups the points by face once
+(:meth:`Mesh.point_groups`, timed as part of elevation), and the class
+reduction reuses that grouping, so neither sorts the points nor scans the
+map.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 from .elevation import SensorNoiseModel, update_elevation
 from .errors import InputError
 from .geometry import CameraIntrinsics, Pose, camera_center, project_frame_arrays
-from .mesh import FramePoints, Mesh, assign_face_ids, recenter
+from .mesh import FaceGroups, FramePoints, Mesh, assign_face_ids, recenter
 from .semantics import UPDATE_MODES
 
 
@@ -170,23 +178,24 @@ class FaceEstimates:
         return PropertyMixture(self.weights[face_id], models)
 
 
-def _face_reduce(points: FramePoints, num_classes: int, mode: str):
+def _face_reduce(points: FramePoints, groups: FaceGroups, num_classes: int, mode: str):
     """Per-face score sums, point counts and hard-label counts for one frame.
 
-    Reductions run over the faces the frame observes only, and every output
-    has one row per observed face, so the per-frame cost scales with the
-    point count rather than the face count.  Returns ``(observed face ids,
-    (m, K) sums, (m,) counts, (m, K) hard counts or None)``.
+    Reductions run over the faces the frame observes only, grouped once by
+    :meth:`Mesh.point_groups`, and every output has one row per observed
+    face, so the per-frame cost scales with the point count rather than the
+    face count.  Returns ``(observed face ids, (m, K) sums, (m,) counts,
+    (m, K) hard counts or None)``.
     """
-    observed, inverse = np.unique(points.face_ids, return_inverse=True)
+    observed, inverse = groups.faces, groups.inverse
     m = observed.size
     counts = np.bincount(inverse, minlength=m)
     sums = np.empty((m, num_classes))
     for j in range(num_classes):
-        sums[:, j] = np.bincount(inverse, weights=points.scores[:, j], minlength=m)
+        sums[:, j] = np.bincount(inverse, weights=points.scores[j], minlength=m)
     hard = None
     if mode == "hard":
-        labels = np.argmax(points.scores, axis=1)
+        labels = np.argmax(points.scores, axis=0)
         hard = np.bincount(
             inverse * num_classes + labels, minlength=m * num_classes
         ).reshape(m, num_classes)
@@ -200,13 +209,16 @@ def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
 
     t0 = time.perf_counter()
     # the noise model holds only up to the sensor's range: farther depths are dropped
-    pos_map, pos_sensor, scores = project_frame_arrays(
+    pos_map, pos_sensor, pixels = project_frame_arrays(
         frame.depth, frame.scores, frame.intrinsics, frame.pose, config.noise_model.max_range_m
     )
     t1 = time.perf_counter()
 
     fids = assign_face_ids(mesh, pos_map[:, :2])
-    mesh.points = FramePoints.from_assignment(pos_map, pos_sensor, scores, fids)
+    scores = np.asarray(frame.scores)
+    mesh.points = FramePoints.from_assignment(
+        pos_map, pos_sensor, scores.reshape(-1, scores.shape[2]), fids, pixels
+    )
     t2 = time.perf_counter()
 
     sigma_pose = (
@@ -218,7 +230,7 @@ def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
     t3 = time.perf_counter()
 
     observed, sums, counts, hard = _face_reduce(
-        mesh.points, mesh.cfg.num_classes, config.update_mode
+        mesh.points, mesh.point_groups(), mesh.cfg.num_classes, config.update_mode
     )
     slots = mesh.face_slots(observed)
     mesh.ring.observed[slots] = True

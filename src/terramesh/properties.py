@@ -94,18 +94,6 @@ class PropertyMixture:
         return ndtr(z) @ self.weights
 
 
-@dataclass
-class MixtureStats:
-    mean: float
-    variance: float
-    cdf_at: object
-
-
-def mixture_stats(mixture: PropertyMixture) -> MixtureStats:
-    """Closed-form mean/variance and a CDF evaluator for a mixture."""
-    return MixtureStats(mixture.mean(), mixture.variance(), mixture.cdf)
-
-
 def property_mixture(alpha, models):
     """Per-face property distribution: modes weighted by the class predictive.
 

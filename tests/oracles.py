@@ -8,12 +8,18 @@ checked against the sequential loop below: one scalar Kalman step per point
 and vertex, in point order.  Blocked per-face KL is checked against the
 dense form below, which holds every known face's grid at once.  The
 ring-buffer window is checked against the copying recenter below, which
-rebuilds every state array on each shift.
+rebuilds every state array on each shift.  The frame update that gathers
+each point's scores once and groups the points by face once is checked
+against the original update below: a point-major score gather,
+``np.unique`` grouping, information sums over every vertex of the map and
+the ``np.cross`` + ``einsum`` height variance.
 """
 
 import numpy as np
 
 from terramesh.errors import InputError
+from terramesh.geometry import camera_center, project_frame_arrays
+from terramesh.mesh import assign_face_ids, recenter
 
 
 def _gauss_legendre_01(n):
@@ -229,3 +235,99 @@ def copy_recenter(mesh, new_center_xy):
     mesh.center = mesh.center + shift * side
     mesh._invalidate_caches()
     return mesh
+
+
+def einsum_height_variances(pos_sensor, depth_var, pose, sigma_pose):
+    """The original ``elevation.point_height_variances``: the Jacobian by
+    ``np.cross`` against the broadcast third row of R^T, the quadratic form
+    by a three-operand ``einsum``."""
+    sigma_pose = np.asarray(sigma_pose, dtype=float)
+    r3 = pose.rotation[:, 2]
+    var = (r3[2] ** 2) * np.asarray(depth_var, dtype=float)
+    if np.any(sigma_pose):
+        j_p = np.cross(np.broadcast_to(r3, pos_sensor.shape), pos_sensor)
+        var = var + np.einsum("ni,ij,nj->n", j_p, sigma_pose, j_p)
+    return np.maximum(var, 0.0)
+
+
+def unique_face_reduce(face_ids, scores, num_classes, mode):
+    """The original ``pipeline._face_reduce``: ``np.unique`` groups the
+    points, and the class sums read point-major (n, K) scores column by
+    column."""
+    observed, inverse = np.unique(face_ids, return_inverse=True)
+    m = observed.size
+    counts = np.bincount(inverse, minlength=m)
+    sums = np.empty((m, num_classes))
+    for j in range(num_classes):
+        sums[:, j] = np.bincount(inverse, weights=scores[:, j], minlength=m)
+    hard = None
+    if mode == "hard":
+        labels = np.argmax(scores, axis=1)
+        hard = np.bincount(
+            inverse * num_classes + labels, minlength=m * num_classes
+        ).reshape(m, num_classes)
+    return observed, sums, counts, hard
+
+
+def dense_fuse_noisy(mesh, verts, z, var):
+    """The original ``elevation._fuse_noisy``: information sums over every
+    vertex of the map (``minlength=V``), then a scan for the hit ones."""
+    w = 1.0 / var
+    n_v = mesh.num_vertices
+    info = np.bincount(verts, weights=w, minlength=n_v)
+    info_z = np.bincount(verts, weights=z * w, minlength=n_v)
+
+    hit = np.flatnonzero(info != 0.0)
+    info, info_z = info[hit], info_z[hit]
+    slot = mesh.vertex_slots(hit)
+    ring = mesh.ring
+    prior_var = ring.z_var[slot]
+    touched = ring.touched[slot]
+    prior = touched & (prior_var > 0.0)
+    info[prior] += 1.0 / prior_var[prior]
+    info_z[prior] += ring.z_mean[slot[prior]] / prior_var[prior]
+    fused = prior | ~touched
+    ring.z_mean[slot[fused]] = info_z[fused] / info[fused]
+    ring.z_var[slot[fused]] = 1.0 / info[fused]
+    ring.touched[slot] = True
+
+
+def unique_frame_update(mesh, frame, config):
+    """One frame update the original way; returns ``(ids, sums, counts)``.
+
+    Recentering, projected positions, face assignment and ring addressing
+    are the library's; the score gather, the grouping, the height variance,
+    the fusion and the reduction are the original bodies above.  Noisy
+    observations only: a zero variance raises.
+    """
+    if config.recenter:
+        recenter(mesh, camera_center(frame.pose)[:2])
+    pos_map, pos_sensor, pixels = project_frame_arrays(
+        frame.depth, frame.scores, frame.intrinsics, frame.pose, config.noise_model.max_range_m
+    )
+    scores = np.asarray(frame.scores)
+    vv, uu = np.divmod(pixels, scores.shape[1])
+    point_scores = scores[vv, uu].astype(float)
+    fids = assign_face_ids(mesh, pos_map[:, :2])
+    keep = fids >= 0
+    pos_map, pos_sensor, point_scores, fids = pos_map[keep], pos_sensor[keep], point_scores[keep], fids[keep]
+
+    if fids.size:
+        sigma_pose = config.pose_cov_override
+        if sigma_pose is None:
+            sigma_pose = frame.pose.rotation_cov
+        depth_var = config.noise_model.variance(pos_sensor[:, 2])
+        var = einsum_height_variances(pos_sensor, depth_var, frame.pose, sigma_pose)
+        if np.any(var == 0.0):
+            raise ValueError("the original-form replay covers noisy observations only")
+        verts = mesh.face_vertex_ids[fids].reshape(-1)
+        dense_fuse_noisy(mesh, verts, np.repeat(pos_map[:, 2], 3), np.repeat(var, 3))
+
+    observed, sums, counts, hard = unique_face_reduce(
+        fids, point_scores, mesh.cfg.num_classes, config.update_mode
+    )
+    slots = mesh.face_slots(observed)
+    mesh.ring.observed[slots] = True
+    if config.accumulate_alpha:
+        mesh.ring.alpha[slots] += hard if config.update_mode == "hard" else sums
+    return observed, sums, counts

@@ -450,6 +450,24 @@ class TestFitdist:
         err = one_error_line(capsys)
         assert "wood.csv" in err and "row 4" in err
 
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            ("# mass_kg=3.0\nt_seconds,force_newtons\n0.0,9.5\n0.01,abc\n", "row 4"),
+            ("# mass_kg=3.0\nt_seconds,force_newtons\nzero,9.5\n", "row 3"),
+            ("# mass_kg=three\nt_seconds,force_newtons\n0.0,9.5\n", "row 1"),
+        ],
+        ids=["force", "time", "mass"],
+    )
+    def test_non_numeric_cell_is_one_error_line(self, tmp_path, capsys, text, row):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "wood.csv").write_text(text)
+        capsys.readouterr()
+        assert run_cli("fitdist", "--logs", logs, "--out", tmp_path / "m.tsv") == 2
+        err = one_error_line(capsys)
+        assert "wood.csv" in err and row in err and "not a number" in err
+
     def test_empty_dir_is_error(self, tmp_path, capsys):
         logs = tmp_path / "empty"
         logs.mkdir()

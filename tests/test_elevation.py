@@ -16,6 +16,7 @@ from terramesh.mesh import FramePoints, MeshConfig, assign_face_ids, init_mesh
 
 from oracles import (
     batch_gaussian_fusion,
+    einsum_height_variances,
     mc_height_variance,
     random_rotation,
     sample_psd,
@@ -98,6 +99,20 @@ class TestHeightVariance:
             sigma_s = model.covariance(pts[i, 2])
             _, expected = height_variance(pts[i], pose, sigma_s, sigma_p)
             assert vec[i] == pytest.approx(expected, rel=1e-12, abs=1e-18)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-4, 1e-2, 0.5])
+    def test_vectorized_matches_cross_einsum_form(self, rng, scale):
+        # anisotropic SPD covariances, and a zero one that skips the pose term
+        model = SensorNoiseModel()
+        for _ in range(20):
+            pose = Pose(random_rotation(rng), rng.standard_normal(3))
+            sigma_p = sample_psd(rng, scale) if scale else np.zeros((3, 3))
+            pts = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 800)), 3))
+            depth_var = model.variance(pts[:, 2])
+            assert np.array_equal(
+                point_height_variances(pts, depth_var, pose, sigma_p),
+                einsum_height_variances(pts, depth_var, pose, sigma_p),
+            )
 
 
 class TestKalmanUpdate:

@@ -7,12 +7,10 @@ from terramesh.errors import DegenerateSimplexError, InputError
 from terramesh.geometry import (
     CameraIntrinsics,
     Pose,
-    SemanticPoint,
     barycentric,
     camera_center,
     in_simplex,
     pose_from_camera,
-    project_frame,
     project_frame_arrays,
     transform_to_map,
 )
@@ -90,14 +88,17 @@ class TestProjection:
         depth[1, 1] = 2.0
         scores = np.zeros((3, 3, 2))
         scores[..., 0] = 1.0
-        pts = project_frame(depth, scores, intr, Pose.identity())
-        assert len(pts) == 1
-        assert np.allclose(pts[0].position, [0, 0, 2], atol=0)
+        pos, _, pixels = project_frame_arrays(depth, scores, intr, Pose.identity())
+        assert len(pos) == 1
+        assert np.allclose(pos[0], [0, 0, 2], atol=0)
+        assert np.array_equal(pixels, [4])  # row 1, column 1 of a 3-wide image
 
     def test_all_nan_depth_empty(self):
         depth = np.full((3, 5), np.nan)
         scores = np.full((3, 5, 4), 0.25)
-        assert project_frame(depth, scores, self.intr(), Pose.identity()) == []
+        pos, sensor, pixels = project_frame_arrays(depth, scores, self.intr(), Pose.identity())
+        assert pos.shape == sensor.shape == (0, 3)
+        assert pixels.size == 0
 
     def test_four_pixel_hand_computation(self):
         # fx = fy = 1, cx = cy = 0: position is (u*d, v*d, d)
@@ -105,11 +106,12 @@ class TestProjection:
         depth = np.array([[1.0, 2.0], [3.0, 4.0]])
         scores = np.zeros((2, 2, 2))
         scores[..., 1] = 1.0
-        pos, sensor, sc = project_frame_arrays(depth, scores, intr, Pose.identity())
+        pos, sensor, pixels = project_frame_arrays(depth, scores, intr, Pose.identity())
         expected = np.array([[0, 0, 1], [2, 0, 2], [0, 3, 3], [4, 4, 4]], dtype=float)
         assert np.allclose(pos, expected, atol=0)
         assert np.array_equal(pos, sensor)
-        assert np.all(sc[:, 1] == 1.0)
+        assert np.array_equal(pixels, [0, 1, 2, 3])
+        assert np.all(scores.reshape(-1, 2)[pixels, 1] == 1.0)
 
     def test_output_count_equals_valid_pixels(self, rng):
         intr = CameraIntrinsics(fx=40.0, fy=40.0, cx=9.5, cy=7.5, width=20, height=16)
@@ -205,17 +207,3 @@ class TestInSimplex:
     def test_boundary_accepted(self):
         assert in_simplex([0.0, 0.5, 0.5])
         assert in_simplex([1.0, 0.0, 0.0])
-
-
-class TestSemanticPoint:
-    def test_valid(self):
-        p = SemanticPoint([1, 2, 3], [0.5, 0.5])
-        assert p.scores.sum() == 1.0
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(InputError):
-            SemanticPoint([0, 0, 0], [0.5, 0.6])
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(InputError):
-            SemanticPoint([np.nan, 0, 0], [1.0])

@@ -19,6 +19,16 @@ def small_mesh(side=0.5, half=1.0, k=3):
     return init_mesh(MeshConfig(side, half, k))
 
 
+def inverse_transforms(m):
+    """(F, 3, 3) inverses of the barycentric basis ``[[1,1,1],[x1,x2,x3],[y1,y2,y3]]``."""
+    corner_x, corner_y = m.face_corner_coords()
+    basis = np.empty((m.num_faces, 3, 3))
+    basis[:, 0, :] = 1.0
+    basis[:, 1, :] = corner_x
+    basis[:, 2, :] = corner_y
+    return np.linalg.inv(basis)
+
+
 class TestConfig:
     def test_counts_half_meter_grid(self):
         m = small_mesh(0.5, 1.0, 3)
@@ -122,7 +132,7 @@ class TestFaceLookup:
     def test_partition_property(self, rng):
         # off the shared edges, exactly one face passes the closed test
         m = small_mesh(0.5, 1.0, 3)
-        inv = m.face_inverse_transforms()
+        inv = inverse_transforms(m)
         for _ in range(500):
             p = rng.uniform(-1, 1, size=2)
             lam = inv @ np.array([1.0, p[0], p[1]])
@@ -131,14 +141,14 @@ class TestFaceLookup:
 
     def test_shared_edge_touches_two_faces(self):
         m = small_mesh(0.5, 1.0, 3)
-        inv = m.face_inverse_transforms()
+        inv = inverse_transforms(m)
         lam = inv @ np.array([1.0, -0.5, -0.8])  # interior vertical edge
         hits = np.sum(np.all((lam >= 0) & (lam <= 1), axis=1))
         assert hits == 2
 
     def test_in_simplex_consistency(self):
         m = small_mesh()
-        inv = m.face_inverse_transforms()
+        inv = inverse_transforms(m)
         p = m.face_centroids()[7]
         lam = inv[7] @ np.array([1.0, p[0], p[1]])
         assert in_simplex(lam)
@@ -169,6 +179,47 @@ class TestBulkAssignment:
         fp = FramePoints.from_assignment(pos, pos, np.full((100, 3), 1 / 3), fids)
         assert fp.count == int((fids >= 0).sum())
         assert np.all(fp.face_ids >= 0)
+
+
+class TestPointGroups:
+    """The scratch-array grouping against ``np.unique`` and the corner table."""
+
+    def assert_groups(self, m, fids):
+        n = fids.size
+        m.points = FramePoints(np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((1, n)), fids)
+        groups = m.point_groups()
+        assert m.point_groups() is groups  # built once per frame
+        faces, inverse = np.unique(fids, return_inverse=True)
+        assert np.array_equal(groups.faces, faces)
+        assert np.array_equal(groups.inverse, inverse)
+        corner_ids = m.face_vertex_ids[faces]
+        assert np.array_equal(groups.vertices, np.unique(corner_ids))
+        assert np.array_equal(groups.vertices[groups.corners], corner_ids)
+        m.clear_points()
+
+    def test_matches_unique(self, rng):
+        # one mesh throughout, so every case meets the scratch left by the last
+        m = small_mesh(0.25, 1.0, 3)
+        f = m.num_faces
+        cases = [
+            rng.integers(0, f, size=5000),
+            rng.integers(0, f, size=7),
+            np.full(300, 17),
+            np.array([f - 1]),
+            np.arange(f)[::-1].copy(),
+        ]
+        for fids in cases:
+            self.assert_groups(m, fids)
+
+    def test_matches_unique_after_recenter(self, rng):
+        m = small_mesh(0.25, 1.0, 3)
+        pts = rng.uniform(-1.0, 1.0, size=(400, 2))
+        fids = assign_face_ids(m, pts)
+        self.assert_groups(m, fids[fids >= 0])
+        recenter(m, (0.6, -0.35))
+        fids = assign_face_ids(m, pts)
+        assert 0 < (fids >= 0).sum() < fids.size
+        self.assert_groups(m, fids[fids >= 0])
 
 
 class TestRecenter:

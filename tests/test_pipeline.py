@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import copy_recenter
+from oracles import copy_recenter, sample_psd, unique_frame_update
 
 from terramesh.elevation import SensorNoiseModel
 from terramesh.errors import InputError
@@ -49,12 +49,19 @@ def scored_frame(score_rows, frame_id=0):
     return FrameBundle(depth=depth, scores=rows.reshape(1, n, k), pose=pose, intrinsics=intr, frame_id=frame_id)
 
 
-def frame_over(xy, rng, k, size=12, fx=6.0, frame_id=0):
-    """Square downward frame centred above ``xy``: random heights and scores."""
-    intr = CameraIntrinsics(fx=fx, fy=fx, cx=(size - 1) / 2, cy=(size - 1) / 2, width=size, height=size)
-    pose = pose_from_camera([xy[0], xy[1], 2.0], DOWN, rotation_cov=np.eye(3) * 1e-6)
-    depth = 2.0 - rng.uniform(0.0, 0.2, size=(size, size))
-    scores = rng.dirichlet(np.ones(k), size=(size, size))
+def frame_over(xy, rng, k, size=12, fx=6.0, frame_id=0, rows=None, rotation_cov=None):
+    """Downward frame centred above ``xy``: random heights and scores.
+
+    ``size`` columns by ``rows`` rows (square by default); the pose
+    rotation covariance defaults to ``1e-6 * I``.
+    """
+    rows = size if rows is None else rows
+    if rotation_cov is None:
+        rotation_cov = np.eye(3) * 1e-6
+    intr = CameraIntrinsics(fx=fx, fy=fx, cx=(size - 1) / 2, cy=(rows - 1) / 2, width=size, height=rows)
+    pose = pose_from_camera([xy[0], xy[1], 2.0], DOWN, rotation_cov=rotation_cov)
+    depth = 2.0 - rng.uniform(0.0, 0.2, size=(rows, size))
+    scores = rng.dirichlet(np.ones(k), size=(rows, size))
     return FrameBundle(depth=depth, scores=scores, pose=pose, intrinsics=intr, frame_id=frame_id)
 
 
@@ -330,7 +337,6 @@ class TestLifecycle:
         for i in range(3):
             mapper.process(overhead_frame(np.zeros((6, 8)), 1, frame_id=i))
             assert mesh.points is None
-            assert mesh.face(0).interior_points == []
 
     def test_observed_mask_accumulates(self):
         mapper = Mapper(mesh_10())
@@ -393,3 +399,50 @@ class TestRingWindow:
             tracemalloc.stop()
         assert np.allclose(mapper.mesh.center, [0.36, -0.2])
         assert peak < 8e6
+
+    def test_frame_memory_does_not_scale_with_map(self):
+        # 251,001 vertices: one (V,) float64 array is 2 MB, so a frame that
+        # sums over the whole map exceeds the bound with two of them
+        rng = np.random.default_rng(5)
+        mapper = Mapper(init_mesh(MeshConfig(0.02, 5.0, 6)), PipelineConfig(recenter=True))
+        frames = [
+            frame_over((0.3 * i, -0.2 * i), rng, 6, size=80, rows=60, fx=40.0, frame_id=i)
+            for i in range(4)
+        ]
+        for frame in frames[:3]:  # warm-up
+            assert mapper.process(frame)
+        before = mapper.mesh.center.copy()
+        tracemalloc.start()
+        try:
+            assert mapper.process(frames[3])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.abs(mapper.mesh.center - before) > 0.15)  # the frame recentred
+        assert mapper.last_scores.observed_counts.sum() == 4800
+        assert peak < 4e6
+
+
+class TestGroupedFrameUpdate:
+    """The one-gather, one-grouping frame update against the original one."""
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_noisy_stream_matches_original_update(self, mode):
+        rng = np.random.default_rng(13)
+        cfg = MeshConfig(0.1, 1.0, 4)
+        config = PipelineConfig(update_mode=mode, recenter=True)
+        mapper, ref = Mapper(init_mesh(cfg), config), init_mesh(cfg)
+        xy = np.zeros(2)
+        for i in range(30):
+            xy = xy + rng.uniform(-0.25, 0.25, size=2)
+            cov = sample_psd(rng, 2e-3)  # anisotropic, off-diagonal terms included
+            frame = frame_over(xy, rng, cfg.num_classes, size=16, fx=8.0, frame_id=i, rotation_cov=cov)
+            assert mapper.process(frame)
+            ids, sums, counts = unique_frame_update(ref, frame, config)
+            last = mapper.last_scores
+            for got, want in ((last.ids, ids), (last.observed_sums, sums), (last.observed_counts, counts)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for name in ("z_mean", "z_var", "touched", "alpha", "observed"):
+                assert getattr(mapper.mesh.ring, name).tobytes() == getattr(ref.ring, name).tobytes(), name
+            assert mapper.mesh._start == ref._start
+        assert mapper.mesh._start != (0, 0)

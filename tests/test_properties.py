@@ -21,7 +21,6 @@ from terramesh.properties import (
     ks_statistic,
     load_default_models,
     load_models,
-    mixture_stats,
     property_mixture,
     save_models,
     smooth_exponential,
@@ -126,13 +125,12 @@ class TestMixture:
 
     def test_stats_single_component(self):
         mix = PropertyMixture([1.0], [PropertyModel("x", 0.4, 0.05)])
-        s = mixture_stats(mix)
-        assert s.mean == pytest.approx(0.4)
-        assert s.variance == pytest.approx(0.05**2)
+        assert mix.mean() == pytest.approx(0.4)
+        assert mix.variance() == pytest.approx(0.05**2)
 
     def test_cdf_normalizes(self):
         mix = property_mixture(np.array([2.0, 3.0]), self.models())
-        assert mixture_stats(mix).cdf_at(10.0) == pytest.approx(1.0, abs=1e-12)
+        assert mix.cdf(10.0) == pytest.approx(1.0, abs=1e-12)
         assert mix.cdf(-10.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_stats_match_monte_carlo(self, rng):
