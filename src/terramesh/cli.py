@@ -3,6 +3,8 @@
 Every subcommand exits 0 on success and 2 with a single ``error: <message>``
 line on stderr otherwise, except that ``validate`` reports a readable but
 invalid bundle as ``invalid: <issue>`` lines on stdout with exit code 1.
+``run`` streams a bundle one frame at a time, and ``validate`` reads it
+through the same checks (:func:`terramesh.formats.open_bundle`).
 Seeds are mandatory wherever randomness exists; nothing is seeded from the
 wall clock.
 """
@@ -29,7 +31,8 @@ from .evaluation import (
 from .formats import (
     load_estimates,
     load_truth,
-    read_bundle,
+    open_bundle,
+    read_bundle,  # noqa: F401  loads a whole bundle as a list; importable from here
     save_estimates,
     save_map,
     save_truth,
@@ -128,7 +131,7 @@ def _merge_run_config(args) -> dict:
 
 def cmd_run(args) -> int:
     cfg = _merge_run_config(args)
-    manifest, frames = read_bundle(args.bundle)
+    manifest, frames = open_bundle(args.bundle)
     catalog, models = load_models(cfg["models"])
     if catalog.k != manifest["num_classes"]:
         raise CliError(

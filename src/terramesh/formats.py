@@ -17,10 +17,17 @@ Frame-bundle directory layout:
 
 All writers emit deterministic bytes: JSON keys are sorted, floats use
 shortest round-trip representation, and no wall-clock data is embedded.
+
+Bundles are read through :func:`open_bundle` alone.  It checks the manifest
+once, against field tables of types, then streams the frames one at a time.
+:func:`read_bundle` collects that stream into a list, and
+:func:`validate_bundle` drives it and checks each valid-flagged frame with
+:meth:`FrameBundle.validate`, the one score and image-size rule.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,9 +36,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InputError
 from .geometry import CameraIntrinsics, Pose
 from .mesh import Mesh, MeshConfig
+from .pipeline import FaceEstimates, FrameBundle
 
 BIN_MAGIC = b"TERRAMESH-BIN v1\n"
 BUNDLE_FORMAT = "terramesh/frame-bundle"
@@ -156,12 +164,33 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _numbers(n: int):
+    return lambda v: isinstance(v, list) and len(v) == n and all(map(_is_number, v))
+
+
 _MESH_FIELDS = (
     ("side_length_m", _is_number, "a finite number"),
     ("half_extent_m", _is_number, "a finite number"),
-    ("num_classes", lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    ("center", lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)), "two finite numbers"),
+    ("num_classes", _is_int, "an integer"),
+    ("center", _numbers(2), "two finite numbers"),
 )
+
+
+def _check_fields(where: str, doc, fields) -> None:
+    """Raise :class:`FormatError` unless ``doc`` is an object that holds each
+    of ``fields``, given as ``(name, predicate, description)``, with a value
+    its predicate accepts."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where} is not an object")
+    for name, ok, what in fields:
+        if name not in doc:
+            raise FormatError(f"{where} misses {name!r}")
+        if not ok(doc[name]):
+            raise FormatError(f"{where} field {name!r} must be {what}, not {doc[name]!r}")
 
 
 def _check_header(path, header: dict, kind: str, fields=()) -> None:
@@ -169,11 +198,7 @@ def _check_header(path, header: dict, kind: str, fields=()) -> None:
     ``kind`` and holds the mesh fields plus ``fields``, each of its type."""
     if header.get("kind") != kind:
         raise FormatError(f"{path}: not a {kind} file")
-    for name, ok, what in _MESH_FIELDS + tuple(fields):
-        if name not in header:
-            raise FormatError(f"{path}: header misses {name!r}")
-        if not ok(header[name]):
-            raise FormatError(f"{path}: header field {name!r} must be {what}, not {header[name]!r}")
+    _check_fields(f"{path}: header", header, _MESH_FIELDS + tuple(fields))
 
 
 def load_map(path):
@@ -208,39 +233,8 @@ def load_map(path):
 
 # -- frame bundles --------------------------------------------------------------
 
-
-def _pose_to_dict(pose: Pose) -> dict:
-    return {
-        "rotation": [float(v) for v in pose.rotation.reshape(-1)],
-        "translation": [float(v) for v in pose.translation],
-        "rotation_cov": [float(v) for v in pose.rotation_cov.reshape(-1)],
-    }
-
-
-def _pose_from_dict(d: dict) -> Pose:
-    return Pose(
-        rotation=np.array(d["rotation"], dtype=float).reshape(3, 3),
-        translation=np.array(d["translation"], dtype=float),
-        rotation_cov=np.array(d["rotation_cov"], dtype=float).reshape(3, 3),
-    )
-
-
-def _intrinsics_to_dict(intr: CameraIntrinsics) -> dict:
-    return {
-        "fx": intr.fx,
-        "fy": intr.fy,
-        "cx": intr.cx,
-        "cy": intr.cy,
-        "width": intr.width,
-        "height": intr.height,
-    }
-
-
-def _intrinsics_from_dict(d: dict) -> CameraIntrinsics:
-    return CameraIntrinsics(
-        fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
-        width=int(d["width"]), height=int(d["height"]),
-    )
+# each pose array is stored flat, row-major
+_POSE_SHAPES = {"rotation": (3, 3), "translation": (3,), "rotation_cov": (3, 3)}
 
 
 def write_bundle(directory, frames, class_names, scenario: dict | None = None) -> None:
@@ -269,7 +263,7 @@ def write_bundle(directory, frames, class_names, scenario: dict | None = None) -
                 "valid": bool(frame.valid),
                 "depth_file": depth_name,
                 "scores_file": scores_name,
-                "pose": _pose_to_dict(frame.pose),
+                "pose": {key: getattr(frame.pose, key).reshape(-1).tolist() for key in _POSE_SHAPES},
             }
         )
     if width is None:
@@ -281,7 +275,7 @@ def write_bundle(directory, frames, class_names, scenario: dict | None = None) -
         "height": height,
         "num_classes": num_classes,
         "class_names": list(class_names),
-        "intrinsics": _intrinsics_to_dict(intrinsics),
+        "intrinsics": dataclasses.asdict(intrinsics),
         "frames": entries,
     }
     if scenario is not None:
@@ -291,101 +285,102 @@ def write_bundle(directory, frames, class_names, scenario: dict | None = None) -
         fh.write("\n")
 
 
-def read_bundle(directory):
-    """Load a frame bundle; returns ``(manifest, [FrameBundle, ...])``."""
-    from .pipeline import FrameBundle  # local import to avoid a cycle
+_POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "a positive integer")
+_MANIFEST_FIELDS = (
+    ("format", lambda v: v == BUNDLE_FORMAT, repr(BUNDLE_FORMAT)),
+    ("version", lambda v: _is_int(v) and v == BUNDLE_VERSION, str(BUNDLE_VERSION)),
+    ("width", *_POSITIVE_INT),
+    ("height", *_POSITIVE_INT),
+    ("num_classes", *_POSITIVE_INT),
+    ("class_names", lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v), "a list of strings"),
+    ("intrinsics", lambda v: isinstance(v, dict), "an object"),
+    ("frames", lambda v: isinstance(v, list), "a list"),
+)
+_INTRINSICS_FIELDS = tuple((name, _is_number, "a finite number") for name in ("fx", "fy", "cx", "cy")) + (
+    ("width", *_POSITIVE_INT),
+    ("height", *_POSITIVE_INT),
+)
+_FRAME_FIELDS = (
+    ("frame_id", _is_int, "an integer"),
+    ("timestamp", _is_number, "a finite number"),
+    ("valid", lambda v: isinstance(v, bool), "true or false"),
+    *((key, lambda v: isinstance(v, str) and v != "", "a file name") for key in ("depth_file", "scores_file")),
+    ("pose", lambda v: isinstance(v, dict), "an object"),
+)
+_POSE_FIELDS = tuple(
+    (key, _numbers(math.prod(s)), f"{math.prod(s)} finite numbers") for key, s in _POSE_SHAPES.items()
+)
 
+
+def open_bundle(directory):
+    """Check a bundle's manifest and return ``(manifest, frames)``; ``frames``
+    stats, reads and yields one :class:`FrameBundle` at a time.  Any manifest
+    fault, missing file or file of the wrong size raises :class:`FormatError`."""
     directory = Path(directory)
     try:
         manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read bundle manifest: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise FormatError(f"bundle manifest is not valid JSON: {exc}") from exc
-    if manifest.get("format") != BUNDLE_FORMAT or manifest.get("version") != BUNDLE_VERSION:
-        raise FormatError("unsupported bundle format or version")
+    _check_fields("bundle manifest", manifest, _MANIFEST_FIELDS)
+    w, h, k = manifest["width"], manifest["height"], manifest["num_classes"]
+    if len(manifest["class_names"]) != k:
+        raise FormatError("bundle manifest: class_names length disagrees with num_classes")
+    intr = manifest["intrinsics"]
+    _check_fields("bundle manifest intrinsics", intr, _INTRINSICS_FIELDS)
     try:
-        w, h, k = manifest["width"], manifest["height"], manifest["num_classes"]
-        intr = _intrinsics_from_dict(manifest["intrinsics"])
-        frames = []
-        for entry in manifest["frames"]:
-            depth = np.fromfile(directory / entry["depth_file"], dtype="<f4")
-            scores = np.fromfile(directory / entry["scores_file"], dtype="<f4")
-            if depth.size != w * h:
-                raise FormatError(
-                    f"{entry['depth_file']}: expected {w * h} values, got {depth.size}"
-                )
-            if scores.size != w * h * k:
-                raise FormatError(
-                    f"{entry['scores_file']}: expected {w * h * k} values, got {scores.size}"
-                )
-            frames.append(
-                FrameBundle(
-                    depth=depth.reshape(h, w),
-                    scores=scores.reshape(h, w, k),
-                    pose=_pose_from_dict(entry["pose"]),
-                    intrinsics=intr,
-                    frame_id=int(entry["frame_id"]),
-                    timestamp=float(entry["timestamp"]),
-                    valid=bool(entry.get("valid", True)),
-                )
-            )
-    except KeyError as exc:
-        raise FormatError(f"bundle manifest misses key {exc.args[0]!r}") from exc
-    except TypeError as exc:
-        raise FormatError(f"bundle manifest has a field of the wrong type: {exc}") from exc
-    return manifest, frames
+        intrinsics = CameraIntrinsics(**{name: intr[name] for name, _, _ in _INTRINSICS_FIELDS})
+    except InputError as exc:
+        raise FormatError(f"bundle manifest: bad intrinsics: {exc}") from exc
+    # the validity flag is optional and defaults to true
+    entries = [{"valid": True, **e} if isinstance(e, dict) else e for e in manifest["frames"]]
+    poses = []
+    for i, entry in enumerate(entries):
+        where = f"bundle manifest frames[{i}]"
+        _check_fields(where, entry, _FRAME_FIELDS)
+        _check_fields(f"{where} pose", entry["pose"], _POSE_FIELDS)
+        try:
+            poses.append(Pose(**{key: np.reshape(entry["pose"][key], s) for key, s in _POSE_SHAPES.items()}))
+        except InputError as exc:
+            raise FormatError(f"{where}: bad pose: {exc}") from exc
+
+    def frames():
+        for entry, pose in zip(entries, poses):
+            fid, arrays = entry["frame_id"], []
+            for key, shape in (("depth_file", (h, w)), ("scores_file", (h, w, k))):
+                path, expected = directory / entry[key], 4 * math.prod(shape)
+                if not path.is_file():
+                    raise FormatError(f"frame {fid}: missing {key} {entry[key]!r}")
+                size = path.stat().st_size
+                if size != expected:
+                    raise FormatError(f"frame {fid}: {entry[key]} is {size} bytes, expected {expected}")
+                arrays.append(np.fromfile(path, dtype="<f4").reshape(shape))
+            yield FrameBundle(*arrays, pose, intrinsics, fid, float(entry["timestamp"]), entry["valid"])
+
+    return manifest, frames()
+
+
+def read_bundle(directory):
+    """Load a whole frame bundle; returns ``(manifest, [FrameBundle, ...])``."""
+    manifest, frames = open_bundle(directory)
+    return manifest, list(frames)
 
 
 def validate_bundle(directory) -> list:
-    """Check a bundle directory against the documented format; returns issues."""
-    directory = Path(directory)
+    """Check a bundle against the documented format; returns the issues: one per
+    valid-flagged frame :meth:`FrameBundle.validate` rejects, then the first
+    manifest or file fault :func:`open_bundle` meets."""
     issues = []
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.is_file():
-        return [f"missing manifest.json in {directory}"]
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        return [f"manifest.json is not valid JSON: {exc}"]
-    if manifest.get("format") != BUNDLE_FORMAT:
-        issues.append(f"format is {manifest.get('format')!r}, expected {BUNDLE_FORMAT!r}")
-    if manifest.get("version") != BUNDLE_VERSION:
-        issues.append(f"version is {manifest.get('version')!r}, expected {BUNDLE_VERSION}")
-    for key in ("width", "height", "num_classes", "class_names", "intrinsics", "frames"):
-        if key not in manifest:
-            issues.append(f"manifest misses key {key!r}")
-    if issues:
-        return issues
-    w, h, k = manifest["width"], manifest["height"], manifest["num_classes"]
-    if len(manifest["class_names"]) != k:
-        issues.append("class_names length disagrees with num_classes")
-    try:
-        _intrinsics_from_dict(manifest["intrinsics"])
-    except Exception as exc:
-        issues.append(f"bad intrinsics: {exc}")
-    for entry in manifest["frames"]:
-        fid = entry.get("frame_id")
-        for key, count in (("depth_file", w * h), ("scores_file", w * h * k)):
-            name = entry.get(key)
-            path = directory / name if name else None
-            if path is None or not path.is_file():
-                issues.append(f"frame {fid}: missing {key}")
-                continue
-            if path.stat().st_size != count * 4:
-                issues.append(
-                    f"frame {fid}: {name} is {path.stat().st_size} bytes, expected {count * 4}"
-                )
-        try:
-            _pose_from_dict(entry["pose"])
-        except Exception as exc:
-            issues.append(f"frame {fid}: bad pose: {exc}")
-        if not issues and entry.get("valid", True):
-            scores = np.fromfile(directory / entry["scores_file"], dtype="<f4").reshape(h, w, k)
-            sums = scores.sum(axis=2)
-            # written so that NaN fails both comparisons
-            if not (np.all(scores >= 0) and np.abs(sums - 1.0).max() <= 1e-4):
-                issues.append(f"frame {fid}: score vectors are not normalized")
+        for frame in open_bundle(directory)[1]:
+            if frame.valid:
+                try:
+                    frame.validate()
+                except InputError as exc:
+                    issues.append(str(exc))
+    except FormatError as exc:
+        issues.append(str(exc))
     return issues
 
 
@@ -452,8 +447,6 @@ def save_estimates(path, estimates, mesh: Mesh, estimator: str, scenario_hash_va
 
 def load_estimates(path):
     """Returns ``(header, FaceEstimates)``."""
-    from .pipeline import FaceEstimates  # local import to avoid a cycle
-
     header, arrays = read_arrays(path)
     _check_header(path, header, ESTIMATES_KIND, [("estimator", lambda v: isinstance(v, str), "a string")])
     try:

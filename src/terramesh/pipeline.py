@@ -28,6 +28,8 @@ from .geometry import CameraIntrinsics, Pose, camera_center, project_frame_array
 from .mesh import FaceGroups, FramePoints, Mesh, assign_face_ids, recenter
 from .semantics import UPDATE_MODES
 
+SCORE_TOL = 1e-4  # tolerance on the sum of each pixel's class scores
+
 
 @dataclass
 class FrameBundle:
@@ -41,7 +43,10 @@ class FrameBundle:
     timestamp: float = 0.0
     valid: bool = True
 
-    def validate(self, score_tol: float = 1e-4) -> None:
+    def validate(self) -> None:
+        """Raise :class:`InputError` unless the frame is flagged valid, its
+        image size matches its intrinsics and every pixel's class scores are
+        non-negative and sum to one within :data:`SCORE_TOL`."""
         if not self.valid:
             raise InputError(f"frame {self.frame_id} is flagged invalid")
         depth = np.asarray(self.depth)
@@ -54,10 +59,7 @@ class FrameBundle:
         if (w, h) != (self.intrinsics.width, self.intrinsics.height):
             raise InputError(f"frame {self.frame_id}: image size disagrees with intrinsics")
         # written so that NaN fails both comparisons
-        if not np.all(scores >= 0):
-            raise InputError(f"frame {self.frame_id}: negative or NaN class scores")
-        sums = scores.sum(axis=2, dtype=float)
-        if not np.abs(sums - 1.0).max() <= score_tol:
+        if not (np.all(scores >= 0) and np.abs(scores.sum(axis=2, dtype=float) - 1.0).max() <= SCORE_TOL):
             raise InputError(f"frame {self.frame_id}: score vectors are not normalized")
 
 
@@ -80,7 +82,6 @@ class PipelineConfig:
     update_mode: str = "soft"
     accumulate_alpha: bool = True
     recenter: bool = False
-    score_tol: float = 1e-4
     pose_cov_override: np.ndarray | None = None
 
     def __post_init__(self):
@@ -252,7 +253,7 @@ def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
 def process_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig | None = None) -> Mesh:
     """Run one full frame update on the mesh and return it."""
     config = config or PipelineConfig()
-    frame.validate(config.score_tol)
+    frame.validate()
     _run_frame(mesh, frame, config)
     return mesh
 
@@ -276,7 +277,7 @@ class Mapper:
     def process(self, frame: FrameBundle) -> bool:
         """Apply one frame; invalid frames are skipped and counted."""
         try:
-            frame.validate(self.config.score_tol)
+            frame.validate()
         except InputError:
             self.frames_skipped += 1
             return False

@@ -525,6 +525,100 @@ class TestValidateAndBench:
         assert len(rows) == 1 + 2 * 6  # two configs, six stages
 
 
+def copy_bundle(src, dst, corrupt=None):
+    """Copy a bundle; ``corrupt(manifest)`` edits the manifest in place or
+    returns a replacement for it."""
+    import shutil
+
+    shutil.copytree(src, dst)
+    if corrupt is not None:
+        manifest = json.loads((dst / "manifest.json").read_text())
+        replaced = corrupt(manifest)
+        (dst / "manifest.json").write_text(json.dumps(manifest if replaced is None else replaced))
+    return dst
+
+
+MALFORMED_MANIFESTS = pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda m: [m],
+        lambda m: m.update(frames=[1]),
+        lambda m: m.update(frames=None),
+        lambda m: m.update(class_names=3),
+        lambda m: m.update(width="x"),
+        lambda m: m.update(width=2.5),
+        lambda m: m.update(num_classes=0),
+        lambda m: m["frames"][0].update(frame_id="abc"),
+        lambda m: m["frames"][0].update(valid="no"),
+        lambda m: m["frames"][0].update(depth_file=None),
+        lambda m: m["frames"][0]["pose"].update(rotation=[1.0, 0.0, 0.0]),
+    ],
+    ids=[
+        "top-level-list", "frames-of-ints", "null-frames", "int-class-names", "text-width",
+        "fractional-width", "no-classes", "text-frame-id", "text-valid", "null-depth-file",
+        "short-rotation",
+    ],
+)
+
+
+class TestBundleReader:
+    """``run`` and ``validate`` read a bundle through the same checks."""
+
+    @MALFORMED_MANIFESTS
+    def test_run_refuses_malformed_manifest(self, sim_dir, tmp_path, capsys, corrupt):
+        broken = copy_bundle(sim_dir, tmp_path / "broken", corrupt)
+        capsys.readouterr()
+        assert run_cli("run", "--bundle", broken, "--out", tmp_path / "out") == 2
+        one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @MALFORMED_MANIFESTS
+    def test_validate_reports_malformed_manifest(self, sim_dir, tmp_path, capsys, corrupt):
+        broken = copy_bundle(sim_dir, tmp_path / "broken", corrupt)
+        capsys.readouterr()
+        assert run_cli("validate", "--bundle", broken) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines and all(line.startswith("invalid: ") for line in lines)
+
+    def test_validate_reports_intrinsics_disagreeing_with_image(self, sim_dir, tmp_path, capsys):
+        broken = copy_bundle(
+            sim_dir, tmp_path / "wide", lambda m: m["intrinsics"].update(width=m["width"] + 2)
+        )
+        capsys.readouterr()
+        assert run_cli("validate", "--bundle", broken) == 1
+        assert "image size disagrees with intrinsics" in capsys.readouterr().out
+
+    def test_truncated_last_frame_stops_run_without_output(self, sim_dir, tmp_path, capsys):
+        broken = copy_bundle(sim_dir, tmp_path / "trunc")
+        last = sorted(broken.glob("*.scores.f32"))[-1]
+        last.write_bytes(last.read_bytes()[:-8])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli("run", "--bundle", broken, "--out", out, "--mesh-side", 0.25, "--mesh-extent", 2.5) == 2
+        assert last.name in one_error_line(capsys)
+        assert not out.exists()
+
+    def test_run_memory_does_not_grow_with_stream_length(self, sim_dir, tmp_path):
+        import tracemalloc
+
+        # the same four frames listed ten times over
+        long_bundle = copy_bundle(sim_dir, tmp_path / "long", lambda m: m.update(frames=m["frames"] * 10))
+        mesh = ["--mesh-side", 0.25, "--mesh-extent", 2.5]
+        assert run_cli("run", "--bundle", sim_dir, "--out", tmp_path / "warm", *mesh) == 0
+        peaks = []
+        for bundle in (sim_dir, long_bundle):
+            tracemalloc.start()
+            try:
+                assert run_cli("run", "--bundle", bundle, "--out", tmp_path / f"out-{bundle.name}", *mesh) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert json.loads((tmp_path / "out-long" / "summary.json").read_text())["frames_processed"] == 40
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
