@@ -14,7 +14,7 @@ from .geometry import (
     in_simplex,
     transform_to_map,
 )
-from .mesh import Mesh, MeshConfig, Vertex, face_lookup, init_mesh, recenter
+from .mesh import Mesh, MeshConfig, face_lookup, init_mesh, recenter
 from .pipeline import (
     EstimatorKind,
     FrameBundle,
@@ -54,7 +54,6 @@ __all__ = [
     "PropertyModel",
     "SensorNoiseModel",
     "TerrameshError",
-    "Vertex",
     "WorldSpec",
     "barycentric",
     "class_predictive",

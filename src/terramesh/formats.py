@@ -304,7 +304,10 @@ _FRAME_FIELDS = (
     ("frame_id", _is_int, "an integer"),
     ("timestamp", _is_number, "a finite number"),
     ("valid", lambda v: isinstance(v, bool), "true or false"),
-    *((key, lambda v: isinstance(v, str) and v != "", "a file name") for key in ("depth_file", "scores_file")),
+    *(
+        (key, lambda v: isinstance(v, str) and v != "" and Path(v).name == v, "a plain file name in the bundle")
+        for key in ("depth_file", "scores_file")
+    ),
     ("pose", lambda v: isinstance(v, dict), "an object"),
 )
 _POSE_FIELDS = tuple(
@@ -408,15 +411,34 @@ def save_truth(path, world_dict: dict, class_names, models) -> None:
         fh.write("\n")
 
 
+_TRUTH_FIELDS = (
+    ("scenario_hash", lambda v: isinstance(v, str), "a string"),
+    ("world", lambda v: isinstance(v, dict), "an object"),
+    ("models", lambda v: isinstance(v, list), "a list"),
+)
+_MODEL_FIELDS = (
+    ("name", lambda v: isinstance(v, str), "a string"),
+    ("mu", _is_number, "a finite number"),
+    ("sigma", _is_number, "a finite number"),
+)
+
+
 def load_truth(path) -> dict:
+    """Read a ground-truth file; a wrong format or version, or a missing or
+    mistyped top-level field or model field, raises :class:`FormatError`.
+    The world description itself is checked by
+    :func:`terramesh.sim.world_from_dict`."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read truth file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"truth file is not valid JSON: {exc}") from exc
-    if doc.get("format") != TRUTH_FORMAT or doc.get("version") != TRUTH_VERSION:
+    if not isinstance(doc, dict) or doc.get("format") != TRUTH_FORMAT or doc.get("version") != TRUTH_VERSION:
         raise FormatError("unsupported ground-truth format or version")
+    _check_fields("truth file", doc, _TRUTH_FIELDS)
+    for i, model in enumerate(doc["models"]):
+        _check_fields(f"truth file models[{i}]", model, _MODEL_FIELDS)
     return doc
 
 

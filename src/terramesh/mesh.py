@@ -81,16 +81,6 @@ class MeshConfig:
 
 
 @dataclass
-class Vertex:
-    """Read view of one mesh vertex."""
-
-    x: float
-    y: float
-    z_mean: float
-    z_var: float
-
-
-@dataclass
 class FaceGroups:
     """One frame's points grouped by face, and the faces' corners by vertex.
 
@@ -239,10 +229,6 @@ class Mesh:
         ids = self.face_vertex_ids
         return np.column_stack([vx[ids].mean(axis=1), vy[ids].mean(axis=1)])
 
-    def vertex(self, vid: int) -> Vertex:
-        vx, vy = self.vertex_positions()
-        return Vertex(float(vx[vid]), float(vy[vid]), float(self.z_mean[vid]), float(self.z_var[vid]))
-
     def clear_points(self):
         self.points = None
 
@@ -264,7 +250,15 @@ class Mesh:
     def incident_faces(self) -> np.ndarray:
         """(V, 6) face ids incident to each vertex, ascending, -1 padded."""
         if self._incident is None:
-            self._incident = _build_incident_faces(self.cfg.cells_per_side)
+            # a stable sort of the flat corner table lists each vertex's
+            # faces in ascending order; a face never repeats a corner
+            corners = self.face_vertex_ids.reshape(-1)
+            order = np.argsort(corners, kind="stable")
+            counts = np.bincount(corners, minlength=self.num_vertices)
+            rank = np.arange(corners.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            incident = np.full((self.num_vertices, 6), -1, dtype=np.int32)
+            incident[corners[order], rank] = order // 3
+            self._incident = incident
         return self._incident
 
     def face_corner_coords(self):
@@ -350,38 +344,6 @@ def _build_face_vertex_ids(n_cells: int) -> np.ndarray:
     return faces.reshape(-1, 3)
 
 
-def _build_incident_faces(n_cells: int) -> np.ndarray:
-    n_verts = n_cells + 1
-    ix, iy = np.meshgrid(np.arange(n_verts), np.arange(n_verts), indexing="xy")
-    ix = ix.ravel()
-    iy = iy.ravel()
-    sentinel = np.iinfo(np.int32).max
-    cols = np.full((n_verts * n_verts, 6), sentinel, dtype=np.int64)
-
-    def cell(cx, cy):
-        return cy * n_cells + cx
-
-    # square down-left of the vertex: both triangles touch its NE corner
-    m = (ix > 0) & (iy > 0)
-    cols[m, 0] = 2 * cell(ix[m] - 1, iy[m] - 1)
-    cols[m, 1] = cols[m, 0] + 1
-    # square down-right: only the NW triangle touches the vertex
-    m = (ix < n_cells) & (iy > 0)
-    cols[m, 2] = 2 * cell(ix[m], iy[m] - 1) + 1
-    # square up-left: only the SE triangle touches the vertex
-    m = (ix > 0) & (iy < n_cells)
-    cols[m, 3] = 2 * cell(ix[m] - 1, iy[m])
-    # square containing the vertex as its SW corner: both triangles
-    m = (ix < n_cells) & (iy < n_cells)
-    cols[m, 4] = 2 * cell(ix[m], iy[m])
-    cols[m, 5] = cols[m, 4] + 1
-
-    cols.sort(axis=1)
-    out = cols.astype(np.int64)
-    out[out == sentinel] = -1
-    return out.astype(np.int32)
-
-
 def init_mesh(cfg: MeshConfig) -> Mesh:
     """Fresh mesh: flat zero-height vertices, empty buffers, all-zero alpha."""
     return Mesh(cfg)
@@ -403,79 +365,55 @@ def _lam_direct(corner_x, corner_y, px, py):
     return np.stack([l1, l2, 1.0 - l1 - l2], axis=-1)
 
 
-_NO_FACE = np.iinfo(np.int64).max
-# lattice offsets of the three corners of a cell's south-east (row 0) and
-# north-west (row 1) triangle, in the order of _build_face_vertex_ids
-_CORNER_DX = np.array([[0, 1, 1], [0, 1, 0]])
-_CORNER_DY = np.array([[0, 0, 1], [0, 1, 1]])
+# lattice offsets (dy, dx) of the three corners of a cell's south-east (row 0)
+# and north-west (row 1) triangle: the one-cell face table, read as (row, col)
+_CORNER_DY, _CORNER_DX = np.divmod(_build_face_vertex_ids(1), 2)
+
+# Distance, in cell units, from a cell edge or diagonal within which a point
+# goes to the exact candidate scan.  It is far above the rounding of the
+# lattice coordinates ``ox + i*side`` (about 2e-16 times |x|/side) while the
+# window lies within about 1e6 cells of the map origin (20 km at 2 cm).
+EDGE_TOL = 1e-9
 
 
-def _batch_candidate_lookup(mesh: Mesh, xy: np.ndarray) -> np.ndarray:
-    """First-match closed containment over the 3x3 cell neighborhood.
+def _candidate_scan(mesh: Mesh, xy: np.ndarray, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """First-match closed containment over the 3x3 neighborhood of each
+    point's cell ``(cu, cv)``, which must lie in the window; -1 where no
+    face contains the point.
 
-    Every face whose closed triangle can contain a point (up to floating
-    rounding far below one cell) lies in that neighborhood.  Returns -1 for
-    points no face contains.
+    Every face whose closed triangle can contain a point near its cell lies
+    in that neighborhood.  Neighbor cells are clamped into the window, so
+    the 18 candidate columns are ascending face ids (repeats at the border
+    are harmless) and the first hit is the lowest.  Corners follow the
+    lattice arithmetic of ``vertex_positions`` (``ox + i*side``), so the
+    coordinates are bit-identical to the exhaustive scan's.
     """
-    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     n = mesh.cfg.cells_per_side
     side = mesh.cfg.side_length_m
     ox, oy = mesh.origin_xy
-    x = xy[:, 0]
-    y = xy[:, 1]
-
-    result = np.full(xy.shape[0], -1, dtype=np.int64)
-    near = (
-        np.isfinite(x)
-        & np.isfinite(y)
-        & (x >= ox - side)
-        & (x <= ox + (n + 1) * side)
-        & (y >= oy - side)
-        & (y <= oy + (n + 1) * side)
-    )
-    if not near.any():
-        return result
-    idx = np.nonzero(near)[0]
-    xs = x[idx]
-    ys = y[idx]
-    cu = np.floor((xs - ox) / side).astype(np.int64)
-    cv = np.floor((ys - oy) / side).astype(np.int64)
-
-    fids = np.full((idx.size, 18), _NO_FACE, dtype=np.int64)
-    col = 0
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            gx = cu + dx
-            gy = cv + dy
-            valid = (gx >= 0) & (gx < n) & (gy >= 0) & (gy < n)
-            base = 2 * (gy * n + gx)
-            fids[valid, col] = base[valid]
-            fids[valid, col + 1] = base[valid] + 1
-            col += 2
-    fids.sort(axis=1)
-
-    # corners from the cell indices, with the lattice arithmetic of
-    # vertex_positions (ox + i*side), so no (F, 3) corner table is needed
-    safe = np.where(fids == _NO_FACE, 0, fids)
-    cell, tri = np.divmod(safe, 2)
-    cy, cx = np.divmod(cell, n)
-    corner_x = ox + (cx[..., None] + _CORNER_DX[tri]) * side
-    corner_y = oy + (cy[..., None] + _CORNER_DY[tri]) * side
-    lam = _lam_direct(corner_x, corner_y, xs[:, None], ys[:, None])  # (m, 18, 3)
-    ok = np.all((lam >= 0.0) & (lam <= 1.0), axis=2) & (fids != _NO_FACE)
-    has = ok.any(axis=1)
+    step = np.arange(-1, 2)
+    # (m, dy, dx, triangle) candidate grid, in face-index order
+    gx = np.clip(cu[:, None] + step, 0, n - 1)[:, None, :, None]
+    gy = np.clip(cv[:, None] + step, 0, n - 1)[:, :, None, None]
+    fids = (2 * (gy * n + gx) + np.arange(2)).reshape(-1, 18)
+    corner_x = ox + (gx[..., None] + _CORNER_DX) * side
+    corner_y = oy + (gy[..., None] + _CORNER_DY) * side
+    px = xy[:, 0, None, None, None]
+    py = xy[:, 1, None, None, None]
+    lam = _lam_direct(corner_x, corner_y, px, py).reshape(-1, 18, 3)
+    ok = np.all((lam >= 0.0) & (lam <= 1.0), axis=2)
     first = np.argmax(ok, axis=1)
-    result[idx[has]] = fids[has, first[has]]
-    return result
+    hit = fids[np.arange(fids.shape[0]), first]
+    return np.where(ok.any(axis=1), hit, -1)
 
 
 def face_lookup(mesh: Mesh, xy, exhaustive: bool = False):
     """Face id whose closed triangle contains ``xy``, or ``None``.
 
     Ties on shared edges/vertices go to the lowest face index (first match in
-    face-index order).  ``exhaustive=True`` scans every face instead of the
-    3x3 cell neighborhood; it is the correctness oracle for the indexed path
-    and both paths share the same barycentric arithmetic.
+    face-index order).  The default path is :func:`assign_face_ids` on one
+    point; ``exhaustive=True`` scans every face instead and is the
+    correctness oracle for it.  Both share the same barycentric arithmetic.
     """
     x, y = float(xy[0]), float(xy[1])
     if not (np.isfinite(x) and np.isfinite(y)):
@@ -486,38 +424,58 @@ def face_lookup(mesh: Mesh, xy, exhaustive: bool = False):
         ok = np.all((lam >= 0.0) & (lam <= 1.0), axis=1)
         hits = np.nonzero(ok)[0]
         return int(hits[0]) if hits.size else None
-    hit = int(_batch_candidate_lookup(mesh, np.array([[x, y]]))[0])
+    hit = int(assign_face_ids(mesh, np.array([[x, y]]))[0])
     return None if hit < 0 else hit
 
 
 def assign_face_ids(mesh: Mesh, xy: np.ndarray) -> np.ndarray:
     """Vectorized face assignment for (n, 2) planar points; -1 when outside.
 
-    Interior points take the fast grid-indexed path; points that land exactly
-    on a cell edge are re-routed through the candidate-scan lookup so the
-    result matches the first-match rule everywhere.
+    Every point gets the lowest-index face whose closed triangle contains
+    it, the rule of ``face_lookup(..., exhaustive=True)``.  A point more
+    than :data:`EDGE_TOL` cell units from every edge of its cell and from
+    the cell diagonal lies in exactly one face, that of its floor cell.
+    Every other point within :data:`EDGE_TOL` of the window goes to the
+    exact candidate scan; the rest, NaN and infinities included, get -1.
     """
     xy = np.asarray(xy, dtype=float)
     n = mesh.cfg.cells_per_side
     side = mesh.cfg.side_length_m
     ox, oy = mesh.origin_xy
-    u = (xy[:, 0] - ox) / side
-    v = (xy[:, 1] - oy) / side
-    inb = (u >= 0.0) & (u <= n) & (v >= 0.0) & (v <= n)
-
-    cu = np.clip(np.floor(u).astype(np.int64), 0, n - 1)
-    cv = np.clip(np.floor(v).astype(np.int64), 0, n - 1)
-    fu = u - cu
-    fv = v - cv
-    upper = fu < fv  # strictly above the cell diagonal -> north-west triangle
-    fids = 2 * (cv * n + cu) + upper.astype(np.int64)
-    fids[~inb] = -1
-
-    # points exactly on cell borders share faces across cells; defer those to
-    # the first-match candidate scan
-    border = inb & ((fu == 0.0) | (fv == 0.0) | (fu == 1.0) | (fv == 1.0))
-    if border.any():
-        fids[border] = _batch_candidate_lookup(mesh, xy[border])
+    u = xy[:, 0] - ox
+    u /= side
+    v = xy[:, 1] - oy
+    v /= side
+    # floor cells clamped into the window: a point outside it has an in-cell
+    # coordinate outside [0, 1], and NaN stays NaN and fails every test.
+    # The arithmetic runs in place, since fresh (n,) arrays cost page faults.
+    cu = np.floor(u)
+    np.clip(cu, 0, n - 1, out=cu)
+    cv = np.floor(v)
+    np.clip(cv, 0, n - 1, out=cv)
+    fu = np.subtract(u, cu, out=u)
+    fv = np.subtract(v, cv, out=v)
+    upper = fu < fv  # above the cell diagonal -> north-west triangle
+    hi = np.maximum(fu, fv)
+    lo = np.minimum(fu, fv, out=fu)
+    near = lo >= -EDGE_TOL
+    near &= hi <= 1.0 + EDGE_TOL
+    clear = lo > EDGE_TOL
+    clear &= hi < 1.0 - EDGE_TOL
+    face = np.multiply(cv, n, out=v)
+    face += cu
+    face *= 2
+    face += upper
+    np.copyto(face, -1.0, where=~near)
+    # inf - inf and NaN casts only touch points that are -1 already
+    with np.errstate(invalid="ignore"):
+        hi -= lo
+        clear &= hi > EDGE_TOL
+        fids = face.astype(np.int64)
+    near &= ~clear
+    if near.any():
+        scan = np.flatnonzero(near)
+        fids[scan] = _candidate_scan(mesh, xy[scan], cu[scan].astype(np.int64), cv[scan].astype(np.int64))
     return fids
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, FormatError, InputError
 from .geometry import CameraIntrinsics, Pose, camera_center, pose_from_camera
 from .pipeline import FrameBundle
-from .properties import load_default_models, load_models
+from .properties import load_default_models
 
 _DOWN_AXES = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
 
@@ -115,6 +115,11 @@ def polygon_area(polygon) -> float:
 class ClassRegion:
     polygon: np.ndarray
     class_index: int
+
+    def __post_init__(self):
+        shape = np.shape(self.polygon)
+        if len(shape) != 2 or shape[0] < 3 or shape[1] != 2:
+            raise ConfigurationError(f"a class region polygon needs (m >= 3, 2) corners, not shape {shape}")
 
 
 @dataclass(frozen=True)
@@ -232,9 +237,6 @@ class GroundTruth:
 
     def true_height_at(self, x, y) -> np.ndarray:
         return self.world.heightfield.height(x, y)
-
-    def class_mus(self) -> np.ndarray:
-        return np.array([m.mu for m in self.models])
 
 
 # -- rendering ---------------------------------------------------------------------
@@ -394,9 +396,9 @@ def render_frame(spec: WorldSpec, frame_idx: int) -> FrameBundle:
     )
 
 
-def render_frames(spec: WorldSpec, models_path=None, limit: int | None = None):
+def render_frames(spec: WorldSpec, limit: int | None = None):
     """Render the whole trajectory: ``([FrameBundle, ...], GroundTruth)``."""
-    catalog, models = load_models(models_path) if models_path else load_default_models()
+    catalog, models = load_default_models()
     if catalog.k != spec.num_classes:
         raise InputError("model catalog size disagrees with the world's class count")
     count = len(spec.trajectory) if limit is None else min(limit, len(spec.trajectory))
@@ -582,61 +584,72 @@ def world_to_dict(spec: WorldSpec) -> dict:
 
 
 def world_from_dict(doc: dict) -> WorldSpec:
-    hf = Heightfield(
-        base=float(doc["heightfield"]["base"]),
-        patches=tuple(
-            HeightPatch(
-                kind=p["kind"],
-                params=dict(p["params"]),
-                region=None if p["region"] is None else tuple(p["region"]),
-            )
-            for p in doc["heightfield"]["patches"]
-        ),
-    )
-    cmap = ClassMap(
-        regions=tuple(
-            ClassRegion(np.array(r["polygon"], dtype=float), int(r["class_index"]))
-            for r in doc["class_map"]["regions"]
-        ),
-        default_class=int(doc["class_map"]["default_class"]),
-    )
-    intr = CameraIntrinsics(
-        fx=doc["intrinsics"]["fx"],
-        fy=doc["intrinsics"]["fy"],
-        cx=doc["intrinsics"]["cx"],
-        cy=doc["intrinsics"]["cy"],
-        width=int(doc["intrinsics"]["width"]),
-        height=int(doc["intrinsics"]["height"]),
-    )
-    trajectory = tuple(
-        Pose(
-            rotation=np.array(p["rotation"], dtype=float).reshape(3, 3),
-            translation=np.array(p["translation"], dtype=float),
-            rotation_cov=np.array(p["rotation_cov"], dtype=float).reshape(3, 3),
+    """Inverse of :func:`world_to_dict`.  A missing or mistyped field, or a
+    class index outside ``[0, num_classes)``, raises :class:`FormatError`."""
+    try:
+        hf = Heightfield(
+            base=float(doc["heightfield"]["base"]),
+            patches=tuple(
+                HeightPatch(
+                    kind=p["kind"],
+                    params=dict(p["params"]),
+                    region=None if p["region"] is None else tuple(p["region"]),
+                )
+                for p in doc["heightfield"]["patches"]
+            ),
         )
-        for p in doc["trajectory"]
-    )
-    noise_doc = doc["noise"]
-    noise = NoiseSpec(
-        depth_abc=tuple(noise_doc["depth_abc"]),
-        confusion=None
-        if noise_doc["confusion"] is None
-        else np.array(noise_doc["confusion"], dtype=float),
-        score_mode=noise_doc["score_mode"],
-        jitter_kappa=float(noise_doc["jitter_kappa"]),
-        pose_rot_cov=None
-        if noise_doc["pose_rot_cov"] is None
-        else np.array(noise_doc["pose_rot_cov"], dtype=float).reshape(3, 3),
-    )
-    return WorldSpec(
-        name=doc["name"],
-        heightfield=hf,
-        class_map=cmap,
-        trajectory=trajectory,
-        intrinsics=intr,
-        noise=noise,
-        seed=int(doc["seed"]),
-        num_classes=int(doc["num_classes"]),
-        max_range_m=float(doc["max_range_m"]),
-        march_steps=int(doc["march_steps"]),
-    )
+        cmap = ClassMap(
+            regions=tuple(
+                ClassRegion(np.array(r["polygon"], dtype=float), int(r["class_index"]))
+                for r in doc["class_map"]["regions"]
+            ),
+            default_class=int(doc["class_map"]["default_class"]),
+        )
+        intr = CameraIntrinsics(
+            fx=doc["intrinsics"]["fx"],
+            fy=doc["intrinsics"]["fy"],
+            cx=doc["intrinsics"]["cx"],
+            cy=doc["intrinsics"]["cy"],
+            width=int(doc["intrinsics"]["width"]),
+            height=int(doc["intrinsics"]["height"]),
+        )
+        trajectory = tuple(
+            Pose(
+                rotation=np.array(p["rotation"], dtype=float).reshape(3, 3),
+                translation=np.array(p["translation"], dtype=float),
+                rotation_cov=np.array(p["rotation_cov"], dtype=float).reshape(3, 3),
+            )
+            for p in doc["trajectory"]
+        )
+        noise_doc = doc["noise"]
+        noise = NoiseSpec(
+            depth_abc=tuple(noise_doc["depth_abc"]),
+            confusion=None
+            if noise_doc["confusion"] is None
+            else np.array(noise_doc["confusion"], dtype=float),
+            score_mode=noise_doc["score_mode"],
+            jitter_kappa=float(noise_doc["jitter_kappa"]),
+            pose_rot_cov=None
+            if noise_doc["pose_rot_cov"] is None
+            else np.array(noise_doc["pose_rot_cov"], dtype=float).reshape(3, 3),
+        )
+        spec = WorldSpec(
+            name=doc["name"],
+            heightfield=hf,
+            class_map=cmap,
+            trajectory=trajectory,
+            intrinsics=intr,
+            noise=noise,
+            seed=int(doc["seed"]),
+            num_classes=int(doc["num_classes"]),
+            max_range_m=float(doc["max_range_m"]),
+            march_steps=int(doc["march_steps"]),
+        )
+    except KeyError as exc:
+        raise FormatError(f"world description misses {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"world description has a mistyped field: {exc}") from exc
+    for index in [r.class_index for r in cmap.regions] + [cmap.default_class]:
+        if not 0 <= index < spec.num_classes:
+            raise FormatError(f"world description class index {index} is outside [0, {spec.num_classes})")
+    return spec

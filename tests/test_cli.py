@@ -25,6 +25,25 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+DELETE = object()
+
+
+def edit_json(doc, path, value):
+    """Return ``doc`` with the entry at key path ``path`` set to ``value``,
+    or removed when ``value`` is ``DELETE``; an empty path replaces ``doc``."""
+    if not path:
+        return value
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sim") / "bundle"
@@ -75,6 +94,26 @@ class TestSimulate:
         assert validate_bundle(out) == []
         manifest, frames = read_bundle(out)
         assert len(frames) == 2
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("heightfield",), DELETE),
+            (("intrinsics", "fx"), "a"),
+            (("class_map", "regions", 0, "class_index"), 99),
+            (("class_map", "regions", 0, "polygon"), [1, 2]),
+            ((), None),
+        ],
+        ids=["no-heightfield", "text-fx", "class-index-99", "flat-polygon", "null-spec"],
+    )
+    def test_malformed_spec_is_one_error_line(self, tmp_path, capsys, path, value):
+        doc = edit_json(world_to_dict(scenario_library()["two-class-split"]), path, value)
+        spec_path = tmp_path / "world.json"
+        spec_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("simulate", "--spec", spec_path, "--seed", 2, "--out", tmp_path / "b", "--frames", 1) == 2
+        one_error_line(capsys)
+        assert not (tmp_path / "b").exists()
 
 
 class TestRun:
@@ -362,6 +401,25 @@ class TestEvalInputs:
         assert "models" in one_error_line(capsys)
 
     @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("world", "heightfield"), DELETE),
+            (("models", 0, "mu"), DELETE),
+            (("world", "intrinsics", "fx"), "a"),
+            (("world", "class_map", "regions", 0, "class_index"), 99),
+            (("world",), None),
+        ],
+        ids=["no-heightfield", "model-without-mu", "text-fx", "class-index-99", "null-world"],
+    )
+    def test_malformed_truth_is_one_error_line(self, sim_dir, run_dir, tmp_path, capsys, path, value):
+        doc = edit_json(json.loads((sim_dir / "truth.json").read_text()), path, value)
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.eval_one(sim_dir, run_dir / "estimates.bin", tmp_path, truth=truth) == 2
+        one_error_line(capsys)
+
+    @pytest.mark.parametrize(
         "corrupt",
         [
             lambda meta: meta.pop("arrays"),
@@ -551,11 +609,15 @@ MALFORMED_MANIFESTS = pytest.mark.parametrize(
         lambda m: m["frames"][0].update(frame_id="abc"),
         lambda m: m["frames"][0].update(valid="no"),
         lambda m: m["frames"][0].update(depth_file=None),
+        lambda m: m["frames"][0].update(depth_file="/abs/outside.f32"),
+        # the copy's own depth file, named from outside the bundle
+        lambda m: m["frames"][1].update(depth_file="../broken/" + m["frames"][1]["depth_file"]),
         lambda m: m["frames"][0]["pose"].update(rotation=[1.0, 0.0, 0.0]),
     ],
     ids=[
         "top-level-list", "frames-of-ints", "null-frames", "int-class-names", "text-width",
         "fractional-width", "no-classes", "text-frame-id", "text-valid", "null-depth-file",
+        "absolute-depth-file", "parent-relative-depth-file",
         "short-rotation",
     ],
 )
@@ -581,6 +643,13 @@ class TestBundleReader:
         assert captured.err == ""
         lines = captured.out.splitlines()
         assert lines and all(line.startswith("invalid: ") for line in lines)
+
+    def test_validate_refuses_absolute_name_of_real_frame_file(self, sim_dir, tmp_path, capsys):
+        target = sorted(sim_dir.glob("*.depth.f32"))[0].resolve()
+        broken = copy_bundle(sim_dir, tmp_path / "abs", lambda m: m["frames"][0].update(depth_file=str(target)))
+        capsys.readouterr()
+        assert run_cli("validate", "--bundle", broken) == 1
+        assert "plain file name" in capsys.readouterr().out
 
     def test_validate_reports_intrinsics_disagreeing_with_image(self, sim_dir, tmp_path, capsys):
         broken = copy_bundle(

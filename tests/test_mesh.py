@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,26 @@ class TestLookupAfterRecenter:
             recenter(m, target)
             for p in self.lattice_points(m):
                 assert face_lookup(m, p) == face_lookup(m, p, exhaustive=True)
+
+    @pytest.mark.parametrize("target", [None, (0.37, -0.21)], ids=["unshifted", "recentred"])
+    @pytest.mark.parametrize("cfg", [(0.1, 0.5), (0.02, 0.3)], ids=["10cm", "2cm"])
+    def test_assignment_agrees_with_exhaustive_scan(self, cfg, target):
+        # non-dyadic sides: lattice points land within rounding of cell edges
+        m = small_mesh(*cfg, 3)
+        if target is not None:
+            recenter(m, target)
+        pts = self.lattice_points(m)
+        got = [None if f < 0 else int(f) for f in assign_face_ids(m, pts)]
+        assert got == [face_lookup(m, p, exhaustive=True) for p in pts]
+
+    def test_non_finite_points_are_outside(self):
+        m = small_mesh(0.1, 0.5, 3)
+        values = (0.0, np.nan, np.inf, -np.inf)
+        pts = np.array([(a, b) for a in values for b in values])[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fids = assign_face_ids(m, pts)
+        assert np.all(fids == -1)
 
     def test_border_lookup_builds_no_corner_table(self):
         m = init_mesh(MeshConfig(0.02, 5.0, 10))
