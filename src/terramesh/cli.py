@@ -29,6 +29,9 @@ from .evaluation import (
     write_summary_csv,
 )
 from .formats import (
+    _check_fields,
+    _is_number,
+    _numbers,
     load_estimates,
     load_truth,
     open_bundle,
@@ -51,6 +54,7 @@ from .properties import (
     load_models,
     save_models,
 )
+from .semantics import UPDATE_MODES
 from .sim import render_frames, scenario_library, world_from_dict, world_to_dict
 
 
@@ -92,7 +96,23 @@ def cmd_simulate(args) -> int:
 # -- run ----------------------------------------------------------------------
 
 
+_ESTIMATORS = [k.value for k in EstimatorKind]
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number")
+_RUN_FIELDS = (
+    ("estimator", lambda v: v in _ESTIMATORS, f"one of {_ESTIMATORS}"),
+    ("update_mode", lambda v: v in UPDATE_MODES, f"one of {list(UPDATE_MODES)}"),
+    ("mesh_side", *_POSITIVE),
+    ("mesh_extent", *_POSITIVE),
+    ("models", lambda v: v is None or isinstance(v, str), "null or a file path"),
+    ("noise", _numbers(3), "3 finite numbers a, b, c"),
+    ("pose_cov", lambda v: v is None or _numbers(3)(v) or _numbers(9)(v), "null, or 3 or 9 finite numbers"),
+    ("recenter", lambda v: isinstance(v, bool), "true or false"),
+)
+
+
 def _merge_run_config(args) -> dict:
+    """The run settings: defaults, then the config file, then explicit flags,
+    checked once against :data:`_RUN_FIELDS`."""
     cfg = {
         "estimator": "recursive",
         "update_mode": "soft",
@@ -108,6 +128,8 @@ def _merge_run_config(args) -> dict:
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config file: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise CliError("config file is not a JSON object")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
@@ -126,6 +148,7 @@ def _merge_run_config(args) -> dict:
         cfg["noise"] = [float(v) for v in args.noise.split(",")]
     if args.recenter:
         cfg["recenter"] = True
+    _check_fields("run config", cfg, _RUN_FIELDS)
     return cfg
 
 
@@ -152,7 +175,7 @@ def cmd_run(args) -> int:
         noise_model=SensorNoiseModel(a=a, b=b, c=c),
         update_mode=cfg["update_mode"],
         accumulate_alpha=kind is EstimatorKind.RECURSIVE,
-        recenter=bool(cfg["recenter"]),
+        recenter=cfg["recenter"],
         pose_cov_override=None if pose_cov is None else np.array(pose_cov, dtype=float),
     )
     mapper = Mapper(init_mesh(mesh_cfg), pipeline_cfg).run(frames)
@@ -419,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True, help="frame-bundle directory")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="JSON run-config file (flags win over it)")
-    p.add_argument("--estimator", choices=[k.value for k in EstimatorKind])
-    p.add_argument("--update-mode", dest="update_mode", choices=["soft", "hard"])
+    p.add_argument("--estimator", choices=_ESTIMATORS)
+    p.add_argument("--update-mode", dest="update_mode", choices=UPDATE_MODES)
     p.add_argument("--mesh-side", dest="mesh_side", type=float, help="triangle leg length [m]")
     p.add_argument("--mesh-extent", dest="mesh_extent", type=float, help="window half extent [m]")
     p.add_argument("--models", help="friction-model file (default: shipped)")

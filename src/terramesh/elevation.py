@@ -11,11 +11,20 @@ cost follows the points, not the map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, InconsistentCertaintyError, InputError
+
+
+def min_sigma(a: float, b: float, c: float, max_range_m: float) -> float:
+    """Smallest depth sigma a + b*z + c*z^2 over z in [0, max_range_m]."""
+    zs = [0.0, max_range_m]
+    if c != 0.0 and 0.0 < -b / (2.0 * c) < max_range_m:
+        zs.append(-b / (2.0 * c))
+    return min(a + b * z + c * z * z for z in zs)
 
 
 @dataclass(frozen=True)
@@ -35,12 +44,10 @@ class SensorNoiseModel:
     max_range_m: float = 30.0
 
     def __post_init__(self):
-        zs = [0.0, self.max_range_m]
-        if self.c != 0.0:
-            apex = -self.b / (2.0 * self.c)
-            if 0.0 < apex < self.max_range_m:
-                zs.append(apex)
-        if min(self.a + self.b * z + self.c * z * z for z in zs) <= 0.0:
+        values = (self.a, self.b, self.c, self.max_range_m)
+        if not all(map(math.isfinite, values)):
+            raise ConfigurationError(f"depth noise a, b, c and max_range_m must be finite, not {values}")
+        if min_sigma(*values) <= 0.0:
             raise ConfigurationError(
                 "depth noise sigma must stay positive over the sensor range"
             )

@@ -32,6 +32,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -160,12 +161,13 @@ def save_map(mesh: Mesh, path, class_names, frame_count: int = 0, extra: dict | 
         fh.write("\n".join(sidecar) + "\n")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    # an exact comparison, so an integer too large for a float is refused too
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 def _numbers(n: int):
@@ -233,9 +235,6 @@ def load_map(path):
 
 # -- frame bundles --------------------------------------------------------------
 
-# each pose array is stored flat, row-major
-_POSE_SHAPES = {"rotation": (3, 3), "translation": (3,), "rotation_cov": (3, 3)}
-
 
 def write_bundle(directory, frames, class_names, scenario: dict | None = None) -> None:
     """Write a frame-bundle directory consumable by the mapping pipeline."""
@@ -263,7 +262,7 @@ def write_bundle(directory, frames, class_names, scenario: dict | None = None) -
                 "valid": bool(frame.valid),
                 "depth_file": depth_name,
                 "scores_file": scores_name,
-                "pose": {key: getattr(frame.pose, key).reshape(-1).tolist() for key in _POSE_SHAPES},
+                "pose": encode_pose(frame.pose),
             }
         )
     if width is None:
@@ -310,9 +309,33 @@ _FRAME_FIELDS = (
     ),
     ("pose", lambda v: isinstance(v, dict), "an object"),
 )
+_POSE_SHAPES = {"rotation": (3, 3), "translation": (3,), "rotation_cov": (3, 3)}
 _POSE_FIELDS = tuple(
     (key, _numbers(math.prod(s)), f"{math.prod(s)} finite numbers") for key, s in _POSE_SHAPES.items()
 )
+
+
+def encode_pose(pose: Pose) -> dict:
+    """A pose as JSON: each of its arrays flat, row-major."""
+    return {key: getattr(pose, key).reshape(-1).tolist() for key in _POSE_SHAPES}
+
+
+def decode_pose(where: str, doc) -> Pose:
+    """Check and rebuild a pose that :func:`encode_pose` wrote; a fault raises :class:`FormatError`."""
+    _check_fields(where, doc, _POSE_FIELDS)
+    try:
+        return Pose(**{key: np.reshape(doc[key], s) for key, s in _POSE_SHAPES.items()})
+    except InputError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def decode_intrinsics(where: str, doc) -> CameraIntrinsics:
+    """Check and rebuild intrinsics that ``dataclasses.asdict`` wrote; a fault raises :class:`FormatError`."""
+    _check_fields(where, doc, _INTRINSICS_FIELDS)
+    try:
+        return CameraIntrinsics(**{name: doc[name] for name, _, _ in _INTRINSICS_FIELDS})
+    except InputError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def open_bundle(directory):
@@ -330,23 +353,14 @@ def open_bundle(directory):
     w, h, k = manifest["width"], manifest["height"], manifest["num_classes"]
     if len(manifest["class_names"]) != k:
         raise FormatError("bundle manifest: class_names length disagrees with num_classes")
-    intr = manifest["intrinsics"]
-    _check_fields("bundle manifest intrinsics", intr, _INTRINSICS_FIELDS)
-    try:
-        intrinsics = CameraIntrinsics(**{name: intr[name] for name, _, _ in _INTRINSICS_FIELDS})
-    except InputError as exc:
-        raise FormatError(f"bundle manifest: bad intrinsics: {exc}") from exc
+    intrinsics = decode_intrinsics("bundle manifest intrinsics", manifest["intrinsics"])
     # the validity flag is optional and defaults to true
     entries = [{"valid": True, **e} if isinstance(e, dict) else e for e in manifest["frames"]]
     poses = []
     for i, entry in enumerate(entries):
         where = f"bundle manifest frames[{i}]"
         _check_fields(where, entry, _FRAME_FIELDS)
-        _check_fields(f"{where} pose", entry["pose"], _POSE_FIELDS)
-        try:
-            poses.append(Pose(**{key: np.reshape(entry["pose"][key], s) for key, s in _POSE_SHAPES.items()}))
-        except InputError as exc:
-            raise FormatError(f"{where}: bad pose: {exc}") from exc
+        poses.append(decode_pose(f"{where} pose", entry["pose"]))
 
     def frames():
         for entry, pose in zip(entries, poses):
@@ -426,8 +440,8 @@ _MODEL_FIELDS = (
 def load_truth(path) -> dict:
     """Read a ground-truth file; a wrong format or version, or a missing or
     mistyped top-level field or model field, raises :class:`FormatError`.
-    The world description itself is checked by
-    :func:`terramesh.sim.world_from_dict`."""
+    :func:`terramesh.sim.world_from_dict` checks the world description
+    against field tables, from ``terramesh.sim._WORLD_FIELDS`` down."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:

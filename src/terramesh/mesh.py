@@ -370,10 +370,16 @@ def _lam_direct(corner_x, corner_y, px, py):
 _CORNER_DY, _CORNER_DX = np.divmod(_build_face_vertex_ids(1), 2)
 
 # Distance, in cell units, from a cell edge or diagonal within which a point
-# goes to the exact candidate scan.  It is far above the rounding of the
-# lattice coordinates ``ox + i*side`` (about 2e-16 times |x|/side) while the
-# window lies within about 1e6 cells of the map origin (20 km at 2 cm).
+# goes to the exact candidate scan.  Far from the map origin the band widens
+# to c*eps*(max(|ox|, |oy|) + half_extent)/side cells, with c = 4.  A lattice
+# corner ``ox + i*side`` is rounded twice (product and sum), so it lies up to
+# eps*|x| from its true place.  In the window |x| <= max(|ox|, |oy|) +
+# 2*half_extent, at most twice the length in the bound: one factor 2 of c.
+# The other covers the rounding of the point's cell coordinates and of the
+# barycentric test (lattice probes 1e5-5e6 m out already agree at c = 0.5).
+# Within about 1e6 cells of the origin (20 km at 2 cm) the band is EDGE_TOL.
 EDGE_TOL = 1e-9
+_FAR_TOL = 4.0 * float(np.finfo(float).eps)
 
 
 def _candidate_scan(mesh: Mesh, xy: np.ndarray, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
@@ -433,15 +439,17 @@ def assign_face_ids(mesh: Mesh, xy: np.ndarray) -> np.ndarray:
 
     Every point gets the lowest-index face whose closed triangle contains
     it, the rule of ``face_lookup(..., exhaustive=True)``.  A point more
-    than :data:`EDGE_TOL` cell units from every edge of its cell and from
-    the cell diagonal lies in exactly one face, that of its floor cell.
-    Every other point within :data:`EDGE_TOL` of the window goes to the
-    exact candidate scan; the rest, NaN and infinities included, get -1.
+    than the edge tolerance (:data:`EDGE_TOL` cell units, wider far from
+    the map origin) from every edge of its cell and from the cell diagonal
+    lies in exactly one face, that of its floor cell.  Every other point
+    within the tolerance of the window goes to the exact candidate scan;
+    the rest, NaN and infinities included, get -1.
     """
     xy = np.asarray(xy, dtype=float)
     n = mesh.cfg.cells_per_side
     side = mesh.cfg.side_length_m
     ox, oy = mesh.origin_xy
+    tol = max(EDGE_TOL, _FAR_TOL * (max(abs(ox), abs(oy)) + mesh.cfg.half_extent_m) / side)
     u = xy[:, 0] - ox
     u /= side
     v = xy[:, 1] - oy
@@ -458,10 +466,10 @@ def assign_face_ids(mesh: Mesh, xy: np.ndarray) -> np.ndarray:
     upper = fu < fv  # above the cell diagonal -> north-west triangle
     hi = np.maximum(fu, fv)
     lo = np.minimum(fu, fv, out=fu)
-    near = lo >= -EDGE_TOL
-    near &= hi <= 1.0 + EDGE_TOL
-    clear = lo > EDGE_TOL
-    clear &= hi < 1.0 - EDGE_TOL
+    near = lo >= -tol
+    near &= hi <= 1.0 + tol
+    clear = lo > tol
+    clear &= hi < 1.0 - tol
     face = np.multiply(cv, n, out=v)
     face += cu
     face *= 2
@@ -470,7 +478,7 @@ def assign_face_ids(mesh: Mesh, xy: np.ndarray) -> np.ndarray:
     # inf - inf and NaN casts only touch points that are -1 already
     with np.errstate(invalid="ignore"):
         hi -= lo
-        clear &= hi > EDGE_TOL
+        clear &= hi > tol
         fids = face.astype(np.int64)
     near &= ~clear
     if near.any():

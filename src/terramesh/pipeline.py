@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .elevation import SensorNoiseModel, update_elevation
+from .elevation import SensorNoiseModel, _check_psd, update_elevation
 from .errors import InputError
 from .geometry import CameraIntrinsics, Pose, camera_center, project_frame_arrays
 from .mesh import FaceGroups, FramePoints, Mesh, assign_face_ids, recenter
@@ -97,7 +97,8 @@ class PipelineConfig:
                 raise InputError(
                     "pose covariance override must be 3 diagonal entries or a 3x3 matrix"
                 )
-            object.__setattr__(self, "pose_cov_override", cov)
+            # a negative variance would make the map overconfident, not fail
+            object.__setattr__(self, "pose_cov_override", _check_psd(cov, "pose covariance override"))
 
 
 @dataclass

@@ -12,11 +12,13 @@ render is reproducible regardless of scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, InputError
+from .elevation import min_sigma
+from .errors import ConfigurationError, InputError
+from .formats import _check_fields, _is_int, _is_number, _numbers, decode_intrinsics, decode_pose, encode_pose
 from .geometry import CameraIntrinsics, Pose, camera_center, pose_from_camera
 from .pipeline import FrameBundle
 from .properties import load_default_models
@@ -116,11 +118,6 @@ class ClassRegion:
     polygon: np.ndarray
     class_index: int
 
-    def __post_init__(self):
-        shape = np.shape(self.polygon)
-        if len(shape) != 2 or shape[0] < 3 or shape[1] != 2:
-            raise ConfigurationError(f"a class region polygon needs (m >= 3, 2) corners, not shape {shape}")
-
 
 @dataclass(frozen=True)
 class ClassMap:
@@ -171,9 +168,11 @@ class NoiseSpec:
                 raise ConfigurationError("confusion rows must be probability vectors")
             object.__setattr__(self, "confusion", conf)
         if self.pose_rot_cov is not None:
-            object.__setattr__(
-                self, "pose_rot_cov", np.asarray(self.pose_rot_cov, dtype=float).reshape(3, 3)
-            )
+            cov = np.asarray(self.pose_rot_cov, dtype=float).reshape(3, 3)
+            # the jitter is drawn through a Cholesky factor
+            if np.any(cov != cov.T) or cov.any() and np.linalg.eigvalsh(cov).min() <= 0.0:
+                raise ConfigurationError("pose_rot_cov must be symmetric, and zero or positive definite")
+            object.__setattr__(self, "pose_rot_cov", cov)
 
     def depth_sigma(self, depth):
         a, b, c = self.depth_abc
@@ -523,9 +522,7 @@ def scenario_library() -> dict:
 
 
 def world_to_dict(spec: WorldSpec) -> dict:
-    def floats(arr):
-        return [float(v) for v in np.asarray(arr, dtype=float).reshape(-1)]
-
+    noise = spec.noise
     return {
         "name": spec.name,
         "seed": spec.seed,
@@ -546,110 +543,98 @@ def world_to_dict(spec: WorldSpec) -> dict:
         "class_map": {
             "default_class": spec.class_map.default_class,
             "regions": [
-                {
-                    "class_index": r.class_index,
-                    "polygon": [[float(a), float(b)] for a, b in np.asarray(r.polygon)],
-                }
+                {"class_index": r.class_index, "polygon": np.asarray(r.polygon, dtype=float).tolist()}
                 for r in spec.class_map.regions
             ],
         },
-        "intrinsics": {
-            "fx": spec.intrinsics.fx,
-            "fy": spec.intrinsics.fy,
-            "cx": spec.intrinsics.cx,
-            "cy": spec.intrinsics.cy,
-            "width": spec.intrinsics.width,
-            "height": spec.intrinsics.height,
-        },
-        "trajectory": [
-            {
-                "rotation": floats(p.rotation),
-                "translation": floats(p.translation),
-                "rotation_cov": floats(p.rotation_cov),
-            }
-            for p in spec.trajectory
-        ],
+        "intrinsics": asdict(spec.intrinsics),
+        "trajectory": [encode_pose(p) for p in spec.trajectory],
         "noise": {
-            "depth_abc": [float(v) for v in spec.noise.depth_abc],
-            "confusion": None
-            if spec.noise.confusion is None
-            else [floats(row) for row in spec.noise.confusion],
-            "score_mode": spec.noise.score_mode,
-            "jitter_kappa": spec.noise.jitter_kappa,
-            "pose_rot_cov": None
-            if spec.noise.pose_rot_cov is None
-            else floats(spec.noise.pose_rot_cov),
+            "depth_abc": [float(v) for v in noise.depth_abc],
+            "confusion": None if noise.confusion is None else noise.confusion.tolist(),
+            "score_mode": noise.score_mode,
+            "jitter_kappa": noise.jitter_kappa,
+            "pose_rot_cov": None if noise.pose_rot_cov is None else noise.pose_rot_cov.reshape(-1).tolist(),
         },
     }
 
 
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_WORLD_FIELDS = (
+    ("name", lambda v: isinstance(v, str), "a string"),
+    ("seed", lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    ("num_classes", lambda v: _is_int(v) and v > 0, "a positive integer"),
+    ("max_range_m", lambda v: _is_number(v) and v > 0, "a positive finite number"),
+    ("march_steps", lambda v: _is_int(v) and v > 0, "a positive integer"),
+    *((key, *_OBJECT) for key in ("heightfield", "class_map", "intrinsics", "noise")),
+    ("trajectory", *_LIST),
+)
+_PATCH_FIELDS = (
+    ("kind", lambda v: v in HEIGHT_KINDS, f"one of {HEIGHT_KINDS}"),
+    ("params", *_OBJECT),
+    ("region", lambda v: v is None or _numbers(4)(v), "null or 4 finite numbers x0, x1, y0, y1"),
+)
+# the params each patch kind reads (a sinusoid's "phase" defaults to 0); any other must be a number too
+_PATCH_PARAMS = {"flat": ("z",), "ramp": ("z0", "gx", "gy", "x0", "y0"), "sinusoid": ("z0", "amp", "fx", "fy")}
+_POLYGON = (
+    lambda v: isinstance(v, list) and len(v) >= 3 and all(map(_numbers(2), v)),
+    "a list of 3 or more [x, y] pairs of finite numbers",
+)
+
+
 def world_from_dict(doc: dict) -> WorldSpec:
-    """Inverse of :func:`world_to_dict`.  A missing or mistyped field, or a
-    class index outside ``[0, num_classes)``, raises :class:`FormatError`."""
-    try:
-        hf = Heightfield(
-            base=float(doc["heightfield"]["base"]),
-            patches=tuple(
-                HeightPatch(
-                    kind=p["kind"],
-                    params=dict(p["params"]),
-                    region=None if p["region"] is None else tuple(p["region"]),
-                )
-                for p in doc["heightfield"]["patches"]
-            ),
-        )
-        cmap = ClassMap(
-            regions=tuple(
-                ClassRegion(np.array(r["polygon"], dtype=float), int(r["class_index"]))
-                for r in doc["class_map"]["regions"]
-            ),
-            default_class=int(doc["class_map"]["default_class"]),
-        )
-        intr = CameraIntrinsics(
-            fx=doc["intrinsics"]["fx"],
-            fy=doc["intrinsics"]["fy"],
-            cx=doc["intrinsics"]["cx"],
-            cy=doc["intrinsics"]["cy"],
-            width=int(doc["intrinsics"]["width"]),
-            height=int(doc["intrinsics"]["height"]),
-        )
-        trajectory = tuple(
-            Pose(
-                rotation=np.array(p["rotation"], dtype=float).reshape(3, 3),
-                translation=np.array(p["translation"], dtype=float),
-                rotation_cov=np.array(p["rotation_cov"], dtype=float).reshape(3, 3),
-            )
-            for p in doc["trajectory"]
-        )
-        noise_doc = doc["noise"]
-        noise = NoiseSpec(
-            depth_abc=tuple(noise_doc["depth_abc"]),
-            confusion=None
-            if noise_doc["confusion"] is None
-            else np.array(noise_doc["confusion"], dtype=float),
-            score_mode=noise_doc["score_mode"],
-            jitter_kappa=float(noise_doc["jitter_kappa"]),
-            pose_rot_cov=None
-            if noise_doc["pose_rot_cov"] is None
-            else np.array(noise_doc["pose_rot_cov"], dtype=float).reshape(3, 3),
-        )
-        spec = WorldSpec(
-            name=doc["name"],
-            heightfield=hf,
-            class_map=cmap,
-            trajectory=trajectory,
-            intrinsics=intr,
-            noise=noise,
-            seed=int(doc["seed"]),
-            num_classes=int(doc["num_classes"]),
-            max_range_m=float(doc["max_range_m"]),
-            march_steps=int(doc["march_steps"]),
-        )
-    except KeyError as exc:
-        raise FormatError(f"world description misses {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"world description has a mistyped field: {exc}") from exc
-    for index in [r.class_index for r in cmap.regions] + [cmap.default_class]:
-        if not 0 <= index < spec.num_classes:
-            raise FormatError(f"world description class index {index} is outside [0, {spec.num_classes})")
-    return spec
+    """Inverse of :func:`world_to_dict`.  A missing field, or one outside the
+    type and range the renderer assumes, raises a ``TerrameshError`` naming it."""
+    where = "world description"
+    _check_fields(where, doc, _WORLD_FIELDS)
+    k, max_range = doc["num_classes"], float(doc["max_range_m"])
+    hf, cmap, noise = doc["heightfield"], doc["class_map"], doc["noise"]
+
+    _check_fields(f"{where} heightfield", hf, (("base", _is_number, "a finite number"), ("patches", *_LIST)))
+    for i, p in enumerate(hf["patches"]):
+        at = f"{where} heightfield patches[{i}]"
+        _check_fields(at, p, _PATCH_FIELDS)
+        names = dict.fromkeys([*_PATCH_PARAMS[p["kind"]], *p["params"]])
+        _check_fields(f"{at} params", p["params"], [(name, _is_number, "a finite number") for name in names])
+
+    class_index = (lambda v: _is_int(v) and 0 <= v < k, f"a class index in [0, {k})")
+    _check_fields(f"{where} class_map", cmap, (("default_class", *class_index), ("regions", *_LIST)))
+    for i, r in enumerate(cmap["regions"]):
+        _check_fields(f"{where} class_map regions[{i}]", r, (("class_index", *class_index), ("polygon", *_POLYGON)))
+
+    _check_fields(f"{where} noise", noise, (
+        ("depth_abc", lambda v: _numbers(3)(v) and min_sigma(*v, max_range) >= 0.0,
+         f"3 finite numbers a, b, c with a + b z + c z^2 >= 0 for z in [0, {max_range}]"),
+        ("confusion", lambda v: v is None or isinstance(v, list) and len(v) == k and all(map(_numbers(k), v)),
+         f"null or {k} rows of {k} finite numbers"),
+        ("score_mode", lambda v: v in SCORE_MODES, f"one of {SCORE_MODES}"),
+        ("jitter_kappa", lambda v: _is_number(v) and (v > 0 or noise["score_mode"] != "soft_jitter"),
+         "a finite number, positive under soft_jitter"),
+        ("pose_rot_cov", lambda v: v is None or _numbers(9)(v), "null or 9 finite numbers"),
+    ))
+
+    return WorldSpec(
+        name=doc["name"],
+        heightfield=Heightfield(float(hf["base"]), tuple(
+            HeightPatch(p["kind"], dict(p["params"]), None if p["region"] is None else tuple(p["region"]))
+            for p in hf["patches"]
+        )),
+        class_map=ClassMap(
+            regions=tuple(ClassRegion(np.array(r["polygon"], dtype=float), r["class_index"]) for r in cmap["regions"]),
+            default_class=cmap["default_class"],
+        ),
+        trajectory=tuple(decode_pose(f"{where} trajectory[{i}]", p) for i, p in enumerate(doc["trajectory"])),
+        intrinsics=decode_intrinsics(f"{where} intrinsics", doc["intrinsics"]),
+        noise=NoiseSpec(
+            depth_abc=tuple(noise["depth_abc"]),
+            confusion=noise["confusion"],
+            score_mode=noise["score_mode"],
+            jitter_kappa=float(noise["jitter_kappa"]),
+            pose_rot_cov=noise["pose_rot_cov"],
+        ),
+        seed=doc["seed"],
+        num_classes=k,
+        max_range_m=max_range,
+        march_steps=doc["march_steps"],
+    )

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terramesh.cli import main
 from terramesh.formats import (
@@ -65,6 +67,9 @@ def run_dir(sim_dir, tmp_path_factory):
     return out
 
 
+RAMP = {"z0": 0.0, "gx": 0.1, "gy": 0.0, "x0": 0.0, "y0": 0.0}
+
+
 class TestSimulate:
     def test_bundle_is_valid(self, sim_dir):
         assert validate_bundle(sim_dir) == []
@@ -96,23 +101,41 @@ class TestSimulate:
         assert len(frames) == 2
 
     @pytest.mark.parametrize(
-        "path, value",
+        "path, value, field",
         [
-            (("heightfield",), DELETE),
-            (("intrinsics", "fx"), "a"),
-            (("class_map", "regions", 0, "class_index"), 99),
-            (("class_map", "regions", 0, "polygon"), [1, 2]),
-            ((), None),
+            (("heightfield",), DELETE, "'heightfield'"),
+            (("intrinsics", "fx"), "a", "'fx'"),
+            (("class_map", "regions", 0, "class_index"), 99, "'class_index'"),
+            (("class_map", "regions", 0, "polygon"), [1, 2], "'polygon'"),
+            ((), None, "world description"),
+            (("heightfield", "patches"), [{"kind": "flat", "params": {}, "region": None}], "'z'"),
+            (("heightfield", "patches"), [{"kind": "ramp", "params": RAMP | {"z0": "a"}, "region": None}], "'z0'"),
+            (("heightfield", "patches"), [{"kind": "flat", "params": {"z": 0.5}, "region": [0, 1, 2]}], "'region'"),
+            (("march_steps",), 0, "'march_steps'"),
+            (("max_range_m",), -1, "'max_range_m'"),
+            (("noise", "depth_abc"), [0.1, 0.2], "'depth_abc'"),
+            (("noise", "depth_abc"), [0.01, -0.01, 0.0], "'depth_abc'"),
+            # the world's jitter_kappa is 0
+            (("noise", "score_mode"), "soft_jitter", "'jitter_kappa'"),
+            (("noise", "confusion"), np.eye(3).tolist(), "'confusion'"),
+            (("heightfield", "base"), float("nan"), "'base'"),
+            # the jitter is drawn through a Cholesky factor
+            (("noise", "pose_rot_cov"), [0.0, 0, 0, 0, 1e-6, 0, 0, 0, 1e-6], "pose_rot_cov"),
         ],
-        ids=["no-heightfield", "text-fx", "class-index-99", "flat-polygon", "null-spec"],
+        ids=[
+            "no-heightfield", "text-fx", "class-index-99", "flat-polygon", "null-spec",
+            "patch-without-z", "text-ramp-param", "3-entry-region", "zero-march-steps", "negative-max-range",
+            "2-entry-depth-abc", "negative-depth-sigma", "soft-jitter-kappa-0", "3x3-confusion", "nan-base",
+            "singular-pose-rot-cov",
+        ],
     )
-    def test_malformed_spec_is_one_error_line(self, tmp_path, capsys, path, value):
+    def test_malformed_spec_is_one_error_line(self, tmp_path, capsys, path, value, field):
         doc = edit_json(world_to_dict(scenario_library()["two-class-split"]), path, value)
         spec_path = tmp_path / "world.json"
         spec_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run_cli("simulate", "--spec", spec_path, "--seed", 2, "--out", tmp_path / "b", "--frames", 1) == 2
-        one_error_line(capsys)
+        assert field in one_error_line(capsys)
         assert not (tmp_path / "b").exists()
 
 
@@ -197,6 +220,35 @@ class TestRun:
         code = run_cli("run", "--bundle", sim_dir, "--out", tmp_path / "x", "--config", cfg)
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, flags, field",
+        [
+            ([{"a": 1}], [], "not a JSON object"),
+            ("str", [], "not a JSON object"),
+            ({"noise": "abc"}, [], "'noise'"),
+            ({"mesh_side": None}, [], "'mesh_side'"),
+            ({"models": 5}, [], "'models'"),
+            ({"recenter": "no"}, [], "'recenter'"),
+            ({"pose_cov": [1e-6, 1e-6]}, [], "'pose_cov'"),
+            ({"pose_cov": [-1.0, -1.0, -1.0]}, [], "pose covariance"),
+            ({"update_mode": "both"}, [], "'update_mode'"),
+            (None, ["--noise", "1,2"], "'noise'"),
+            (None, ["--noise", "nan,0,0"], "'noise'"),
+        ],
+        ids=[
+            "list", "string", "text-noise", "null-mesh-side", "int-models", "text-recenter",
+            "2-entry-pose-cov", "negative-pose-cov", "unknown-update-mode", "2-entry-noise-flag", "nan-noise-flag",
+        ],
+    )
+    def test_malformed_config_is_one_error_line(self, sim_dir, tmp_path, capsys, config, flags, field):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            flags = [*flags, "--config", tmp_path / "cfg.json"]
+        capsys.readouterr()
+        assert run_cli("run", "--bundle", sim_dir, "--out", tmp_path / "out", *flags) == 2
+        assert field in one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_update_mode_hard(self, sim_dir, tmp_path):
         out = tmp_path / "hard"
@@ -613,12 +665,14 @@ MALFORMED_MANIFESTS = pytest.mark.parametrize(
         # the copy's own depth file, named from outside the bundle
         lambda m: m["frames"][1].update(depth_file="../broken/" + m["frames"][1]["depth_file"]),
         lambda m: m["frames"][0]["pose"].update(rotation=[1.0, 0.0, 0.0]),
+        # an integer too large for a float
+        lambda m: m["frames"][0].update(timestamp=10**400),
     ],
     ids=[
         "top-level-list", "frames-of-ints", "null-frames", "int-class-names", "text-width",
         "fractional-width", "no-classes", "text-frame-id", "text-valid", "null-depth-file",
         "absolute-depth-file", "parent-relative-depth-file",
-        "short-rotation",
+        "short-rotation", "huge-int-timestamp",
     ],
 )
 
@@ -686,6 +740,71 @@ class TestBundleReader:
                 tracemalloc.stop()
         assert json.loads((tmp_path / "out-long" / "summary.json").read_text())["frames_processed"] == 40
         assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def leaf_paths(doc, path=()):
+    """Key paths of every number, string, null and empty container in ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    paths = [p for key, value in items for p in leaf_paths(value, (*path, key))]
+    return paths or [path]
+
+
+def small_world():
+    """A one-frame 16x12 world with a ramp patch, a class region and every noise kind."""
+    doc = world_to_dict(scenario_library()["two-class-split"])
+    doc["intrinsics"] = {"fx": 12.0, "fy": 12.0, "cx": 7.5, "cy": 5.5, "width": 16, "height": 12}
+    doc["trajectory"] = doc["trajectory"][:1]
+    doc["heightfield"]["patches"] = [{"kind": "ramp", "params": dict(RAMP), "region": [0.0, 10.0, -10.0, 10.0]}]
+    doc["noise"] = {
+        "depth_abc": [0.001, 0.0, 0.0019], "confusion": None, "score_mode": "soft_jitter",
+        "jitter_kappa": 50.0, "pose_rot_cov": (np.eye(3) * 2.5e-7).reshape(-1).tolist(),
+    }
+    return doc
+
+
+RUN_CONFIG = {
+    "estimator": "recursive", "update_mode": "soft", "mesh_side": 0.5, "mesh_extent": 2.5, "models": None,
+    "noise": [0.001, 0.0, 0.0019], "pose_cov": [1e-6, 1e-6, 1e-6], "recenter": False,
+}
+MUTATIONS = [DELETE, None, "x", float("nan"), -1, 0, [], {}]
+
+
+class TestMutatedInputs:
+    """One leaf of a valid world spec or run config deleted or replaced: the
+    command either succeeds with valid output or ends with one error line."""
+
+    @pytest.mark.parametrize("target", ["spec", "config"])
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_one_leaf_mutated(self, sim_dir, target, data):
+        import contextlib
+        import io
+        import tempfile
+
+        doc = small_world() if target == "spec" else json.loads(json.dumps(RUN_CONFIG))
+        path = data.draw(st.sampled_from(leaf_paths(doc)), label="path")
+        doc = edit_json(doc, path, data.draw(st.sampled_from(MUTATIONS), label="value"))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "in.json").write_text(json.dumps(doc))
+            out = tmp / "out"
+            if target == "spec":
+                argv = ["simulate", "--spec", tmp / "in.json", "--seed", 3, "--out", out]
+            else:
+                argv = ["run", "--bundle", sim_dir, "--out", out, "--config", tmp / "in.json"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli(*argv)
+            lines = err.getvalue().splitlines()
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                assert lines == []
+                if target == "spec":
+                    assert validate_bundle(out) == []
+                else:
+                    load_map(out / "map.bin")
+            else:
+                assert code == 2 and len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
 class TestEntryPoints:

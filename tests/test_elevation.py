@@ -47,6 +47,14 @@ class TestNoiseModel:
         with pytest.raises(ConfigurationError):
             SensorNoiseModel(a=0.001, b=-0.1, c=0.0)
 
+    @pytest.mark.parametrize(
+        "field", [{"a": np.nan}, {"b": np.nan}, {"c": np.nan}, {"c": np.inf}, {"max_range_m": np.nan}],
+        ids=["nan-a", "nan-b", "nan-c", "inf-c", "nan-range"],
+    )
+    def test_rejects_non_finite_coefficients(self, field):
+        with pytest.raises(ConfigurationError, match="finite"):
+            SensorNoiseModel(**field)
+
 
 class TestHeightVariance:
     def test_identity_rotation_picks_depth_entry(self):

@@ -319,7 +319,11 @@ class TestLookupAfterRecenter:
             for p in self.lattice_points(m):
                 assert face_lookup(m, p) == face_lookup(m, p, exhaustive=True)
 
-    @pytest.mark.parametrize("target", [None, (0.37, -0.21)], ids=["unshifted", "recentred"])
+    @pytest.mark.parametrize(
+        "target",
+        [None, (0.37, -0.21), (5.0e5, 4.2e6), (3.2e6, 1.1e6)],
+        ids=["unshifted", "recentred", "utm-like", "far-east"],
+    )
     @pytest.mark.parametrize("cfg", [(0.1, 0.5), (0.02, 0.3)], ids=["10cm", "2cm"])
     def test_assignment_agrees_with_exhaustive_scan(self, cfg, target):
         # non-dyadic sides: lattice points land within rounding of cell edges

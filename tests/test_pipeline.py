@@ -215,6 +215,13 @@ class TestProcessFrame:
         with pytest.raises(InputError):
             PipelineConfig(pose_cov_override=np.ones(4))
 
+    @pytest.mark.parametrize("cov", [[-1e-4, 1e-4, 1e-4], [0.0, 1e-4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    def test_pose_cov_override_must_be_psd(self, cov):
+        from terramesh.errors import InputError
+
+        with pytest.raises(InputError, match="positive semi-definite"):
+            PipelineConfig(pose_cov_override=np.array(cov))
+
 
 class TestEstimators:
     def setup_method(self):
