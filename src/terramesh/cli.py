@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .evaluation import (
 )
 from .formats import (
     _check_fields,
+    _is_int,
     _is_number,
     _numbers,
     load_estimates,
@@ -42,10 +44,13 @@ from .formats import (
     scenario_hash,
     validate_bundle,
     write_bundle,
+    write_csv,
+    write_json,
 )
 from .mesh import MeshConfig, init_mesh
-from .pipeline import EstimatorKind, FaceScores, Mapper, PipelineConfig, estimate_properties
+from .pipeline import EstimatorKind, FaceScores, FrameTiming, Mapper, PipelineConfig, estimate_properties
 from .properties import (
+    FIT_FAMILIES,
     ForceLog,
     FitSelection,
     PropertyModel,
@@ -62,10 +67,28 @@ class CliError(TerrameshError):
     pass
 
 
+def _check_flag(flag: str, value, ok: bool, what: str) -> None:
+    if not ok:
+        raise CliError(f"{flag} must be {what}, not {value!r}")
+
+
+def _entries(text: str, sep: str, convert) -> list:
+    """The ``sep``-separated entries of a flag, each converted where it
+    parses and kept as text where not, for a check that names the flag."""
+    out = []
+    for entry in text.split(sep):
+        try:
+            out.append(convert(entry))
+        except ValueError:
+            out.append(entry)
+    return out
+
+
 # -- simulate ----------------------------------------------------------------
 
 
 def cmd_simulate(args) -> int:
+    _check_flag("--frames", args.frames, args.frames is None or args.frames >= 1, "at least 1")
     if args.scenario:
         library = scenario_library()
         if args.scenario not in library:
@@ -145,7 +168,7 @@ def _merge_run_config(args) -> dict:
         if value is not None:
             cfg[key] = value
     if args.noise is not None:
-        cfg["noise"] = [float(v) for v in args.noise.split(",")]
+        cfg["noise"] = _entries(args.noise, ",", float)
     if args.recenter:
         cfg["recenter"] = True
     _check_fields("run config", cfg, _RUN_FIELDS)
@@ -198,11 +221,11 @@ def cmd_run(args) -> int:
     )
     save_estimates(out / "estimates.bin", estimates, mapper.mesh, kind.value, scenario.get("hash"))
 
-    with open(out / "timing.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "project_s", "assign_s", "elevation_s", "semantics_s", "total_s"])
-        for i, t in enumerate(mapper.timings):
-            writer.writerow([i, repr(t.project), repr(t.assign), repr(t.elevation), repr(t.semantics), repr(t.total)])
+    write_csv(
+        out / "timing.csv",
+        ["frame", *(f"{f.name}_s" for f in fields(FrameTiming))],
+        ([i, *astuple(t)] for i, t in enumerate(mapper.timings)),
+    )
 
     summary = {
         "estimator": kind.value,
@@ -219,9 +242,7 @@ def cmd_run(args) -> int:
             "num_classes": mesh_cfg.num_classes,
         },
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "summary.json", summary)
     print(
         f"processed {mapper.frames_processed} frames "
         f"({mapper.frames_skipped} skipped); "
@@ -364,20 +385,14 @@ def cmd_fitdist(args) -> int:
 
     save_models(args.out, models)
     ks_path = str(args.out) + ".ks.csv"
-    with open(ks_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "best_family", "ks_gaussian", "ks_lognormal", "ks_weibull", "n"])
-        for class_name, sel in selections:
-            writer.writerow(
-                [
-                    class_name,
-                    sel.best_family,
-                    repr(sel.ks.get("gaussian", float("nan"))),
-                    repr(sel.ks.get("lognormal", float("nan"))),
-                    repr(sel.ks.get("weibull", float("nan"))),
-                    sel.n,
-                ]
-            )
+    write_csv(
+        ks_path,
+        ["class", "best_family", *(f"ks_{family}" for family in FIT_FAMILIES), "n"],
+        (
+            [name, sel.best_family, *(sel.ks.get(family, float("nan")) for family in FIT_FAMILIES), sel.n]
+            for name, sel in selections
+        ),
+    )
     print(f"fitted {len(models)} classes -> {args.out} (KS table: {ks_path})")
     return 0
 
@@ -399,14 +414,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sides = [float(s) for s in args.sides.split(",")]
-    w, h = (int(v) for v in args.frame.split("x"))
-    rows = bench_update(
-        sides,
-        half_extent_m=args.extent,
-        image_size=(w, h),
-        trials=args.trials,
-    )
+    _check_flag("--trials", args.trials, args.trials >= 1, "at least 1")
+    sides = _entries(args.sides, ",", float)
+    ok = all(_is_number(s) and s > 0 for s in sides)
+    _check_flag("--sides", args.sides, ok, "comma-separated positive numbers")
+    size = _entries(args.frame, "x", int)
+    ok = len(size) == 2 and all(_is_int(n) and n > 0 for n in size)
+    _check_flag("--frame", args.frame, ok, "WxH with two positive integers")
+    _check_flag("--extent", args.extent, _is_number(args.extent) and args.extent > 0, "a positive number")
+    rows = bench_update(sides, half_extent_m=args.extent, image_size=tuple(size), trials=args.trials)
     write_bench_csv(args.out, rows)
     for r in rows:
         if r.stage == "update":
@@ -484,10 +500,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TerrameshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (TerrameshError, OSError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,13 +8,13 @@ reproducible across runs, unlike Monte-Carlo estimates.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .errors import EvaluationError
+from .formats import write_csv
 from .pipeline import FaceEstimates
 from .properties import ndtr, normal_pdf
 
@@ -231,6 +231,11 @@ class BenchRow:
     std_s: float
 
 
+# what a bench row times, in bench.csv order: each FrameTiming field, with
+# the derived update part before the total
+_BENCH_STAGES = ("project", "assign", "elevation", "semantics", "update", "total")
+
+
 def bench_frame(half_extent_m: float, image_size=(424, 240), altitude: float = 1.3):
     """One noiseless frame of a flat scene whose footprint covers the window.
 
@@ -303,17 +308,8 @@ def bench_update(
     valid = int((np.isfinite(frame.depth) & (np.asarray(frame.depth) > 0)).sum())
     rows = []
     for side, mapper in zip(side_lengths, mappers):
-        timings = mapper.timings
-        stages = {
-            "project": [t.project for t in timings],
-            "assign": [t.assign for t in timings],
-            "elevation": [t.elevation for t in timings],
-            "semantics": [t.semantics for t in timings],
-            "update": [t.update for t in timings],
-            "total": [t.total for t in timings],
-        }
-        for stage, values in stages.items():
-            arr = np.asarray(values)
+        for stage in _BENCH_STAGES:
+            arr = np.array([getattr(t, stage) for t in mapper.timings])
             rows.append(
                 BenchRow(
                     side_length_m=side,
@@ -331,33 +327,7 @@ def bench_update(
 
 def write_bench_csv(path, rows) -> None:
     """Plot-ready CSV: one row per (mesh configuration, pipeline stage)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "side_length_m",
-                "half_extent_m",
-                "num_faces",
-                "num_points",
-                "trials",
-                "stage",
-                "mean_s",
-                "std_s",
-            ]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    repr(r.side_length_m),
-                    repr(r.half_extent_m),
-                    r.num_faces,
-                    r.num_points,
-                    r.trials,
-                    r.stage,
-                    repr(r.mean_s),
-                    repr(r.std_s),
-                ]
-            )
+    write_csv(path, [f.name for f in fields(BenchRow)], map(astuple, rows))
 
 
 # -- report assembly ---------------------------------------------------------------
@@ -395,39 +365,14 @@ def evaluate_estimator(name: str, estimates: FaceEstimates, truth_classes, model
     )
 
 
+# summary.csv columns: the report's scalar fields, without its two PR curves
+_SUMMARY_COLUMNS = tuple(f.name for f in fields(EstimatorReport) if f.type != "PRResult")
+
+
 def write_summary_csv(path, reports) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "estimator",
-                "kl_mean",
-                "kl_median",
-                "ap_low",
-                "ap_high",
-                "accuracy",
-                "faces_known",
-                "faces_total",
-            ]
-        )
-        for r in reports:
-            writer.writerow(
-                [
-                    r.estimator,
-                    repr(r.kl_mean),
-                    repr(r.kl_median),
-                    repr(r.ap_low),
-                    repr(r.ap_high),
-                    repr(r.accuracy),
-                    r.faces_known,
-                    r.faces_total,
-                ]
-            )
+    write_csv(path, _SUMMARY_COLUMNS, ([getattr(r, c) for c in _SUMMARY_COLUMNS] for r in reports))
 
 
 def write_pr_csv(path, pr: PRResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "recall", "precision"])
-        for t, r, p in zip(pr.thresholds, pr.recall, pr.precision):
-            writer.writerow([repr(float(t)), repr(float(r)), repr(float(p))])
+    rows = zip(pr.thresholds.tolist(), pr.recall.tolist(), pr.precision.tolist())
+    write_csv(path, ["threshold", "recall", "precision"], rows)

@@ -17,6 +17,9 @@ Frame-bundle directory layout:
 
 All writers emit deterministic bytes: JSON keys are sorted, floats use
 shortest round-trip representation, and no wall-clock data is embedded.
+Every JSON document (bundle manifest, ground truth, run summary) goes through
+:func:`write_json`, and every CSV report (timing, bench, eval summary,
+precision-recall curves, KS table) through :func:`write_csv`.
 
 Bundles are read through :func:`open_bundle` alone.  It checks the manifest
 once, against field tables of types, then streams the frames one at a time.
@@ -27,6 +30,7 @@ once, against field tables of types, then streams the frames one at a time.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -53,6 +57,22 @@ TRUTH_VERSION = 1
 
 def _json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON document: sorted keys, indent 2, trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table: the ``header`` row, then ``rows``.  Each cell is
+    written as its ``str()``, the shortest round-trip text of a float."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_arrays(path, header: dict, arrays: dict) -> None:
@@ -279,9 +299,7 @@ def write_bundle(directory, frames, class_names, scenario: dict | None = None) -
     }
     if scenario is not None:
         manifest["scenario"] = scenario
-    with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(directory / "manifest.json", manifest)
 
 
 _POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "a positive integer")
@@ -420,9 +438,7 @@ def save_truth(path, world_dict: dict, class_names, models) -> None:
             {"name": m.class_name, "mu": m.mu, "sigma": m.sigma} for m in models
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 _TRUTH_FIELDS = (

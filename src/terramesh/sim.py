@@ -256,8 +256,7 @@ def _raycast(heightfield, origin, dirs, d_max, steps, d_min=1e-3, bisect_iters=4
     """
     n = dirs.shape[0]
     depth = np.full(n, np.nan)
-    g_prev = _surface_gap(heightfield, origin, dirs, np.full(n, d_min))
-    active = g_prev > 0.0
+    active = _surface_gap(heightfield, origin, dirs, np.full(n, d_min)) > 0.0
     d_prev = np.full(n, d_min)
     lo = np.full(n, np.nan)
     hi = np.full(n, np.nan)
@@ -272,7 +271,6 @@ def _raycast(heightfield, origin, dirs, d_max, steps, d_min=1e-3, bisect_iters=4
         hi[hit] = d
         active[hit] = False
         d_prev[idx] = d
-        g_prev[idx] = g
 
     bracketed = np.nonzero(np.isfinite(lo))[0]
     if bracketed.size:
@@ -360,8 +358,8 @@ def render_frame(spec: WorldSpec, frame_idx: int) -> FrameBundle:
     else:
         gammas = rng.gamma(shape=np.maximum(noise.jitter_kappa * conf[true_class], 0.0))
         totals = gammas.sum(axis=1, keepdims=True)
-        totals[totals == 0.0] = 1.0
-        scores = gammas / totals
+        # a draw that underflows to all zeros takes the Dirichlet mean, its confusion row
+        scores = np.divide(gammas, totals, out=conf[true_class], where=totals > 0.0)
     scores[~hit] = 1.0 / k
 
     sigma = noise.depth_sigma(depth[hit])

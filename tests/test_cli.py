@@ -235,10 +235,12 @@ class TestRun:
             ({"update_mode": "both"}, [], "'update_mode'"),
             (None, ["--noise", "1,2"], "'noise'"),
             (None, ["--noise", "nan,0,0"], "'noise'"),
+            (None, ["--noise", "a,b,c"], "'noise'"),
         ],
         ids=[
             "list", "string", "text-noise", "null-mesh-side", "int-models", "text-recenter",
             "2-entry-pose-cov", "negative-pose-cov", "unknown-update-mode", "2-entry-noise-flag", "nan-noise-flag",
+            "text-noise-flag",
         ],
     )
     def test_malformed_config_is_one_error_line(self, sim_dir, tmp_path, capsys, config, flags, field):
@@ -356,6 +358,21 @@ class TestEval:
         for name in names:
             assert (eval_dir / f"pr_low_{name}.csv").exists()
             assert (eval_dir / f"pr_high_{name}.csv").exists()
+
+    def test_report_floats_are_shortest_round_trip(self, eval_dir, tmp_path):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        TestFitdist().write_log(logs / "ice.csv", 0.19, 2.0, n=500, seed=1, metadata_mass=True)
+        assert run_cli("fitdist", "--logs", logs, "--out", tmp_path / "models.tsv") == 0
+        not_float = {"estimator", "faces_known", "faces_total", "class", "best_family", "n"}
+        for path in (eval_dir / "summary.csv", eval_dir / "pr_low_recursive.csv", tmp_path / "models.tsv.ks.csv"):
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows, path
+            for row in rows:
+                for name, cell in zip(header, row):
+                    if name not in not_float:
+                        assert repr(float(cell)) == cell, (path.name, name, cell)
 
     def test_summary_text_includes_ordering(self, eval_dir):
         text = (eval_dir / "summary.txt").read_text()
@@ -633,6 +650,26 @@ class TestValidateAndBench:
         rows = list(csv.reader(open(out)))
         assert rows[0][0] == "side_length_m"
         assert len(rows) == 1 + 2 * 6  # two configs, six stages
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bench", "--trials", 0], "--trials"),
+            (["bench", "--frame", 40], "--frame"),
+            (["bench", "--frame", "0x40"], "--frame"),
+            (["bench", "--sides", "0.08,x"], "--sides"),
+            (["bench", "--sides", "0.08,-0.16"], "--sides"),
+            (["bench", "--extent", 0], "--extent"),
+            (["simulate", "--scenario", "two-class-split", "--seed", 1, "--frames", 0], "--frames"),
+        ],
+        ids=["zero-trials", "one-number-frame", "zero-width-frame", "text-side", "negative-side", "zero-extent",
+             "zero-frames"],
+    )
+    def test_malformed_flag_is_one_error_line(self, tmp_path, capsys, argv, flag):
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", tmp_path / "out") == 2
+        assert flag in one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
 
 
 def copy_bundle(src, dst, corrupt=None):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,16 @@ class TestRendering:
         assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-9)
         assert not np.allclose(scores, conf[3], atol=1e-6)  # actually jittered
         assert np.abs(scores.mean(axis=0) - conf[3]).max() < 0.01
+
+    @pytest.mark.parametrize("kappa", [0.01, 1e-300])
+    def test_soft_jitter_frames_stay_valid_at_small_kappa(self, kappa):
+        # most Dirichlet draws at these concentrations underflow to all zeros
+        spec = scenario_library()["two-class-split"]
+        spec = replace(spec, noise=NoiseSpec(score_mode="soft_jitter", jitter_kappa=kappa))
+        frames, _ = render_frames(spec, limit=4)
+        assert all(frame.valid for frame in frames)
+        for frame in frames:
+            frame.validate()
 
     def test_depth_noise_magnitude(self):
         spec = flat_world(noise=NoiseSpec(depth_abc=(0.01, 0.0, 0.0)), seed=5)
