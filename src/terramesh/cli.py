@@ -367,6 +367,9 @@ def _read_force_csv(path, mass_override):
 
 
 def cmd_fitdist(args) -> int:
+    _check_flag("--cutoff", args.cutoff, _is_number(args.cutoff) and args.cutoff > 0, "a positive number")
+    ok = args.mass is None or _is_number(args.mass) and args.mass > 0
+    _check_flag("--mass", args.mass, ok, "a positive number")
     logs_dir = Path(args.logs)
     csv_paths = sorted(logs_dir.glob("*.csv"))
     if not csv_paths:

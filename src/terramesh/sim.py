@@ -5,7 +5,10 @@ flat base), a planar class-region map, a camera trajectory and a noise
 specification.  Rendering ray-casts the pinhole camera against the
 heightfield (grid march plus bisection, certified well below 1e-9), looks up
 the true class per pixel, corrupts the class scores through a confusion
-model and optionally the depth and the reported pose.  All randomness is
+model and optionally the depth and the reported pose.  Each ray's march
+starts at the terrain's height bound: it skips only grid steps that cannot
+cross the terrain, so the bundles are byte for byte those of a march over
+every step.  All randomness is
 drawn from streams keyed on ``(seed, frame_id)`` in a fixed order, so a
 render is reproducible regardless of scheduling.
 """
@@ -58,6 +61,24 @@ class HeightPatch:
             2.0 * np.pi * (p["fx"] * x + p["fy"] * y) + p.get("phase", 0.0)
         )
 
+    def max_value(self) -> float:
+        """An upper bound on :meth:`value` inside the region (NaN or inf when there is none).
+
+        A ramp's value is the same rounded expression as in :meth:`value`,
+        and each rounding step is monotone, so over a rectangle its largest
+        computed value is at one of the four corners.
+        """
+        p = self.params
+        if self.kind == "flat":
+            return p["z"]
+        if self.kind == "sinusoid":
+            return p["z0"] + abs(p["amp"])
+        if self.region is None:
+            return np.inf
+        x0, x1, y0, y1 = self.region
+        corners = self.value(np.array([x0, x0, x1, x1], dtype=float), np.array([y0, y1, y0, y1], dtype=float))
+        return float(np.max(corners))
+
     def contains(self, x, y):
         if self.region is None:
             return np.ones_like(np.asarray(x, dtype=float), dtype=bool)
@@ -79,6 +100,11 @@ class Heightfield:
             if np.any(mask):
                 z = np.where(mask, patch.value(x, y), z)
         return z
+
+    def max_height(self) -> float:
+        """An upper bound on every value :meth:`height` returns, ``inf`` when there is none."""
+        bound = float(np.max([self.base, *(patch.max_value() for patch in self.patches)]))
+        return bound if np.isfinite(bound) else np.inf
 
 
 # -- class regions ---------------------------------------------------------------
@@ -241,9 +267,7 @@ class GroundTruth:
 # -- rendering ---------------------------------------------------------------------
 
 
-def _surface_gap(heightfield, origin, dirs, d):
-    pts = origin[None, :] + d[:, None] * dirs
-    return pts[:, 2] - heightfield.height(pts[:, 0], pts[:, 1])
+_BLOCK_CELLS = 1 << 16  # ray-steps per march block: 512 KiB per float64 scratch array
 
 
 def _raycast(heightfield, origin, dirs, d_max, steps, d_min=1e-3, bisect_iters=48):
@@ -253,37 +277,75 @@ def _raycast(heightfield, origin, dirs, d_max, steps, d_min=1e-3, bisect_iters=4
     camera-height-above-terrain, then bisected; the bracket is one march
     step wide, so terrain features narrower than that can be stepped over.
     Returns NaN where no crossing exists in (d_min, d_max].
-    """
-    n = dirs.shape[0]
-    depth = np.full(n, np.nan)
-    active = _surface_gap(heightfield, origin, dirs, np.full(n, d_min)) > 0.0
-    d_prev = np.full(n, d_min)
-    lo = np.full(n, np.nan)
-    hi = np.full(n, np.nan)
-    for d in np.linspace(d_min, d_max, steps + 1)[1:]:
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        g = _surface_gap(heightfield, origin, dirs[idx], np.full(idx.size, d))
-        crossed = g <= 0.0
-        hit = idx[crossed]
-        lo[hit] = d_prev[hit]
-        hi[hit] = d
-        active[hit] = False
-        d_prev[idx] = d
 
-    bracketed = np.nonzero(np.isfinite(lo))[0]
-    if bracketed.size:
-        blo = lo[bracketed]
-        bhi = hi[bracketed]
-        bdirs = dirs[bracketed]
-        for _ in range(bisect_iters):
-            mid = 0.5 * (blo + bhi)
-            g = _surface_gap(heightfield, origin, bdirs, mid)
-            above = g > 0.0
-            blo = np.where(above, mid, blo)
-            bhi = np.where(above, bhi, mid)
-        depth[bracketed] = 0.5 * (blo + bhi)
+    A grid step whose ray height is above ``heightfield.max_height()`` has a
+    positive gap, so it cannot be the first crossing.  Each ray's march
+    therefore starts at its first step at or below that bound, and goes on
+    in blocks of steps, each block twice as wide as the last and at most
+    ``_BLOCK_CELLS`` ray-steps in all.  The depths are bit for bit those of
+    a march over every step: every gap is the same floating-point expression.
+    """
+    grid = np.linspace(d_min, d_max, steps + 1)
+    ox, oy, oz = origin
+    cols = [np.ascontiguousarray(c) for c in dirs.T]
+
+    def gap(d, dx, dy, dz):
+        # the same products and sums as origin + d * dirs, coordinate by coordinate
+        return (oz + d * dz) - heightfield.height(ox + d * dx, oy + d * dy)
+
+    depth = np.full(dirs.shape[0], np.nan)
+    # a ray whose first grid point is not above the terrain has no first crossing
+    rays = np.nonzero(gap(grid[0], *cols) > 0.0)[0]
+
+    # bisect each ray's first grid step at or below the bound (steps + 1: none);
+    # its height, computed as in gap(), is monotone in the step
+    bound = heightfield.max_height()
+    rdz = cols[2][rays]
+    first = np.zeros(rays.size, dtype=np.intp)
+    last = np.where(oz + grid[0] * rdz <= bound, 0, steps + 1)
+    while np.any(first < last):
+        open_ = first < last
+        probe = (first + last) // 2
+        below = oz + grid[np.minimum(probe, steps)] * rdz <= bound
+        last = np.where(open_ & below, probe, last)
+        first = np.where(open_ & ~below, probe + 1, first)
+
+    start = np.maximum(first, 1)
+    rays, start = rays[start <= steps], start[start <= steps]
+    hit_rays, hit_steps = [rays[:0]], [start[:0]]
+    width = 1
+    while rays.size:
+        idx = start[:, None] + np.arange(width)
+        g = gap(grid[np.minimum(idx, steps)], *(c[rays, None] for c in cols))
+        crossed = (g <= 0.0) & (idx <= steps)
+        found = crossed.any(axis=1)
+        hit_rays.append(rays[found])
+        hit_steps.append(idx[found, crossed[found].argmax(axis=1)])
+        start += width
+        more = ~found & (start <= steps)
+        rays, start = rays[more], start[more]
+        width = min(2 * width, max(1, _BLOCK_CELLS // max(rays.size, 1)))
+
+    rays, i = np.concatenate(hit_rays), np.concatenate(hit_steps)
+    lo, hi = grid[i - 1], grid[i]
+    dx, dy, dz = (c[rays] for c in cols)
+    mid, x, y, z = (np.empty(rays.size) for _ in range(4))
+    above = np.empty(rays.size, dtype=bool)
+    for _ in range(bisect_iters):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.multiply(mid, dx, out=x)
+        x += ox
+        np.multiply(mid, dy, out=y)
+        y += oy
+        np.multiply(mid, dz, out=z)
+        z += oz
+        z -= heightfield.height(x, y)
+        np.greater(z, 0.0, out=above)
+        np.copyto(lo, mid, where=above)
+        np.logical_not(above, out=above)
+        np.copyto(hi, mid, where=above)
+    depth[rays] = 0.5 * (lo + hi)
     return depth
 
 

@@ -12,7 +12,10 @@ rebuilds every state array on each shift.  The frame update that gathers
 each point's scores once and groups the points by face once is checked
 against the original update below: a point-major score gather,
 ``np.unique`` grouping, information sums over every vertex of the map and
-the ``np.cross`` + ``einsum`` height variance.
+the ``np.cross`` + ``einsum`` height variance.  The renderer's ray cast,
+which starts each march at the terrain's height bound and marches in
+blocks, is checked against the sequential cast below: one gap evaluation
+per grid step for every ray still marching, from the first step on.
 """
 
 import numpy as np
@@ -331,3 +334,49 @@ def unique_frame_update(mesh, frame, config):
     if config.accumulate_alpha:
         mesh.ring.alpha[slots] += hard if config.update_mode == "hard" else sums
     return observed, sums, counts
+
+
+def _surface_gap(heightfield, origin, dirs, d):
+    pts = origin[None, :] + d[:, None] * dirs
+    return pts[:, 2] - heightfield.height(pts[:, 0], pts[:, 1])
+
+
+def sequential_raycast(heightfield, origin, dirs, d_max, steps, d_min=1e-3, bisect_iters=48):
+    """First surface crossing along each ray, parameterized by sensor depth.
+
+    Rays are marched on a uniform grid to bracket the first sign change of
+    camera-height-above-terrain, then bisected; the bracket is one march
+    step wide, so terrain features narrower than that can be stepped over.
+    Returns NaN where no crossing exists in (d_min, d_max].
+    """
+    n = dirs.shape[0]
+    depth = np.full(n, np.nan)
+    active = _surface_gap(heightfield, origin, dirs, np.full(n, d_min)) > 0.0
+    d_prev = np.full(n, d_min)
+    lo = np.full(n, np.nan)
+    hi = np.full(n, np.nan)
+    for d in np.linspace(d_min, d_max, steps + 1)[1:]:
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        g = _surface_gap(heightfield, origin, dirs[idx], np.full(idx.size, d))
+        crossed = g <= 0.0
+        hit = idx[crossed]
+        lo[hit] = d_prev[hit]
+        hi[hit] = d
+        active[hit] = False
+        d_prev[idx] = d
+
+    bracketed = np.nonzero(np.isfinite(lo))[0]
+    if bracketed.size:
+        blo = lo[bracketed]
+        bhi = hi[bracketed]
+        bdirs = dirs[bracketed]
+        for _ in range(bisect_iters):
+            mid = 0.5 * (blo + bhi)
+            g = _surface_gap(heightfield, origin, bdirs, mid)
+            above = g > 0.0
+            blo = np.where(above, mid, blo)
+            bhi = np.where(above, bhi, mid)
+        depth[bracketed] = 0.5 * (blo + bhi)
+    return depth

@@ -595,6 +595,20 @@ class TestFitdist:
         err = one_error_line(capsys)
         assert "wood.csv" in err and row in err and "not a number" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--cutoff", "nan"), ("--cutoff", "inf"), ("--cutoff", 0), ("--cutoff", -1),
+         ("--mass", "nan"), ("--mass", -2)],
+        ids=["nan-cutoff", "inf-cutoff", "zero-cutoff", "negative-cutoff", "nan-mass", "negative-mass"],
+    )
+    def test_malformed_flag_is_one_error_line(self, tmp_path, capsys, flag, value):
+        # checked before any log is read: the logs directory does not exist
+        capsys.readouterr()
+        out = tmp_path / "m.tsv"
+        assert run_cli("fitdist", "--logs", tmp_path / "missing", "--out", out, flag, value) == 2
+        assert flag in one_error_line(capsys)
+        assert not out.exists()
+
     def test_empty_dir_is_error(self, tmp_path, capsys):
         logs = tmp_path / "empty"
         logs.mkdir()

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,8 @@ from terramesh.sim import (
     HeightPatch,
     NoiseSpec,
     WorldSpec,
+    _pixel_rays,
+    _raycast,
     confusion_matrix,
     points_in_polygon,
     polygon_area,
@@ -25,6 +29,8 @@ from terramesh.sim import (
     world_from_dict,
     world_to_dict,
 )
+
+from oracles import sequential_raycast
 
 DOWN = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
 
@@ -239,6 +245,108 @@ class TestRendering:
         assert not np.array_equal(frame.pose.rotation, true_rot)
         # perturbation is small
         assert np.abs(frame.pose.rotation - true_rot).max() < 0.01
+
+
+RAMP = {"z0": 0.5, "gx": -0.3, "gy": -0.2, "x0": 1.0, "y0": -1.0}
+CAST_TERRAINS = {
+    "flat": Heightfield(base=0.3),
+    "regionless-ramp": Heightfield(
+        patches=(HeightPatch("ramp", {"z0": 0.1, "gx": 0.2, "gy": -0.1, "x0": 0.0, "y0": 0.0}),),
+    ),
+    "negative-ramp": Heightfield(patches=(HeightPatch("ramp", RAMP, (-2.0, 3.0, -3.0, 2.0)),)),
+    "raised-step": Heightfield(patches=(HeightPatch("flat", {"z": 1.2}, (-0.5, 0.5, -0.5, 0.5)),)),
+    "negative-sinusoid": Heightfield(
+        base=0.1,
+        patches=(HeightPatch("sinusoid", {"z0": 0.2, "amp": -0.3, "fx": 0.7, "fy": 0.4, "phase": 1.1}),),
+    ),
+    "empty-region": Heightfield(patches=(HeightPatch("flat", {"z": 2.5}, (1.0, -1.0, -1.0, 1.0)),)),
+}
+
+
+def pitched_pose(degrees, center):
+    """A camera pitched ``degrees`` off straight down; past 90 some rays point up."""
+    p = math.radians(degrees)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, math.cos(p), -math.sin(p)], [0.0, math.sin(p), math.cos(p)]])
+    return pose_from_camera(np.asarray(center, dtype=float), rx @ DOWN)
+
+
+def both_casts(heightfield, pose, intr, d_max, steps):
+    origin = camera_center(pose)
+    dirs = _pixel_rays(intr) @ pose.rotation
+    fast = _raycast(heightfield, origin, dirs, d_max, steps)
+    return fast, sequential_raycast(heightfield, origin, dirs, d_max, steps)
+
+
+class TestRaycast:
+    INTR = CameraIntrinsics(fx=20.0, fy=20.0, cx=19.5, cy=14.5, width=40, height=30)
+    # down, oblique, past horizontal; the 0.6 m camera is below the raised step
+    POSES = [pitched_pose(0, (0.1, -0.3, 4.0)), pitched_pose(60, (0.1, -0.3, 2.0)), pitched_pose(120, (1.5, 0.4, 0.6))]
+
+    @pytest.mark.parametrize("steps", [7, 32, 128])
+    @pytest.mark.parametrize("terrain", CAST_TERRAINS)
+    def test_matches_sequential_cast(self, terrain, steps):
+        hits = 0
+        for pose in self.POSES:
+            fast, oracle = both_casts(CAST_TERRAINS[terrain], pose, self.INTR, 10.0, steps)
+            assert np.array_equal(fast, oracle, equal_nan=True)
+            hits += np.isfinite(fast).sum()
+        assert hits > 0
+
+    def test_some_rays_point_up_and_the_step_is_above_the_camera(self):
+        pose = self.POSES[2]
+        dirs = _pixel_rays(self.INTR) @ pose.rotation
+        assert (dirs[:, 2] > 0).any() and (dirs[:, 2] < 0).any()
+        assert camera_center(pose)[2] < CAST_TERRAINS["raised-step"].max_height()
+
+    @pytest.mark.parametrize("terrain", CAST_TERRAINS)
+    def test_max_height_bounds_every_sample(self, terrain):
+        hf = CAST_TERRAINS[terrain]
+        xs, ys = [np.linspace(-6.0, 6.0, 241)], [np.linspace(-6.0, 6.0, 241)]
+        for patch in hf.patches:
+            if patch.region is not None:
+                xs.append(patch.region[:2])
+                ys.append(patch.region[2:])
+        x, y = np.meshgrid(np.concatenate(xs), np.concatenate(ys))
+        assert np.all(hf.height(x, y) <= hf.max_height())
+
+    def test_max_height_of_a_bounded_ramp_is_a_corner_value(self):
+        hf = CAST_TERRAINS["negative-ramp"]
+        assert hf.max_height() == hf.height(-2.0, -3.0)
+        assert CAST_TERRAINS["regionless-ramp"].max_height() == np.inf
+
+    @pytest.mark.parametrize(
+        "hf",
+        [
+            Heightfield(base=float("nan")),
+            # NaN only around the cameras, where each ray's first grid point lies
+            Heightfield(patches=(HeightPatch("sinusoid", {"z0": 0.2, "amp": 0.3, "fx": float("nan"), "fy": 0.4},
+                                             (-1.0, 2.0, -1.0, 1.0)),)),
+            Heightfield(patches=(HeightPatch("flat", {"z": float("nan")}, (-1.0, 1.0, -1.0, 1.0)),)),
+            Heightfield(patches=(HeightPatch("ramp", {**RAMP, "gx": float("nan")}, (-2.0, 3.0, -3.0, 2.0)),)),
+        ],
+        ids=["base", "sinusoid-fx", "flat-z", "ramp-gx"],
+    )
+    def test_nan_parameter_casts_like_the_sequential_cast(self, hf):
+        for pose in self.POSES:
+            fast, oracle = both_casts(hf, pose, self.INTR, 10.0, 32)
+            assert np.array_equal(fast, oracle, equal_nan=True)
+
+    def test_memory_does_not_grow_with_march_steps(self):
+        # 424x240 rays: one (rays, steps) float64 array would be 26 MB at 32 steps, 417 MB at 512
+        intr = CameraIntrinsics(fx=390.0, fy=220.0, cx=211.5, cy=119.5, width=424, height=240)
+        pose = pitched_pose(12, (0.0, -0.3, 1.45))
+        hf = Heightfield(base=0.15, patches=(HeightPatch("ramp", {**RAMP, "z0": 0.15}, (-0.2, 1.0, -1.0, 1.0)),))
+        dirs = _pixel_rays(intr) @ pose.rotation
+        peak = {}
+        for steps in (32, 512):
+            tracemalloc.start()
+            try:
+                depth = _raycast(hf, camera_center(pose), dirs, 4.0, steps)
+                peak[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.isfinite(depth).mean() > 0.99
+        assert peak[512] < 1.1 * peak[32]
 
 
 class TestScenarioLibrary:
