@@ -6,6 +6,10 @@ Binary container layout (shared by map and estimate files):
     line 2          JSON: {"header": {...}, "arrays": [{name, dtype, shape}, ...]}
     remainder       raw array bytes, little-endian, C-order, in manifest order
 
+Arrays are streamed to and from disk without a second copy: the writer
+hands each array's own memory to the file, and the reader reads each one
+straight into the buffer it returns.
+
 Frame-bundle directory layout:
 
     manifest.json               format id/version, image geometry, class names,
@@ -76,25 +80,22 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_arrays(path, header: dict, arrays: dict) -> None:
-    """Write the binary container: JSON header plus named raw arrays."""
-    manifest = []
-    blobs = []
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        dtype = arr.dtype.newbyteorder("<")
-        arr = arr.astype(dtype, copy=False)
-        manifest.append({"name": name, "dtype": dtype.str, "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
+    """Write the binary container: JSON header plus named raw arrays; only an
+    array that is not already little-endian C-order is converted first."""
+    arrays = {
+        name: np.ascontiguousarray(a, dtype=np.asarray(a).dtype.newbyteorder("<")) for name, a in arrays.items()
+    }
+    manifest = [{"name": name, "dtype": a.dtype.str, "shape": list(a.shape)} for name, a in arrays.items()]
     with open(path, "wb") as fh:
         fh.write(BIN_MAGIC)
         fh.write(_json_bytes({"header": header, "arrays": manifest}))
         fh.write(b"\n")
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays.values():
+            fh.write(arr)
 
 
 def read_arrays(path):
-    """Read a binary container back into ``(header, {name: array})``."""
+    """Read a binary container into ``(header, {name: array})``, each array straight into its own buffer."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != BIN_MAGIC:
@@ -121,9 +122,9 @@ def read_arrays(path):
             nbytes = math.prod(shape) * dtype.itemsize
             if nbytes > remaining:
                 raise FormatError(f"{path}: truncated array {name!r}")
-            buf = fh.read(nbytes)
             remaining -= nbytes
-            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            arrays[name] = np.empty(shape, dtype=dtype)
+            fh.readinto(arrays[name])
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after declared arrays")
     return header, arrays
@@ -162,7 +163,7 @@ def save_map(mesh: Mesh, path, class_names, frame_count: int = 0, extra: dict | 
             "z_mean": mesh.z_mean,
             "z_var": mesh.z_var,
             "touched": mesh.touched.astype(np.uint8),
-            "face_vertices": mesh.face_vertex_ids.astype(np.int32),
+            "face_vertices": mesh.face_vertex_ids.astype(np.int32, copy=False),
             "alpha": mesh.alpha,
         },
     )
@@ -244,10 +245,10 @@ def load_map(path):
     for name in ("z_mean", "z_var", "touched"):
         if arrays[name].shape != (cfg.num_vertices,):
             raise FormatError(f"{path}: {name} has shape {arrays[name].shape}, expected ({cfg.num_vertices},)")
-    mesh.z_mean = arrays["z_mean"].astype(float)
-    mesh.z_var = arrays["z_var"].astype(float)
+    mesh.z_mean = arrays["z_mean"].astype(float, copy=False)
+    mesh.z_var = arrays["z_var"].astype(float, copy=False)
     mesh.touched = arrays["touched"].astype(bool)
-    mesh.alpha = arrays["alpha"].astype(float)
+    mesh.alpha = arrays["alpha"].astype(float, copy=False)
     if mesh.alpha.shape != (cfg.num_faces, cfg.num_classes):
         raise FormatError(f"{path}: alpha shape mismatch")
     return mesh, header
@@ -511,4 +512,4 @@ def load_estimates(path):
             f"{path}: known has shape {known.shape} and weights {weights.shape}; "
             f"expected (F,) and (F, {k})"
         )
-    return header, FaceEstimates(weights=weights.astype(float), known=known.astype(bool))
+    return header, FaceEstimates(weights=weights.astype(float, copy=False), known=known.astype(bool))

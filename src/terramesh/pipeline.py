@@ -58,8 +58,9 @@ class FrameBundle:
         h, w = depth.shape
         if (w, h) != (self.intrinsics.width, self.intrinsics.height):
             raise InputError(f"frame {self.frame_id}: image size disagrees with intrinsics")
-        # written so that NaN fails both comparisons
-        if not (np.all(scores >= 0) and np.abs(scores.sum(axis=2, dtype=float) - 1.0).max() <= SCORE_TOL):
+        # written so that NaN fails both comparisons (a NaN score makes the minimum NaN)
+        total = np.einsum("hwk->hw", scores, dtype=float)
+        if not (np.abs(total - 1.0).max() <= SCORE_TOL and scores.min() >= 0):
             raise InputError(f"frame {self.frame_id}: score vectors are not normalized")
 
 
@@ -308,21 +309,19 @@ def estimate_properties(mesh: Mesh, kind: EstimatorKind, models, current_scores:
     if len(models) != k:
         raise InputError(f"{len(models)} models supplied for {k} classes")
     if kind is EstimatorKind.RECURSIVE:
-        totals = mesh.alpha.sum(axis=1)
+        alpha = mesh.alpha
+        totals = alpha.sum(axis=1)
         known = totals > 0
-        weights = np.zeros_like(mesh.alpha)
-        weights[known] = mesh.alpha[known] / totals[known, None]
+        weights = np.divide(alpha, totals[:, None], out=np.zeros_like(alpha), where=known[:, None])
         return FaceEstimates(weights=weights, known=known)
 
     if current_scores is None:
         raise InputError("non-recursive estimators need current-frame face scores")
     known = current_scores.known
-    mean = current_scores.mean()
-    weights = np.zeros_like(mean)
-    if kind is EstimatorKind.MULTIMODAL_NONRECURSIVE:
-        weights[known] = mean[known]
-    else:
-        best = np.argmax(mean[known], axis=1)
+    weights = current_scores.mean()  # zero on every face the frame did not observe
+    if kind is EstimatorKind.UNIMODAL_NONRECURSIVE:
         rows = np.nonzero(known)[0]
+        best = np.argmax(weights[rows], axis=1)
+        weights[rows] = 0.0
         weights[rows, best] = 1.0
     return FaceEstimates(weights=weights, known=known)

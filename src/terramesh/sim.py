@@ -75,9 +75,26 @@ class HeightPatch:
             return p["z0"] + abs(p["amp"])
         if self.region is None:
             return np.inf
-        x0, x1, y0, y1 = self.region
-        corners = self.value(np.array([x0, x0, x1, x1], dtype=float), np.array([y0, y1, y0, y1], dtype=float))
-        return float(np.max(corners))
+        return float(np.max(self._corner_values(self.region)))
+
+    def _corner_values(self, box) -> np.ndarray:
+        """:meth:`value` at the four corners of ``box`` (x0, x1, y0, y1)."""
+        x0, x1, y0, y1 = box
+        return self.value(np.array([x0, x0, x1, x1], dtype=float), np.array([y0, y1, y0, y1], dtype=float))
+
+    def finite_over(self, box) -> bool:
+        """Whether every height the patch gives inside ``box`` is finite.
+
+        Each kind is linear in x and y (a sinusoid in its phase), so its
+        values inside are finite when they are at the four corners; a
+        sinusoid's crest and trough, ``z0 +- |amp|``, must be finite too.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            heights = self._corner_values(box)
+            if self.kind == "sinusoid":
+                z0, amp = float(self.params["z0"]), abs(float(self.params["amp"]))
+                heights = [*heights, z0 + amp, z0 - amp]
+            return bool(np.all(np.isfinite(heights)))
 
     def contains(self, x, y):
         if self.region is None:
@@ -645,7 +662,9 @@ _POLYGON = (
 
 def world_from_dict(doc: dict) -> WorldSpec:
     """Inverse of :func:`world_to_dict`.  A missing field, or one outside the
-    type and range the renderer assumes, raises a ``TerrameshError`` naming it."""
+    type and range the renderer assumes, raises a ``TerrameshError`` naming it.
+    So does a height patch whose heights are not finite over its region or,
+    without one, over the box of the camera centres widened by ``max_range_m``."""
     where = "world description"
     _check_fields(where, doc, _WORLD_FIELDS)
     k, max_range = doc["num_classes"], float(doc["max_range_m"])
@@ -674,7 +693,7 @@ def world_from_dict(doc: dict) -> WorldSpec:
         ("pose_rot_cov", lambda v: v is None or _numbers(9)(v), "null or 9 finite numbers"),
     ))
 
-    return WorldSpec(
+    spec = WorldSpec(
         name=doc["name"],
         heightfield=Heightfield(float(hf["base"]), tuple(
             HeightPatch(p["kind"], dict(p["params"]), None if p["region"] is None else tuple(p["region"]))
@@ -698,3 +717,18 @@ def world_from_dict(doc: dict) -> WorldSpec:
         max_range_m=max_range,
         march_steps=doc["march_steps"],
     )
+    reach = None
+    if spec.trajectory:
+        # every ray ends within max_range_m of its camera centre
+        centres = np.array([camera_center(pose)[:2] for pose in spec.trajectory])
+        with np.errstate(over="ignore"):  # an infinite box is checked like any other
+            lo, hi = centres.min(axis=0) - max_range, centres.max(axis=0) + max_range
+        reach = (lo[0], hi[0], lo[1], hi[1])
+    for i, patch in enumerate(spec.heightfield.patches):
+        box = patch.region or reach
+        if box is not None and not patch.finite_over(box):
+            raise ConfigurationError(
+                f"{where} heightfield patches[{i}] params give non-finite heights "
+                f"over x0, x1, y0, y1 = {[float(v) for v in box]}"
+            )
+    return spec

@@ -68,6 +68,7 @@ def run_dir(sim_dir, tmp_path_factory):
 
 
 RAMP = {"z0": 0.0, "gx": 0.1, "gy": 0.0, "x0": 0.0, "y0": 0.0}
+SINE = {"z0": 0.0, "amp": 0.1, "fx": 0.5, "fy": 0.0}
 
 
 class TestSimulate:
@@ -121,12 +122,21 @@ class TestSimulate:
             (("heightfield", "base"), float("nan"), "'base'"),
             # the jitter is drawn through a Cholesky factor
             (("noise", "pose_rot_cov"), [0.0, 0, 0, 0, 1e-6, 0, 0, 0, 1e-6], "pose_rot_cov"),
+            # finite parameters whose heights overflow where the cameras look
+            (("heightfield", "patches"), [{"kind": "sinusoid", "params": SINE | {"fx": 1e308}, "region": None}],
+             "patches[0] params"),
+            (("heightfield", "patches"), [{"kind": "sinusoid", "params": SINE | {"z0": 1e308, "amp": 1e308},
+                                           "region": None}], "patches[0] params"),
+            (("heightfield", "patches"), [{"kind": "flat", "params": {"z": 0.5}, "region": None},
+                                          {"kind": "ramp", "params": RAMP | {"gx": 1e306}, "region": [0, 1e3, 0, 1]}],
+             "patches[1] params"),
         ],
         ids=[
             "no-heightfield", "text-fx", "class-index-99", "flat-polygon", "null-spec",
             "patch-without-z", "text-ramp-param", "3-entry-region", "zero-march-steps", "negative-max-range",
             "2-entry-depth-abc", "negative-depth-sigma", "soft-jitter-kappa-0", "3x3-confusion", "nan-base",
-            "singular-pose-rot-cov",
+            "singular-pose-rot-cov", "overflowing-sinusoid-phase", "overflowing-sinusoid-crest",
+            "overflowing-ramp-region",
         ],
     )
     def test_malformed_spec_is_one_error_line(self, tmp_path, capsys, path, value, field):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from terramesh.formats import (
     write_bundle,
 )
 from terramesh.mesh import MeshConfig, init_mesh
-from terramesh.pipeline import FaceEstimates
+from terramesh.pipeline import EstimatorKind, FaceEstimates, estimate_properties
 from terramesh.properties import load_default_models
 from terramesh.sim import scenario_library, render_frames, world_to_dict
 
@@ -68,6 +69,32 @@ class TestBinaryContainer:
         write_arrays(p1, {"z": 1, "a": 2}, arrays)
         write_arrays(p2, {"a": 2, "z": 1}, arrays)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_byte_layout(self, tmp_path, rng):
+        # views, a big-endian array and every dtype the map and estimate
+        # files hold: each array lands as its little-endian C-order bytes
+        grid = rng.standard_normal((5, 4))
+        arrays = {
+            "transposed": grid.T,
+            "sliced": grid[::2, 1:3],
+            "big_endian": rng.standard_normal(6).astype(">f8"),
+            "flags": rng.random(7) < 0.5,
+            "bytes": np.arange(250, 256, dtype=np.uint8),
+            "ids": np.arange(-6, 6, dtype=np.int32).reshape(3, 4),
+            "empty": np.empty((0, 3)),
+        }
+        path = tmp_path / "layout.bin"
+        write_arrays(path, {"kind": "test"}, arrays)
+        little = {name: a.astype(a.dtype.newbyteorder("<")) for name, a in arrays.items()}
+        manifest = [{"name": n, "dtype": a.dtype.str, "shape": list(a.shape)} for n, a in little.items()]
+        meta = json.dumps({"header": {"kind": "test"}, "arrays": manifest}, sort_keys=True, separators=(",", ":"))
+        body = b"".join(a.tobytes(order="C") for a in little.values())
+        assert path.read_bytes() == b"TERRAMESH-BIN v1\n" + meta.encode("utf-8") + b"\n" + body
+        _, back = read_arrays(path)
+        for name, arr in arrays.items():
+            assert back[name].dtype == arr.dtype.newbyteorder("<")
+            assert back[name].shape == arr.shape
+            assert np.array_equal(back[name], arr)
 
 
 class TestMapExport:
@@ -242,3 +269,43 @@ class TestTruthAndEstimates:
         w2 = world_to_dict(spec.with_seed(2))
         assert scenario_hash(w1) != scenario_hash(w2)
         assert scenario_hash(w1) == scenario_hash(world_to_dict(spec.with_seed(1)))
+
+
+class TestContainerMemory:
+    """The CLI's default 0.02 m / 5 m mesh: 500,000 faces, a 40 MB (F, K)
+    evidence array.  No array is copied whole on its way to or from disk."""
+
+    @pytest.fixture(scope="class")
+    def mapped(self):
+        catalog, models = load_default_models()
+        mesh = init_mesh(MeshConfig(0.02, 5.0, catalog.k))
+        rows = mesh.alpha[::3]
+        rows[:] = np.random.default_rng(4).random(rows.shape)
+        return mesh, catalog.names, estimate_properties(mesh, EstimatorKind.RECURSIVE, models)
+
+    def test_export_copies_no_array(self, mapped, tmp_path):
+        mesh, names, estimates = mapped
+        # the vertex lattice, two (V,) float64 arrays, is built for the file
+        lattice = 2 * mesh.num_vertices * 8
+        tracemalloc.start()
+        try:
+            save_map(mesh, tmp_path / "map.bin", names)
+            save_estimates(tmp_path / "estimates.bin", estimates, mesh, "recursive", None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < lattice + 0.1 * mesh.alpha.nbytes
+
+    def test_load_reads_each_array_once(self, mapped, tmp_path):
+        mesh, _, estimates = mapped
+        path = tmp_path / "estimates.bin"
+        save_estimates(path, estimates, mesh, "recursive", None)
+        array_bytes = estimates.known.size + estimates.weights.nbytes
+        tracemalloc.start()
+        try:
+            _, back = load_estimates(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.weights, estimates.weights)
+        assert peak <= 1.1 * array_bytes

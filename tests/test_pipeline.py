@@ -11,6 +11,7 @@ from terramesh.geometry import CameraIntrinsics, Pose, pose_from_camera
 from terramesh.mesh import MeshConfig, init_mesh, recenter
 from terramesh.pipeline import (
     EstimatorKind,
+    FaceScores,
     FrameBundle,
     Mapper,
     PipelineConfig,
@@ -87,6 +88,36 @@ class TestFrameValidation:
         frame.valid = False
         with pytest.raises(InputError):
             frame.validate()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "cell, valid",
+        [
+            ([np.nan, 1.0], False),
+            ([np.inf, 0.0], False),
+            ([-np.inf, 1.0], False),
+            ([-0.05, 1.05], False),
+            ([-0.0, 1.0], True),
+            ([0.5, 0.5 + 0.9e-4], True),
+            ([0.5, 0.5 - 0.9e-4], True),
+            ([0.5, 0.5 + 1.1e-4], False),
+            ([0.5, 0.5 - 1.1e-4], False),
+        ],
+        ids=[
+            "nan", "inf", "minus-inf", "negative", "minus-zero",
+            "sum-up-in", "sum-down-in", "sum-up-out", "sum-down-out",
+        ],
+    )
+    def test_score_rule_verdicts(self, cell, valid, dtype):
+        # one pixel's first two class scores replaced; SCORE_TOL is 1e-4
+        frame = overhead_frame(np.zeros((4, 6)), 0)
+        frame.scores = frame.scores.astype(dtype)
+        frame.scores[2, 3, :2] = cell
+        if valid:
+            frame.validate()
+        else:
+            with pytest.raises(InputError, match="not normalized"):
+                frame.validate()
 
     def test_mapper_skips_and_counts_nan_scores(self):
         frame = overhead_frame(np.zeros((4, 6)), 0)
@@ -453,3 +484,50 @@ class TestGroupedFrameUpdate:
                 assert getattr(mapper.mesh.ring, name).tobytes() == getattr(ref.ring, name).tobytes(), name
             assert mapper.mesh._start == ref._start
         assert mapper.mesh._start != (0, 0)
+
+
+def indexed_estimate(kind, alpha, scores):
+    """Each estimator's weights built by indexing the known rows of a zeroed array."""
+    weights = np.zeros_like(alpha)
+    if kind is EstimatorKind.RECURSIVE:
+        totals = alpha.sum(axis=1)
+        known = totals > 0
+        weights[known] = alpha[known] / totals[known, None]
+        return weights
+    mean, known = scores.mean(), scores.known
+    if kind is EstimatorKind.MULTIMODAL_NONRECURSIVE:
+        weights[known] = mean[known]
+    else:
+        weights[np.nonzero(known)[0], np.argmax(mean[known], axis=1)] = 1.0
+    return weights
+
+
+class TestEstimatorMemory:
+    """The CLI's default 0.02 m / 5 m mesh: 500,000 faces, a 40 MB (F, K)
+    evidence array.  Each estimator allocates its (F, K) weights and (F,)
+    arrays, and no second (F, K) array."""
+
+    @pytest.fixture(scope="class")
+    def mapped(self):
+        _, models = load_default_models()
+        mesh = init_mesh(MeshConfig(0.02, 5.0, 10))
+        rng = np.random.default_rng(8)
+        ids = np.sort(rng.choice(mesh.num_faces, 150_000, replace=False))
+        mesh.alpha[ids] = rng.random((ids.size, 10))
+        # one frame observes a few thousand faces
+        seen = ids[::30]
+        scores = FaceScores(seen, rng.random((seen.size, 10)), rng.integers(1, 9, seen.size), mesh.num_faces)
+        return mesh, models, scores
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_one_face_by_class_array(self, mapped, kind):
+        mesh, models, scores = mapped
+        tracemalloc.start()
+        try:
+            est = estimate_properties(mesh, kind, models, scores)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        faces, k = mesh.alpha.shape
+        assert peak <= faces * k * 8 + 2 * faces * 8
+        assert np.array_equal(est.weights, indexed_estimate(kind, mesh.alpha, scores))

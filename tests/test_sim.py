@@ -418,6 +418,24 @@ class TestSerialization:
             assert np.array_equal(f1.depth, f2.depth)
             assert np.array_equal(f1.scores, f2.scores)
 
+    @pytest.mark.parametrize(
+        "gx, region, accepted",
+        [(1e307, None, False), (1e307, [0.0, 10.0, 0.0, 1.0], True), (4e306, None, True)],
+        ids=["past-the-reach", "inside-its-region", "inside-the-reach"],
+    )
+    def test_patch_heights_must_be_finite_where_seen(self, gx, region, accepted):
+        # the cameras of two-class-split stay within 2.2 m of the origin and
+        # see 20 m, so a ramp without a region reaches |x| = 22.2 m
+        doc = world_to_dict(scenario_library()["two-class-split"])
+        assert doc["max_range_m"] == 20.0
+        params = {"z0": 0.0, "gx": gx, "gy": 0.0, "x0": 0.0, "y0": 0.0}
+        doc["heightfield"]["patches"] = [{"kind": "ramp", "params": params, "region": region}]
+        if accepted:
+            world_from_dict(doc)
+        else:
+            with pytest.raises(tm.TerrameshError, match=r"patches\[0\] params"):
+                world_from_dict(doc)
+
     def test_trajectory_helper_shape(self):
         poses = sweep_trajectory([0.0, 1.0], (-1.0, 1.0), 5, 4.0)
         assert len(poses) == 10
