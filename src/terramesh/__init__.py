@@ -21,7 +21,6 @@ from .pipeline import (
     Mapper,
     PipelineConfig,
     estimate_properties,
-    process_frame,
 )
 from .properties import (
     ForceLog,
@@ -31,7 +30,6 @@ from .properties import (
     friction_from_force,
     load_default_models,
     load_models,
-    property_mixture,
     save_models,
 )
 from .semantics import ClassCatalog, class_predictive, dirichlet_pdf, dirichlet_update
@@ -69,8 +67,6 @@ __all__ = [
     "kalman_update",
     "load_default_models",
     "load_models",
-    "process_frame",
-    "property_mixture",
     "recenter",
     "render_frames",
     "save_models",

@@ -48,7 +48,7 @@ from .formats import (
     write_json,
 )
 from .mesh import MeshConfig, init_mesh
-from .pipeline import EstimatorKind, FaceScores, FrameTiming, Mapper, PipelineConfig, estimate_properties
+from .pipeline import EstimatorKind, FrameTiming, Mapper, PipelineConfig, estimate_properties
 from .properties import (
     FIT_FAMILIES,
     ForceLog,
@@ -60,7 +60,7 @@ from .properties import (
     save_models,
 )
 from .semantics import UPDATE_MODES
-from .sim import render_frames, scenario_library, world_from_dict, world_to_dict
+from .sim import iter_frames, scenario_library, world_from_dict, world_to_dict
 
 
 class CliError(TerrameshError):
@@ -100,19 +100,21 @@ def cmd_simulate(args) -> int:
         spec = world_from_dict(doc)
     spec = spec.with_seed(args.seed)
 
-    frames, truth = render_frames(spec, limit=args.frames)
+    # frames are rendered one at a time, as the bundle writer asks for them
+    frames, truth = iter_frames(spec, limit=args.frames)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     world = world_to_dict(spec)
-    write_bundle(
+    manifest = write_bundle(
         out,
         frames,
         class_names=truth.class_names,
         scenario={"name": spec.name, "hash": scenario_hash(world)},
     )
     save_truth(out / "truth.json", world, truth.class_names, truth.models)
-    valid = sum(1 for f in frames if f.valid)
-    print(f"wrote {len(frames)} frames ({valid} valid) to {out}")
+    entries = manifest["frames"]
+    valid = sum(1 for e in entries if e["valid"])
+    print(f"wrote {len(entries)} frames ({valid} valid) to {out}")
     return 0
 
 
@@ -202,12 +204,8 @@ def cmd_run(args) -> int:
         pose_cov_override=None if pose_cov is None else np.array(pose_cov, dtype=float),
     )
     mapper = Mapper(init_mesh(mesh_cfg), pipeline_cfg).run(frames)
-    last_scores = mapper.last_scores
-    if last_scores is None:
-        # every frame was skipped: the baselines have no current frame, so
-        # all faces stay unknown
-        last_scores = FaceScores.empty(mapper.mesh.num_faces, mesh_cfg.num_classes)
-    estimates = estimate_properties(mapper.mesh, kind, models, last_scores)
+    # when every frame was skipped, the baselines leave every face unknown
+    estimates = estimate_properties(mapper.mesh, kind, models, mapper.last_scores)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -233,7 +231,7 @@ def cmd_run(args) -> int:
         "frames_processed": mapper.frames_processed,
         "frames_skipped": mapper.frames_skipped,
         "faces_total": mapper.mesh.num_faces,
-        "faces_observed": int(mapper.observed.sum()),
+        "faces_observed": int(mapper.mesh.observed.sum()),
         "faces_with_estimate": int(estimates.known.sum()),
         "scenario": scenario,
         "mesh": {
@@ -261,6 +259,10 @@ def cmd_eval(args) -> int:
     models = [
         PropertyModel(m["name"], m["mu"], m["sigma"]) for m in truth_doc["models"]
     ]
+    if len(models) != world.num_classes:
+        raise CliError(
+            f"{args.truth}: the world's num_classes is {world.num_classes}, but it has {len(models)} models"
+        )
 
     loaded = []
     mesh_key = None
@@ -281,20 +283,12 @@ def cmd_eval(args) -> int:
         elif key != mesh_key:
             raise CliError(f"{path}: mesh configuration differs between estimate files")
         loaded.append((header["estimator"], estimates))
-    if not loaded:
-        raise CliError("no estimate files supplied")
 
     side, extent, k, center = mesh_key
     if len(models) != k:
         raise CliError(f"{args.truth} has {len(models)} models, the estimates have {k} classes")
     mesh = init_mesh(MeshConfig(side_length_m=side, half_extent_m=extent, num_classes=int(k)))
     mesh.center = np.asarray(center, dtype=float)
-    for path, (_, estimates) in zip(args.estimates, loaded):
-        if estimates.known.size != mesh.num_faces:
-            raise CliError(
-                f"{path}: holds {estimates.known.size} faces, "
-                f"its mesh configuration has {mesh.num_faces}"
-            )
     centroids = mesh.face_centroids()
     truth_classes = world.class_map.classify(centroids[:, 0], centroids[:, 1])
 

@@ -74,11 +74,6 @@ def kl_mixture(p_true, q_est) -> float:
     return float(_kl_on_grid(*_truth_terms(p_true.pdf(grid)), q, grid, np.empty(q.size - 1)))
 
 
-def gaussian_kl(mu1, s1, mu2, s2) -> float:
-    """Closed-form KL between two univariate Gaussians (quadrature oracle)."""
-    return math.log(s2 / s1) + (s1 * s1 + (mu1 - mu2) ** 2) / (2.0 * s2 * s2) - 0.5
-
-
 def kl_per_face(estimates: FaceEstimates, truth_classes, models):
     """Per-face KL(truth || estimate); NaN where the estimate is unknown.
 
@@ -135,15 +130,14 @@ class PRResult:
     base_rate: float
 
 
-def pr_curve(estimates: FaceEstimates, truth_classes, models, positive: str = "low", threshold_sweep=None) -> PRResult:
+def pr_curve(estimates: FaceEstimates, truth_classes, models, positive: str = "low") -> PRResult:
     """Precision-recall for low/high-friction classification over faces.
 
     A face's true label derives from its true class mean; the detector score
     is the estimated probability mass on the positive side of the threshold.
     Faces without an estimate are never predicted positive but still count
-    in the recall denominator (missed positives).  By default the decision
-    threshold sweeps every distinct score in [0, 1] (the exact curve); pass
-    ``threshold_sweep`` for a fixed grid instead.
+    in the recall denominator (missed positives).  The decision threshold
+    sweeps every distinct score in [0, 1] (the exact curve).
     """
     truth_classes = np.asarray(truth_classes)
     if truth_classes.size == 0:
@@ -170,17 +164,10 @@ def pr_curve(estimates: FaceEstimates, truth_classes, models, positive: str = "l
     scores = scores[order]
     positives = positives[order]
 
-    if threshold_sweep is None:
-        # one PR point per distinct score value (predict positive at score >= t)
-        boundaries = np.nonzero(np.diff(scores))[0]
-        idx = np.append(boundaries, scores.size - 1) if scores.size else np.array([], dtype=int)
-        thresholds = scores[idx]
-    else:
-        thresholds = np.sort(np.asarray(threshold_sweep, dtype=float))[::-1]
-        idx = np.searchsorted(-scores, -thresholds, side="right") - 1
-        keep = idx >= 0
-        idx = idx[keep]
-        thresholds = thresholds[keep]
+    # one PR point per distinct score value (predict positive at score >= t)
+    boundaries = np.nonzero(np.diff(scores))[0]
+    idx = np.append(boundaries, scores.size - 1) if scores.size else np.array([], dtype=int)
+    thresholds = scores[idx]
     tp = np.cumsum(positives)[idx] if idx.size else np.array([], dtype=float)
     predicted = idx + 1
     recall = tp / total_pos

@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import ConfigurationError, FormatError, InputError
 from .geometry import CameraIntrinsics, Pose
 from .mesh import Mesh, MeshConfig
 from .pipeline import FaceEstimates, FrameBundle
@@ -133,6 +133,16 @@ def read_arrays(path):
 # -- map export ---------------------------------------------------------------
 
 
+def _mesh_header(mesh: Mesh) -> dict:
+    """The mesh fields that map and estimates headers share (:data:`_MESH_FIELDS`)."""
+    return {
+        "side_length_m": mesh.cfg.side_length_m,
+        "half_extent_m": mesh.cfg.half_extent_m,
+        "num_classes": mesh.cfg.num_classes,
+        "center": [float(mesh.center[0]), float(mesh.center[1])],
+    }
+
+
 MAP_ARRAYS = ("vertex_x", "vertex_y", "z_mean", "z_var", "touched", "face_vertices", "alpha")
 
 
@@ -145,10 +155,7 @@ def save_map(mesh: Mesh, path, class_names, frame_count: int = 0, extra: dict | 
     header = {
         "kind": MAP_KIND,
         "version": 1,
-        "side_length_m": mesh.cfg.side_length_m,
-        "half_extent_m": mesh.cfg.half_extent_m,
-        "num_classes": mesh.cfg.num_classes,
-        "center": [float(mesh.center[0]), float(mesh.center[1])],
+        **_mesh_header(mesh),
         "frame_count": int(frame_count),
         "class_names": list(class_names),
     }
@@ -216,26 +223,25 @@ def _check_fields(where: str, doc, fields) -> None:
             raise FormatError(f"{where} field {name!r} must be {what}, not {doc[name]!r}")
 
 
-def _check_header(path, header: dict, kind: str, fields=()) -> None:
-    """Raise :class:`FormatError` unless a map or estimates header is of
-    ``kind`` and holds the mesh fields plus ``fields``, each of its type."""
+def _check_header(path, header: dict, kind: str, fields=()) -> MeshConfig:
+    """The :class:`MeshConfig` of a map or estimates header of ``kind`` holding
+    the mesh fields plus ``fields``, each of its type, else :class:`FormatError`."""
     if header.get("kind") != kind:
         raise FormatError(f"{path}: not a {kind} file")
     _check_fields(f"{path}: header", header, _MESH_FIELDS + tuple(fields))
+    try:
+        return MeshConfig(header["side_length_m"], header["half_extent_m"], header["num_classes"])
+    except ConfigurationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_map(path):
     """Rebuild a mesh from :func:`save_map` output; returns ``(mesh, header)``."""
     header, arrays = read_arrays(path)
-    _check_header(path, header, MAP_KIND)
+    cfg = _check_header(path, header, MAP_KIND)
     missing = [name for name in MAP_ARRAYS if name not in arrays]
     if missing:
         raise FormatError(f"{path}: map misses arrays {missing}")
-    cfg = MeshConfig(
-        side_length_m=header["side_length_m"],
-        half_extent_m=header["half_extent_m"],
-        num_classes=header["num_classes"],
-    )
     mesh = Mesh(cfg, center_xy=header["center"])
     vx, vy = mesh.vertex_positions()
     if not (np.array_equal(vx, arrays["vertex_x"]) and np.array_equal(vy, arrays["vertex_y"])):
@@ -257,8 +263,10 @@ def load_map(path):
 # -- frame bundles --------------------------------------------------------------
 
 
-def write_bundle(directory, frames, class_names, scenario: dict | None = None) -> None:
-    """Write a frame-bundle directory consumable by the mapping pipeline."""
+def write_bundle(directory, frames, class_names, scenario: dict | None = None) -> dict:
+    """Write a frame-bundle directory consumable by the mapping pipeline and
+    return its manifest.  ``frames`` may be any iterable: each frame's files
+    are written as it arrives, and the manifest last."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -301,6 +309,7 @@ def write_bundle(directory, frames, class_names, scenario: dict | None = None) -
     if scenario is not None:
         manifest["scenario"] = scenario
     write_json(directory / "manifest.json", manifest)
+    return manifest
 
 
 _POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "a positive integer")
@@ -483,10 +492,7 @@ def save_estimates(path, estimates, mesh: Mesh, estimator: str, scenario_hash_va
         "version": 1,
         "estimator": estimator,
         "scenario_hash": scenario_hash_value,
-        "side_length_m": mesh.cfg.side_length_m,
-        "half_extent_m": mesh.cfg.half_extent_m,
-        "num_classes": mesh.cfg.num_classes,
-        "center": [float(mesh.center[0]), float(mesh.center[1])],
+        **_mesh_header(mesh),
     }
     write_arrays(
         path,
@@ -499,17 +505,18 @@ def save_estimates(path, estimates, mesh: Mesh, estimator: str, scenario_hash_va
 
 
 def load_estimates(path):
-    """Returns ``(header, FaceEstimates)``."""
+    """Returns ``(header, FaceEstimates)``; the arrays must hold one row per
+    face of the mesh the header describes, or :class:`FormatError` names the file."""
     header, arrays = read_arrays(path)
-    _check_header(path, header, ESTIMATES_KIND, [("estimator", lambda v: isinstance(v, str), "a string")])
+    cfg = _check_header(path, header, ESTIMATES_KIND, [("estimator", lambda v: isinstance(v, str), "a string")])
     try:
         known, weights = arrays["known"], arrays["weights"]
     except KeyError as exc:
         raise FormatError(f"{path}: misses array {exc.args[0]!r}") from exc
-    k = header.get("num_classes")
-    if known.ndim != 1 or weights.shape != (known.size, k):
+    f, k = cfg.num_faces, cfg.num_classes
+    if known.shape != (f,) or weights.shape != (f, k):
         raise FormatError(
             f"{path}: known has shape {known.shape} and weights {weights.shape}; "
-            f"expected (F,) and (F, {k})"
+            f"its mesh of {f} faces and {k} classes needs ({f},) and ({f}, {k})"
         )
     return header, FaceEstimates(weights=weights.astype(float, copy=False), known=known.astype(bool))

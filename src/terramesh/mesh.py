@@ -58,7 +58,7 @@ class MeshConfig:
         if self.num_classes < 1:
             raise ConfigurationError("num_classes must be at least 1")
         ratio = self.half_extent_m / self.side_length_m
-        if self.half_extent_m <= 0 or abs(ratio - round(ratio)) > 1e-9:
+        if self.half_extent_m <= 0 or not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise ConfigurationError(
                 "half_extent_m must be a positive integer multiple of side_length_m"
             )
@@ -118,17 +118,16 @@ class FramePoints:
     groups: FaceGroups | None = None
 
     @classmethod
-    def from_assignment(cls, pos_map, pos_sensor, scores, face_ids, rows=None):
+    def from_assignment(cls, pos_map, pos_sensor, scores, face_ids, rows):
         """Keep the points with a face; read their scores once.
 
-        ``scores`` is a (N, K) table and ``rows`` each point's row in it
-        (by default point ``i`` reads row ``i``); the points in the window
-        read theirs with one gather into a class-major (K, n) float array.
+        ``scores`` is a (N, K) table and ``rows`` each point's row in it;
+        the points in the window read theirs with one gather into a
+        class-major (K, n) float array.
         """
         keep = np.flatnonzero(face_ids >= 0)
-        rows = keep if rows is None else rows[keep]
         # np.take gathers rows of a 2-D array far faster than fancy indexing
-        scores = np.take(np.asarray(scores), rows, axis=0)
+        scores = np.take(np.asarray(scores), rows[keep], axis=0)
         return cls(
             pos_map=np.take(pos_map, keep, axis=0),
             pos_sensor=np.take(pos_sensor, keep, axis=0),

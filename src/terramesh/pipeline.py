@@ -124,8 +124,7 @@ class FaceScores:
 
     Only the observed faces are stored: ``ids`` (ascending window face ids)
     with their ``observed_sums`` (m, K) and ``observed_counts`` (m,).  The
-    dense (F, ...) ``sums``, ``counts``, ``known`` and :meth:`mean` are built
-    on demand.
+    dense (F, ...) ``known`` and :meth:`mean` are built on demand.
     """
 
     ids: np.ndarray
@@ -143,18 +142,6 @@ class FaceScores:
         )
 
     @property
-    def sums(self) -> np.ndarray:
-        out = np.zeros((self.num_faces, self.observed_sums.shape[1]))
-        out[self.ids] = self.observed_sums
-        return out
-
-    @property
-    def counts(self) -> np.ndarray:
-        out = np.zeros(self.num_faces, dtype=np.int64)
-        out[self.ids] = self.observed_counts
-        return out
-
-    @property
     def known(self) -> np.ndarray:
         out = np.zeros(self.num_faces, dtype=bool)
         out[self.ids] = True
@@ -168,17 +155,11 @@ class FaceScores:
 
 @dataclass
 class FaceEstimates:
-    """Per-face mixture weights plus a known/unknown mask."""
+    """Per-face mixture weights plus a known/unknown mask.  A known face's
+    property mixture is ``PropertyMixture(weights[f], models)``."""
 
     weights: np.ndarray
     known: np.ndarray
-
-    def mixture(self, face_id: int, models):
-        from .properties import PropertyMixture
-
-        if not self.known[face_id]:
-            return None
-        return PropertyMixture(self.weights[face_id], models)
 
 
 def _face_reduce(points: FramePoints, groups: FaceGroups, num_classes: int, mode: str):
@@ -252,14 +233,6 @@ def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
     return timing, FaceScores(observed, sums, counts, mesh.num_faces)
 
 
-def process_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig | None = None) -> Mesh:
-    """Run one full frame update on the mesh and return it."""
-    config = config or PipelineConfig()
-    frame.validate()
-    _run_frame(mesh, frame, config)
-    return mesh
-
-
 class Mapper:
     """Stateful frame-stream driver: counts, timings, last-frame face scores."""
 
@@ -269,12 +242,8 @@ class Mapper:
         self.frames_processed = 0
         self.frames_skipped = 0
         self.timings: list[FrameTiming] = []
-        self.last_scores: FaceScores | None = None
-
-    @property
-    def observed(self) -> np.ndarray:
-        """(F,) faces of the current window that a processed frame observed."""
-        return self.mesh.observed
+        # before any frame is processed, no face has a current-frame score
+        self.last_scores = FaceScores.empty(mesh.num_faces, mesh.cfg.num_classes)
 
     def process(self, frame: FrameBundle) -> bool:
         """Apply one frame; invalid frames are skipped and counted."""

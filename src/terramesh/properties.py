@@ -25,13 +25,14 @@ from .errors import (
     InputError,
     InsufficientDataError,
 )
-from .semantics import ClassCatalog, class_predictive
+from .semantics import ClassCatalog
 
 GRAVITY = 9.81
 
 MODEL_FILE_MAGIC = "terramesh-friction-models v1"
 
 FIT_FAMILIES = ("gaussian", "lognormal", "weibull")
+MIN_FIT_SAMPLES = 30
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -94,23 +95,6 @@ class PropertyMixture:
         return ndtr(z) @ self.weights
 
 
-def property_mixture(alpha, models):
-    """Per-face property distribution: modes weighted by the class predictive.
-
-    Returns ``None`` (unknown) when alpha carries no observations; such
-    faces stay grey rather than pretending a uniform belief.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.size != len(models):
-        raise ConfigurationError(
-            f"alpha has {alpha.size} classes but {len(models)} models supplied"
-        )
-    weights = class_predictive(alpha)
-    if weights is None:
-        return None
-    return PropertyMixture(weights, models)
-
-
 # -- force-log ingestion ------------------------------------------------------
 
 
@@ -154,25 +138,24 @@ def smooth_exponential(x, alpha_coeff):
     return np.array(out)
 
 
-def friction_from_force(log: ForceLog, cutoff_hz: float | None = 5.0) -> np.ndarray:
+def friction_from_force(log: ForceLog, cutoff_hz: float = 5.0) -> np.ndarray:
     """Friction-coefficient samples: low-pass filtered force over m*g.
 
-    ``cutoff_hz=None`` skips the filter.  The filter is first-order
-    exponential smoothing with coefficient dt / (dt + 1/(2*pi*fc)), assuming
-    a uniform sample period (the median of the time deltas).
+    The filter is first-order exponential smoothing with coefficient
+    dt / (dt + 1/(2*pi*fc)), assuming a uniform sample period (the median of
+    the time deltas).
     """
     if log.forces_n.size == 0:
         return np.empty(0)
+    if cutoff_hz <= 0:
+        raise InputError("cutoff frequency must be positive")
     forces = log.forces_n
-    if cutoff_hz is not None:
-        if cutoff_hz <= 0:
-            raise InputError("cutoff frequency must be positive")
-        if log.times_s.size > 1:
-            dt = float(np.median(np.diff(log.times_s)))
-            if dt <= 0:
-                raise InputError("timestamps must be increasing")
-            tau = 1.0 / (2.0 * math.pi * cutoff_hz)
-            forces = smooth_exponential(forces, dt / (dt + tau))
+    if log.times_s.size > 1:
+        dt = float(np.median(np.diff(log.times_s)))
+        if dt <= 0:
+            raise InputError("timestamps must be increasing")
+        tau = 1.0 / (2.0 * math.pi * cutoff_hz)
+        forces = smooth_exponential(forces, dt / (dt + tau))
     return forces / (log.mass_kg * log.gravity)
 
 
@@ -250,16 +233,17 @@ class FitSelection:
     n: int
 
 
-def fit_and_select(samples, min_samples: int = 30) -> FitSelection:
+def fit_and_select(samples) -> FitSelection:
     """Fit Gaussian / log-normal / Weibull by ML and rank by KS distance.
 
-    Families needing positive support are skipped (and reported) when the
-    data contains non-positive values.  The family with the smallest KS
-    statistic wins; ties break in the fixed family order.
+    At least :data:`MIN_FIT_SAMPLES` samples are needed.  Families needing
+    positive support are skipped (and reported) when the data contains
+    non-positive values.  The family with the smallest KS statistic wins;
+    ties break in the fixed family order.
     """
     x = np.asarray(samples, dtype=float)
-    if x.size < min_samples:
-        raise InsufficientDataError(f"need at least {min_samples} samples, got {x.size}")
+    if x.size < MIN_FIT_SAMPLES:
+        raise InsufficientDataError(f"need at least {MIN_FIT_SAMPLES} samples, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise InputError("samples must be finite")
     if x.std() == 0.0:

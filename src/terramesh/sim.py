@@ -472,14 +472,22 @@ def render_frame(spec: WorldSpec, frame_idx: int) -> FrameBundle:
     )
 
 
-def render_frames(spec: WorldSpec, limit: int | None = None):
-    """Render the whole trajectory: ``([FrameBundle, ...], GroundTruth)``."""
+def iter_frames(spec: WorldSpec, limit: int | None = None):
+    """Check the world against the model catalog and return ``(frames,
+    GroundTruth)``; ``frames`` renders and yields the trajectory's first
+    ``limit`` frames (all by default) one at a time."""
     catalog, models = load_default_models()
     if catalog.k != spec.num_classes:
         raise InputError("model catalog size disagrees with the world's class count")
     count = len(spec.trajectory) if limit is None else min(limit, len(spec.trajectory))
-    frames = [render_frame(spec, i) for i in range(count)]
+    frames = (render_frame(spec, i) for i in range(count))
     return frames, GroundTruth(world=spec, class_names=catalog.names, models=models)
+
+
+def render_frames(spec: WorldSpec, limit: int | None = None):
+    """Render the whole trajectory: ``([FrameBundle, ...], GroundTruth)``."""
+    frames, truth = iter_frames(spec, limit)
+    return list(frames), truth
 
 
 # -- scenario library ------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terramesh.cli import main
+from terramesh.evaluation import evaluate_estimator
 from terramesh.formats import (
     load_estimates,
     load_map,
@@ -19,8 +20,10 @@ from terramesh.formats import (
     validate_bundle,
     write_arrays,
 )
-from terramesh.properties import GRAVITY, load_models
-from terramesh.sim import scenario_library, world_to_dict
+from terramesh.mesh import MeshConfig, init_mesh
+from terramesh.pipeline import EstimatorKind, Mapper, PipelineConfig, estimate_properties
+from terramesh.properties import GRAVITY, PropertyModel, load_models
+from terramesh.sim import scenario_library, world_from_dict, world_to_dict
 
 
 def run_cli(*args):
@@ -100,6 +103,33 @@ class TestSimulate:
         assert validate_bundle(out) == []
         manifest, frames = read_bundle(out)
         assert len(frames) == 2
+
+    def test_empty_trajectory_writes_no_manifest(self, tmp_path, capsys):
+        doc = world_to_dict(scenario_library()["two-class-split"])
+        doc["trajectory"] = []
+        spec_path = tmp_path / "world.json"
+        spec_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("simulate", "--spec", spec_path, "--seed", 2, "--out", tmp_path / "b") == 2
+        assert "cannot write an empty bundle" in one_error_line(capsys)
+        assert not (tmp_path / "b" / "manifest.json").exists()
+
+    def test_memory_does_not_grow_with_frame_count(self, tmp_path):
+        import tracemalloc
+
+        # an 80 x 60 frame of 10 classes renders 0.42 MB of float64 arrays
+        simulate = ["simulate", "--scenario", "imbalanced", "--seed", 3]
+        assert run_cli(*simulate, "--out", tmp_path / "warm", "--frames", 1) == 0
+        peaks = []
+        for frames in (5, 20):
+            tracemalloc.start()
+            try:
+                assert run_cli(*simulate, "--out", tmp_path / f"b{frames}", "--frames", frames) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(read_bundle(tmp_path / "b20")[1]) == 20
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
     @pytest.mark.parametrize(
         "path, value, field",
@@ -246,11 +276,13 @@ class TestRun:
             (None, ["--noise", "1,2"], "'noise'"),
             (None, ["--noise", "nan,0,0"], "'noise'"),
             (None, ["--noise", "a,b,c"], "'noise'"),
+            # the extent over this side overflows to infinity
+            (None, ["--mesh-side", "5e-324"], "half_extent_m"),
         ],
         ids=[
             "list", "string", "text-noise", "null-mesh-side", "int-models", "text-recenter",
             "2-entry-pose-cov", "negative-pose-cov", "unknown-update-mode", "2-entry-noise-flag", "nan-noise-flag",
-            "text-noise-flag",
+            "text-noise-flag", "subnormal-mesh-side-flag",
         ],
     )
     def test_malformed_config_is_one_error_line(self, sim_dir, tmp_path, capsys, config, flags, field):
@@ -413,6 +445,45 @@ class TestEval:
         assert "mesh configuration differs" in capsys.readouterr().err
 
 
+class TestEstimatorComparison:
+    """The CLI comparison (simulate, one run per estimator, eval) against the
+    same comparison made in-process over one mapping pass."""
+
+    def test_eval_summary_equals_in_process_reports(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        assert run_cli(
+            "simulate", "--scenario", "two-class-split-noisy", "--seed", 7, "--out", bundle, "--frames", 6
+        ) == 0
+        mesh_flags = ["--mesh-side", 0.25, "--mesh-extent", 2.5]
+        paths = []
+        for kind in EstimatorKind:
+            out = tmp_path / kind.value
+            assert run_cli("run", "--bundle", bundle, "--out", out, *mesh_flags, "--estimator", kind.value) == 0
+            paths.append(out / "estimates.bin")
+        capsys.readouterr()
+        report_dir = tmp_path / "report"
+        assert run_cli("eval", "--truth", bundle / "truth.json", "--out", report_dir, "--estimates", *paths) == 0
+        printed = capsys.readouterr().out
+        assert "ordering recursive-best-kl: " in printed and "ordering recursive-best-ap-low: " in printed
+        with open(report_dir / "summary.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+
+        truth = json.loads((bundle / "truth.json").read_text())
+        world = world_from_dict(truth["world"])
+        models = [PropertyModel(m["name"], m["mu"], m["sigma"]) for m in truth["models"]]
+        manifest, frames = read_bundle(bundle)
+        mesh = init_mesh(MeshConfig(0.25, 2.5, manifest["num_classes"]))
+        mapper = Mapper(mesh, PipelineConfig()).run(frames)
+        centroids = mesh.face_centroids()
+        truth_classes = world.class_map.classify(centroids[:, 0], centroids[:, 1])
+        assert [row[0] for row in rows] == [kind.value for kind in EstimatorKind]
+        for kind, row in zip(EstimatorKind, rows):
+            estimates = estimate_properties(mesh, kind, models, mapper.last_scores)
+            report = evaluate_estimator(kind.value, estimates, truth_classes, models)
+            for name, cell in zip(header[1:], row[1:]):
+                assert float(cell) == getattr(report, name), (kind.value, name)
+
+
 def one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1, err
@@ -479,6 +550,19 @@ class TestEvalInputs:
         assert self.eval_one(sim_dir, run_dir / "estimates.bin", tmp_path, truth=truth) == 2
         assert "models" in one_error_line(capsys)
 
+    def test_world_class_count_disagreeing_with_models(self, sim_dir, run_dir, tmp_path, capsys):
+        # the world's classes are checked against its own model list, so a
+        # region of class 11 never indexes past the 10 models
+        doc = json.loads((sim_dir / "truth.json").read_text())
+        doc["world"]["num_classes"] = 12
+        doc["world"]["class_map"]["regions"][0]["class_index"] = 11
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.eval_one(sim_dir, run_dir / "estimates.bin", tmp_path, truth=truth) == 2
+        line = one_error_line(capsys)
+        assert "num_classes" in line and "10 models" in line
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -514,11 +598,12 @@ class TestEvalInputs:
             lambda meta: meta["header"].pop("estimator"),
             lambda meta: meta["header"].update(center=None),
             lambda meta: meta["header"].update(side_length_m="x"),
+            lambda meta: meta["header"].update(side_length_m=5e-324),
         ],
         ids=[
             "no-arrays", "no-header", "no-name", "no-dtype", "no-shape", "bad-dtype",
             "object-dtype", "huge-shape", "header-list", "arrays-int",
-            "no-estimator", "null-center", "text-side-length",
+            "no-estimator", "null-center", "text-side-length", "subnormal-side-length",
         ],
     )
     def test_malformed_container_header(self, sim_dir, run_dir, tmp_path, capsys, corrupt):

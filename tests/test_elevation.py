@@ -198,7 +198,7 @@ def make_frame_points(mesh, pos_map, scores=None):
     if scores is None:
         scores = np.full((pos_map.shape[0], k), 1.0 / k)
     fids = assign_face_ids(mesh, pos_map[:, :2])
-    return FramePoints.from_assignment(pos_map, pos_map.copy(), scores, fids)
+    return FramePoints.from_assignment(pos_map, pos_map.copy(), scores, fids, np.arange(fids.size))
 
 
 class TestUpdateElevation:
@@ -298,7 +298,7 @@ class TestUpdateElevation:
             )
             pose = Pose(random_rotation(rng), rng.standard_normal(3), sample_psd(rng, 1e-3))
             fids = assign_face_ids(mesh, pos[:, :2])
-            mesh.points = FramePoints.from_assignment(pos, pos_sensor, np.full((n, 2), 0.5), fids)
+            mesh.points = FramePoints.from_assignment(pos, pos_sensor, np.full((n, 2), 0.5), fids, np.arange(n))
             pts = mesh.points
             var = point_height_variances(
                 pts.pos_sensor, model.variance(pts.pos_sensor[:, 2]), pose, pose.rotation_cov

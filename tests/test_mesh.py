@@ -177,7 +177,7 @@ class TestBulkAssignment:
         m = small_mesh()
         pos = rng.uniform(-2, 2, size=(100, 3))
         fids = assign_face_ids(m, pos[:, :2])
-        fp = FramePoints.from_assignment(pos, pos, np.full((100, 3), 1 / 3), fids)
+        fp = FramePoints.from_assignment(pos, pos, np.full((100, 3), 1 / 3), fids, np.arange(100))
         assert fp.count == int((fids >= 0).sum())
         assert np.all(fp.face_ids >= 0)
 

@@ -16,9 +16,8 @@ from terramesh.pipeline import (
     Mapper,
     PipelineConfig,
     estimate_properties,
-    process_frame,
 )
-from terramesh.properties import load_default_models
+from terramesh.properties import PropertyMixture, load_default_models
 
 DOWN = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
 
@@ -165,7 +164,7 @@ class TestProcessFrame:
         grass = catalog.index("grass")
         frame = overhead_frame(np.full((20, 30), 0.1), grass)
         mesh = mesh_10()
-        process_frame(mesh, frame)
+        assert Mapper(mesh).process(frame)
         assert mesh.points is None  # buffers cleared
         observed = mesh.alpha.sum(axis=1) > 0
         assert observed.any()
@@ -196,7 +195,8 @@ class TestProcessFrame:
             rows = rng.dirichlet(np.ones(10), size=9)
             frame = scored_frame(rows, frame_id=i)
             mapper.process(frame)
-            expected += mapper.last_scores.sums
+            last = mapper.last_scores
+            expected[last.ids] += last.observed_sums
         assert np.allclose(mesh.alpha, expected, atol=1e-12)
 
     def test_hard_mode_counts(self):
@@ -205,7 +205,7 @@ class TestProcessFrame:
         rows[4:, 7] = 1.0
         frame = scored_frame(rows)
         mesh = mesh_10()
-        process_frame(mesh, frame, PipelineConfig(update_mode="hard"))
+        assert Mapper(mesh, PipelineConfig(update_mode="hard")).process(frame)
         assert mesh.alpha.sum() == 6.0
         assert mesh.alpha[:, 3].sum() == 4.0
         assert mesh.alpha[:, 7].sum() == 2.0
@@ -224,16 +224,16 @@ class TestProcessFrame:
         frame = overhead_frame(np.zeros((6, 8)), 0)
         frame.pose = pose_from_camera([3.25, 0.0, 2.0], DOWN)
         mesh = mesh_10()
-        process_frame(mesh, frame, PipelineConfig(recenter=True))
+        assert Mapper(mesh, PipelineConfig(recenter=True)).process(frame)
         assert np.allclose(mesh.center, [3.25, 0.0], atol=1e-12)
 
     def test_pose_cov_override_inflates_variance(self):
         frame = overhead_frame(np.zeros((6, 8)), 0)
         plain = mesh_10()
-        process_frame(plain, frame)
+        assert Mapper(plain).process(frame)
         inflated = mesh_10()
         cfg = PipelineConfig(pose_cov_override=np.full(3, 1e-4))
-        process_frame(inflated, frame, cfg)
+        assert Mapper(inflated, cfg).process(frame)
         touched = plain.touched
         assert np.array_equal(touched, inflated.touched)
         # straight-down pixels off the optical axis gain rotational variance
@@ -337,9 +337,9 @@ class TestEstimators:
         est = estimate_properties(mapper.mesh, EstimatorKind.RECURSIVE, self.models)
         fid_known = int(np.nonzero(est.known)[0][0])
         fid_unknown = int(np.nonzero(~est.known)[0][0])
-        mix = est.mixture(fid_known, self.models)
+        mix = PropertyMixture(est.weights[fid_known], self.models)
         assert mix.mean() == pytest.approx(0.192)
-        assert est.mixture(fid_unknown, self.models) is None
+        assert not est.known[fid_unknown]
 
     def test_recursive_convergence_vs_unimodal_flicker(self, rng):
         # a noisy stream over one face: the accumulated estimate settles on
@@ -379,10 +379,10 @@ class TestLifecycle:
     def test_observed_mask_accumulates(self):
         mapper = Mapper(mesh_10())
         mapper.process(overhead_frame(np.zeros((6, 8)), 1))
-        first = mapper.observed.sum()
+        first = mapper.mesh.observed.sum()
         assert first > 0
         mapper.process(overhead_frame(np.zeros((6, 8)), 1, frame_id=1))
-        assert mapper.observed.sum() == first
+        assert mapper.mesh.observed.sum() == first
 
 
 class TestRingWindow:
@@ -394,6 +394,7 @@ class TestRingWindow:
         cfg = MeshConfig(0.25, 1.5, 3)  # 12 cells, 13 vertices per side
         ring, ref = init_mesh(cfg), init_mesh(cfg)
         config = PipelineConfig(update_mode=mode)
+        ring_mapper, ref_mapper = Mapper(ring, config), Mapper(ref, config)
         n = cfg.cells_per_side
         # shifts wider than the window, negative and zero shifts; within the
         # first nine steps the column offset passes twice the ring length
@@ -412,8 +413,8 @@ class TestRingWindow:
                 xy = ring.center + rng.uniform(-0.6, 0.6, size=2)
                 frame = frame_over(xy, rng, cfg.num_classes, frame_id=frame_id)
                 frame_id += 1
-                process_frame(ring, frame, config)
-                process_frame(ref, frame, config)
+                assert ring_mapper.process(frame)
+                assert ref_mapper.process(frame)
                 self.assert_same(ring, ref)
         assert np.array_equal(ring.observed, ring.alpha.sum(axis=1) > 0)
 

@@ -10,6 +10,8 @@ from terramesh.errors import (
     InputError,
     InsufficientDataError,
 )
+from terramesh.mesh import MeshConfig, init_mesh
+from terramesh.pipeline import EstimatorKind, estimate_properties
 from terramesh.properties import (
     GRAVITY,
     ForceLog,
@@ -21,7 +23,6 @@ from terramesh.properties import (
     ks_statistic,
     load_default_models,
     load_models,
-    property_mixture,
     save_models,
     smooth_exponential,
 )
@@ -88,6 +89,18 @@ class TestModels:
             load_models(bad)
 
 
+def face_mixture(alpha, models):
+    """The property mixture of a face whose class evidence is ``alpha``:
+    ``PropertyMixture(estimates.weights[f], models)`` over the recursive
+    estimate of a map holding it; ``None`` while the face is unknown."""
+    mesh = init_mesh(MeshConfig(1.0, 1.0, len(models)))
+    evidence = np.zeros_like(mesh.alpha)
+    evidence[0] = alpha
+    mesh.alpha = evidence
+    estimates = estimate_properties(mesh, EstimatorKind.RECURSIVE, models)
+    return PropertyMixture(estimates.weights[0], models) if estimates.known[0] else None
+
+
 class TestMixture:
     def models(self):
         return [PropertyModel("concrete", 0.543, 0.065), PropertyModel("ice", 0.192, 0.046)]
@@ -96,22 +109,22 @@ class TestMixture:
         _, models = load_default_models()
         alpha = np.zeros(10)
         alpha[8] = 4.0  # ice
-        mix = property_mixture(alpha, models)
+        mix = face_mixture(alpha, models)
         assert mix.weights[8] == 1.0
         assert mix.mean() == pytest.approx(0.192)
         assert np.sqrt(mix.variance()) == pytest.approx(0.046)
 
     def test_all_zero_is_unknown(self):
-        assert property_mixture(np.zeros(2), self.models()) is None
+        assert face_mixture(np.zeros(2), self.models()) is None
 
     def test_equal_weights_mean(self):
-        mix = property_mixture(np.array([1.0, 1.0]), self.models())
+        mix = face_mixture(np.array([1.0, 1.0]), self.models())
         assert mix.mean() == pytest.approx((0.543 + 0.192) / 2)
         assert mix.mean() == pytest.approx(0.3675)
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            property_mixture(np.ones(3), self.models())
+            PropertyMixture(np.full(3, 1.0 / 3.0), self.models())
 
     def test_weights_match_predictive(self, rng):
         from terramesh.semantics import class_predictive
@@ -120,7 +133,7 @@ class TestMixture:
             alpha = rng.uniform(0, 5, size=2)
             if alpha.sum() == 0:
                 continue
-            mix = property_mixture(alpha, self.models())
+            mix = face_mixture(alpha, self.models())
             assert np.allclose(mix.weights, class_predictive(alpha), atol=1e-12)
 
     def test_stats_single_component(self):
@@ -129,12 +142,12 @@ class TestMixture:
         assert mix.variance() == pytest.approx(0.05**2)
 
     def test_cdf_normalizes(self):
-        mix = property_mixture(np.array([2.0, 3.0]), self.models())
+        mix = face_mixture(np.array([2.0, 3.0]), self.models())
         assert mix.cdf(10.0) == pytest.approx(1.0, abs=1e-12)
         assert mix.cdf(-10.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_stats_match_monte_carlo(self, rng):
-        mix = property_mixture(np.array([2.0, 1.0]), self.models())
+        mix = face_mixture(np.array([2.0, 1.0]), self.models())
         comp = rng.choice(2, size=1_000_000, p=mix.weights)
         mus = np.array([0.543, 0.192])
         sigmas = np.array([0.065, 0.046])
@@ -143,7 +156,7 @@ class TestMixture:
         assert mix.variance() == pytest.approx(samples.var(), rel=0.005)
 
     def test_pdf_integrates_to_one(self):
-        mix = property_mixture(np.array([1.0, 2.0]), self.models())
+        mix = face_mixture(np.array([1.0, 2.0]), self.models())
         x = np.linspace(-1.0, 2.0, 20001)
         assert np.trapezoid(mix.pdf(x), x) == pytest.approx(1.0, abs=1e-9)
 
@@ -189,12 +202,6 @@ class TestFriction:
         mu = friction_from_force(log, cutoff_hz=fc)
         expected = 1.0 - (1.0 - alpha) ** np.arange(1, 31)
         assert np.allclose(mu[1:], expected, atol=1e-9)
-
-    def test_no_filter_passthrough(self, rng):
-        forces = rng.uniform(1.0, 5.0, size=40)
-        log = ForceLog(np.arange(40) * 0.1, forces, mass_kg=2.0)
-        mu = friction_from_force(log, cutoff_hz=None)
-        assert np.allclose(mu, forces / (2.0 * GRAVITY), atol=0)
 
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(InputError):
