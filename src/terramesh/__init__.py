@@ -11,7 +11,6 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     barycentric,
-    in_simplex,
     transform_to_map,
 )
 from .mesh import Mesh, MeshConfig, face_lookup, init_mesh, recenter
@@ -32,7 +31,7 @@ from .properties import (
     load_models,
     save_models,
 )
-from .semantics import ClassCatalog, class_predictive, dirichlet_pdf, dirichlet_update
+from .semantics import ClassCatalog, class_predictive, dirichlet_update
 from .sim import WorldSpec, render_frames, scenario_library
 
 __version__ = "0.1.0"
@@ -55,14 +54,12 @@ __all__ = [
     "WorldSpec",
     "barycentric",
     "class_predictive",
-    "dirichlet_pdf",
     "dirichlet_update",
     "estimate_properties",
     "face_lookup",
     "fit_and_select",
     "friction_from_force",
     "height_variance",
-    "in_simplex",
     "init_mesh",
     "kalman_update",
     "load_default_models",

@@ -3,8 +3,9 @@
 Per-point height variance follows first-order error propagation of the range
 sensor noise and the small-angle rotation uncertainty of the camera pose.
 Vertex heights fuse their surrounding faces' interior points with a scalar
-Kalman filter, applied per frame in its closed information form.  The
-information sums run over the vertices of the faces the frame observes,
+Kalman filter, applied per frame in its closed information form
+(:func:`fuse_heights`, of which :func:`kalman_update` is the one-step call).
+The information sums run over the vertices of the faces the frame observes,
 taken from the frame's face grouping (``Mesh.point_groups``), so their
 cost follows the points, not the map.
 """
@@ -80,25 +81,26 @@ def height_variance(p_sensor, pose, sigma_sensor, sigma_pose):
 
     The height Jacobian w.r.t. the sensor point is the third row of R^T; the
     Jacobian w.r.t. small-angle rotation parameters is that row crossed with
-    the sensor point.  Translation uncertainty of the pose is deliberately
-    not part of the propagation model.  Returns ``(z, var)``.
+    the sensor point.  The sensor term takes a full 3x3 covariance; the pose
+    term is a one-point :func:`point_height_variances` call.  Translation
+    uncertainty of the pose is deliberately not part of the propagation
+    model.  Returns ``(z, var)``.
     """
     sigma_sensor = _check_psd(sigma_sensor, "sigma_sensor")
     sigma_pose = _check_psd(sigma_pose, "sigma_pose")
-    p = np.asarray(p_sensor, dtype=float).reshape(3)
+    p = np.asarray(p_sensor, dtype=float).reshape(1, 3)
     r3 = pose.rotation[:, 2]  # third row of rotation.T
-    z = float(r3 @ p - pose.translation[2])
-    j_p = np.cross(r3, p)
-    var = float(r3 @ sigma_sensor @ r3 + j_p @ sigma_pose @ j_p)
-    return z, max(var, 0.0)
+    z = float(r3 @ p[0] - pose.translation[2])
+    pose_var = point_height_variances(p, np.zeros(1), pose, sigma_pose)[0]
+    return z, max(float(r3 @ sigma_sensor @ r3 + pose_var), 0.0)
 
 
 def point_height_variances(pos_sensor, depth_var, pose, sigma_pose=None):
     """Vectorized variance of the map-frame height for many sensor points.
 
     ``depth_var`` is the per-point depth variance (the only nonzero entry of
-    the diagonal sensor covariance).  Uses the same propagation as
-    :func:`height_variance`.
+    the diagonal sensor covariance).  This is the propagation of
+    :func:`height_variance`, which calls it for its pose term.
     """
     if sigma_pose is None:
         sigma_pose = pose.rotation_cov
@@ -120,48 +122,94 @@ def point_height_variances(pos_sensor, depth_var, pose, sigma_pose=None):
     return np.maximum(var, 0.0)
 
 
+def _information(rows, w, zw, prior, prior_w, prior_zw):
+    """Per-row precision sums: the observations' terms in observation order,
+    then the prior's."""
+    c = rows.shape[1]
+    flat = rows.reshape(-1)
+    # without observations, bincount returns integer zeros
+    info = np.bincount(flat, weights=np.repeat(w, c), minlength=prior.size).astype(float, copy=False)
+    info_z = np.bincount(flat, weights=np.repeat(zw, c), minlength=prior.size).astype(float, copy=False)
+    info[prior] += prior_w[prior]
+    info_z[prior] += prior_zw[prior]
+    return info, info_z
+
+
+def _pin(rows, z, prior_mean, exact_prior):
+    """Rows that exact observations reach, and their heights; raises
+    :class:`InconsistentCertaintyError` when two exact values disagree."""
+    flat = rows.reshape(-1)
+    z = np.repeat(z, rows.shape[1])
+    pinned = np.zeros(exact_prior.size, dtype=bool)
+    pinned[flat] = True
+    pin_z = np.zeros(exact_prior.size)
+    pin_z[flat] = z
+    if np.any(pin_z[flat] != z) or np.any(pinned & exact_prior & (prior_mean != pin_z)):
+        raise InconsistentCertaintyError("two exact heights disagree on a vertex; cannot fuse")
+    return pinned, pin_z
+
+
+def fuse_heights(rows, z, var, prior_mean, prior_var, touched):
+    """One information-form fusion of height observations into vertex states.
+
+    Observation ``i`` measures height ``z[i]`` with variance ``var[i]`` at
+    the vertices ``rows[i]``, an (n, c) array of rows into the (h,) prior
+    arrays; a row whose ``touched`` is False has no prior.  The scalar
+    Kalman filter does not depend on the update order, so any number of
+    updates collapse to their information form (Fankhauser et al., RA-L
+    2018): per row, ``1/var' = sum 1/var_i + 1/var_prior`` and
+    ``mean'/var' = sum z_i/var_i + mean_prior/var_prior``.
+
+    A value is exact when its variance is zero or when its precision terms
+    (``1/var`` and ``z/var``) are not finite.  An exact observation sets its
+    rows to its height with variance zero, an exact prior keeps its state,
+    and exact values that disagree raise :class:`InconsistentCertaintyError`.
+    Information sums that overflow raise :class:`InputError`, and a row
+    without information keeps its state.  Returns ``(mean, var, touched)``
+    for the h rows; nothing is written, so a raise changes no state.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = 1.0 / var
+        zw = z * w
+        prior_w = 1.0 / prior_var
+        prior_zw = prior_mean / prior_var
+        prior = touched & np.isfinite(prior_w) & np.isfinite(prior_zw)
+        info, info_z = _information(rows, w, zw, prior, prior_w, prior_zw)
+        pinned = None
+        if not (np.isfinite(info).all() and np.isfinite(info_z).all()):
+            noisy = np.isfinite(w) & np.isfinite(zw)
+            if not noisy.all():
+                pinned, pin_z = _pin(rows[~noisy], z[~noisy], prior_mean, touched & ~prior)
+                info, info_z = _information(rows[noisy], w[noisy], zw[noisy], prior, prior_w, prior_zw)
+            if not (np.isfinite(info).all() and np.isfinite(info_z).all()):
+                raise InputError("height information overflows: observation variances are too small to fuse")
+        mean = info_z / info
+        post_var = 1.0 / info
+    keep = ~(info > 0.0) | (touched & ~prior)
+    mean[keep] = prior_mean[keep]
+    post_var[keep] = prior_var[keep]
+    seen = touched | ~keep
+    if pinned is not None:
+        mean[pinned] = pin_z[pinned]
+        post_var[pinned] = 0.0
+        seen |= pinned
+    return mean, post_var, seen
+
+
 def kalman_update(z_mean, z_var, z_obs, var_obs):
-    """One scalar Kalman step: precision-weighted mean, harmonic variance."""
+    """One scalar Kalman step: :func:`fuse_heights` of one observation into
+    one prior.  Returns ``(mean, var)``."""
     if z_var < 0 or var_obs < 0:
         raise InputError("variances must be non-negative")
-    denom = z_var + var_obs
-    if denom == 0.0:
-        if z_mean != z_obs:
-            raise InconsistentCertaintyError(
-                "two exact estimates disagree; cannot fuse"
-            )
-        return z_mean, 0.0
-    mean = (z_mean * var_obs + z_obs * z_var) / denom
-    var = z_var * var_obs / denom
-    return mean, var
-
-
-def _fuse_noisy(mesh, vertices, rows, z, var):
-    """Information-form update of ``mesh`` by positive-variance observations.
-
-    Point ``i`` observes height ``z[i]`` with variance ``var[i]`` at the
-    three vertices ``vertices[rows[i]]``.  The sums run over the frame's
-    vertices, not the map's, and each adds its terms in point order.
-    """
-    w = 1.0 / var
-    rows = rows.reshape(-1)
-    info = np.bincount(rows, weights=np.repeat(w, 3), minlength=vertices.size)
-    info_z = np.bincount(rows, weights=np.repeat(z * w, 3), minlength=vertices.size)
-
-    hit = info != 0.0  # vertices that only exact observations reach stay out
-    if not hit.all():
-        vertices, info, info_z = vertices[hit], info[hit], info_z[hit]
-    slot = mesh.vertex_slots(vertices)
-    ring = mesh.ring
-    prior_var = ring.z_var[slot]
-    touched = ring.touched[slot]
-    prior = touched & (prior_var > 0.0)
-    info[prior] += 1.0 / prior_var[prior]
-    info_z[prior] += ring.z_mean[slot[prior]] / prior_var[prior]
-    fused = prior | ~touched  # an exact prior keeps its value
-    ring.z_mean[slot[fused]] = info_z[fused] / info[fused]
-    ring.z_var[slot[fused]] = 1.0 / info[fused]
-    ring.touched[slot] = True
+    mean, var, _ = fuse_heights(
+        np.zeros((1, 1), dtype=np.intp),
+        np.array([z_obs], dtype=float),
+        np.array([var_obs], dtype=float),
+        np.array([z_mean], dtype=float),
+        np.array([z_var], dtype=float),
+        np.ones(1, dtype=bool),
+    )
+    return float(mean[0]), float(var[0])
 
 
 def update_elevation(mesh, pose, noise_model: SensorNoiseModel, sigma_pose=None):
@@ -169,18 +217,11 @@ def update_elevation(mesh, pose, noise_model: SensorNoiseModel, sigma_pose=None)
 
     A point observes the three vertices of its face, so every vertex absorbs
     the heights of all interior points of the faces incident to it (up to
-    six).  The scalar Kalman filter does not depend on the update order, so
-    a frame's updates collapse to their information form (Fankhauser et al.,
-    RA-L 2018): per vertex, ``1/var = 1/var_prior + sum 1/var_i`` and
-    ``mean/var = mean_prior/var_prior + sum z_i/var_i``.  A vertex seen for
-    the first time has no prior; its state is the frame's posterior alone.
-    The sums run over the vertices of the frame's face grouping (built
-    here by ``mesh.point_groups()``, then reused by the class reduction),
-    each adding its terms in point order.
-
-    Zero-variance observations and zero-variance priors are exact and win
-    over any noisy information.  Exact values that disagree on a vertex
-    raise :class:`InconsistentCertaintyError` before the mesh is modified.
+    six), in one :func:`fuse_heights` call.  A vertex seen for the first
+    time has no prior; its state is the frame's posterior alone.  The sums
+    run over the vertices of the frame's face grouping (built here by
+    ``mesh.point_groups()``, then reused by the class reduction), each
+    adding its terms in point order.  A raise leaves the mesh unchanged.
     """
     pts = mesh.points
     if pts is None or pts.count == 0:
@@ -191,31 +232,14 @@ def update_elevation(mesh, pose, noise_model: SensorNoiseModel, sigma_pose=None)
     groups = mesh.point_groups()
     depth = pts.pos_sensor[:, 2]
     var = point_height_variances(pts.pos_sensor, noise_model.variance(depth), pose, sigma_pose)
-    z = pts.pos_map[:, 2]
     # each point's three corners, as rows of groups.vertices
     rows = np.take(groups.corners, groups.inverse, axis=0)
-
-    exact = var == 0.0
-    exact_v = None
-    if exact.any():
-        verts = groups.vertices[rows[exact].reshape(-1)]
-        z_exact = np.repeat(z[exact], 3)
-        exact_v, inverse = np.unique(verts, return_inverse=True)
-        exact_z = np.empty(exact_v.size)
-        exact_z[inverse] = z_exact
-        exact_slot = mesh.vertex_slots(exact_v)
-        ring = mesh.ring
-        prior_exact = ring.touched[exact_slot] & (ring.z_var[exact_slot] == 0.0)
-        if np.any(exact_z[inverse] != z_exact) or np.any(
-            prior_exact & (ring.z_mean[exact_slot] != exact_z)
-        ):
-            raise InconsistentCertaintyError("two exact heights disagree on a vertex; cannot fuse")
-        rows, z, var = rows[~exact], z[~exact], var[~exact]
-
-    if var.size:
-        _fuse_noisy(mesh, groups.vertices, rows, z, var)
-    if exact_v is not None:
-        ring.z_mean[exact_slot] = exact_z
-        ring.z_var[exact_slot] = 0.0
-        ring.touched[exact_slot] = True
+    slot = mesh.vertex_slots(groups.vertices)
+    ring = mesh.ring
+    mean, post_var, seen = fuse_heights(
+        rows, pts.pos_map[:, 2], var, ring.z_mean[slot], ring.z_var[slot], ring.touched[slot]
+    )
+    ring.z_mean[slot] = mean
+    ring.z_var[slot] = post_var
+    ring.touched[slot] = seen
     return mesh

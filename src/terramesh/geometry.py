@@ -1,4 +1,4 @@
-"""Coordinate transforms, pinhole projection and barycentric containment tests.
+"""Coordinate transforms, pinhole projection and barycentric coordinates.
 
 All operations here are pure functions over immutable inputs and safe to call
 from any number of concurrent contexts.
@@ -169,14 +169,3 @@ def barycentric(p_xy, v1, v2, v3) -> np.ndarray:
         [[1.0, 1.0, 1.0], [v1[0], v2[0], v3[0]], [v1[1], v2[1], v3[1]]]
     )
     return np.linalg.solve(m, np.array([1.0, p[0], p[1]]))
-
-
-def in_simplex(lam) -> bool:
-    """Closed containment test: every coordinate in [0, 1].
-
-    The closed interval keeps boundary points (shared edges and vertices)
-    inside, so no measurement is dropped; ties between adjacent faces are
-    broken by fixed face-index order at lookup time.
-    """
-    lam = np.asarray(lam, dtype=float)
-    return bool(np.all((lam >= 0.0) & (lam <= 1.0)))

@@ -198,7 +198,6 @@ class Mesh:
         self._face_scratch = np.empty(n_f, dtype=np.int32)
         self._vertex_scratch = np.empty(n_v, dtype=np.int32)
         self._face_xy = None
-        self._incident = None
 
     # -- geometry -----------------------------------------------------------
 
@@ -245,20 +244,6 @@ class Mesh:
             vertices, corners = _group(corner_ids.reshape(-1), self._vertex_scratch)
             pts.groups = FaceGroups(faces, inverse, vertices, corners.reshape(corner_ids.shape))
         return pts.groups
-
-    def incident_faces(self) -> np.ndarray:
-        """(V, 6) face ids incident to each vertex, ascending, -1 padded."""
-        if self._incident is None:
-            # a stable sort of the flat corner table lists each vertex's
-            # faces in ascending order; a face never repeats a corner
-            corners = self.face_vertex_ids.reshape(-1)
-            order = np.argsort(corners, kind="stable")
-            counts = np.bincount(corners, minlength=self.num_vertices)
-            rank = np.arange(corners.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            incident = np.full((self.num_vertices, 6), -1, dtype=np.int32)
-            incident[corners[order], rank] = order // 3
-            self._incident = incident
-        return self._incident
 
     def face_corner_coords(self):
         """Cached per-face corner coordinates: two (F, 3) arrays (x, y)."""

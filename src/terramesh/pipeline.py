@@ -25,10 +25,8 @@ import numpy as np
 from .elevation import SensorNoiseModel, _check_psd, update_elevation
 from .errors import InputError
 from .geometry import CameraIntrinsics, Pose, camera_center, project_frame_arrays
-from .mesh import FaceGroups, FramePoints, Mesh, assign_face_ids, recenter
-from .semantics import UPDATE_MODES
-
-SCORE_TOL = 1e-4  # tolerance on the sum of each pixel's class scores
+from .mesh import FramePoints, Mesh, assign_face_ids, recenter
+from .semantics import SCORE_TOL, UPDATE_MODES, face_evidence, face_predictive
 
 
 @dataclass
@@ -162,30 +160,6 @@ class FaceEstimates:
     known: np.ndarray
 
 
-def _face_reduce(points: FramePoints, groups: FaceGroups, num_classes: int, mode: str):
-    """Per-face score sums, point counts and hard-label counts for one frame.
-
-    Reductions run over the faces the frame observes only, grouped once by
-    :meth:`Mesh.point_groups`, and every output has one row per observed
-    face, so the per-frame cost scales with the point count rather than the
-    face count.  Returns ``(observed face ids, (m, K) sums, (m,) counts,
-    (m, K) hard counts or None)``.
-    """
-    observed, inverse = groups.faces, groups.inverse
-    m = observed.size
-    counts = np.bincount(inverse, minlength=m)
-    sums = np.empty((m, num_classes))
-    for j in range(num_classes):
-        sums[:, j] = np.bincount(inverse, weights=points.scores[j], minlength=m)
-    hard = None
-    if mode == "hard":
-        labels = np.argmax(points.scores, axis=0)
-        hard = np.bincount(
-            inverse * num_classes + labels, minlength=m * num_classes
-        ).reshape(m, num_classes)
-    return observed, sums, counts, hard
-
-
 def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
     """Validated frame update; returns ``(FrameTiming, FaceScores)``."""
     if config.recenter:
@@ -213,13 +187,13 @@ def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
     update_elevation(mesh, frame.pose, config.noise_model, sigma_pose)
     t3 = time.perf_counter()
 
-    observed, sums, counts, hard = _face_reduce(
-        mesh.points, mesh.point_groups(), mesh.cfg.num_classes, config.update_mode
-    )
+    groups = mesh.point_groups()
+    observed = groups.faces
+    sums, counts, evidence = face_evidence(groups.inverse, mesh.points.scores, observed.size, config.update_mode)
     slots = mesh.face_slots(observed)
     mesh.ring.observed[slots] = True
     if config.accumulate_alpha:
-        mesh.ring.alpha[slots] += hard if config.update_mode == "hard" else sums
+        mesh.ring.alpha[slots] += evidence
     t4 = time.perf_counter()
 
     mesh.clear_points()
@@ -278,10 +252,7 @@ def estimate_properties(mesh: Mesh, kind: EstimatorKind, models, current_scores:
     if len(models) != k:
         raise InputError(f"{len(models)} models supplied for {k} classes")
     if kind is EstimatorKind.RECURSIVE:
-        alpha = mesh.alpha
-        totals = alpha.sum(axis=1)
-        known = totals > 0
-        weights = np.divide(alpha, totals[:, None], out=np.zeros_like(alpha), where=known[:, None])
+        weights, known = face_predictive(mesh.alpha)
         return FaceEstimates(weights=weights, known=known)
 
     if current_scores is None:

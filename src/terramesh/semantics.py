@@ -5,11 +5,14 @@ accumulation modes exist: ``soft`` (default) adds the full score vector of
 each measurement, preserving segmentation uncertainty; ``hard`` adds one
 count to each measurement's most likely class.  Both keep the total mass
 identity sum(alpha') = sum(alpha) + n.
+
+A run reduces each frame's measurements with :func:`face_evidence` and
+estimates with :func:`face_predictive`; :func:`dirichlet_update` and
+:func:`class_predictive` are their one-face calls.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +20,7 @@ import numpy as np
 from .errors import ConfigurationError, InputError
 
 UPDATE_MODES = ("soft", "hard")
+SCORE_TOL = 1e-4  # tolerance on the sum of each measurement's class scores
 
 
 @dataclass(frozen=True)
@@ -43,16 +47,52 @@ def _check_measurements(measurements, k):
     m = np.atleast_2d(np.asarray(measurements, dtype=float))
     if m.shape[1] != k:
         raise InputError(f"measurements have {m.shape[1]} classes, expected {k}")
-    if np.any(m < 0) or np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-6):
+    # the rule of FrameBundle.validate, written so that NaN fails it
+    if not (np.all(m >= 0) and np.all(np.abs(m.sum(axis=1) - 1.0) <= SCORE_TOL)):
         raise InputError("each measurement must be a normalized score vector")
     return m
+
+
+def face_evidence(inverse, scores, num_faces: int, mode: str):
+    """Per-face class evidence of one batch of measurements.
+
+    ``inverse`` (n,) gives each measurement's face row in ``[0, m)``, where
+    m is ``num_faces``, and ``scores`` is class-major (K, n).  Returns
+    ``(sums, counts, evidence)``: the (m, K) score sums and (m,) measurement
+    counts, each
+    adding its terms in measurement order, and the evidence the update adds
+    to alpha, which is ``sums`` in ``soft`` mode and, in ``hard`` mode, the
+    (m, K) counts of each measurement's argmax class (ties break toward the
+    lowest index).
+    """
+    k = scores.shape[0]
+    counts = np.bincount(inverse, minlength=num_faces)
+    sums = np.empty((num_faces, k))
+    for j in range(k):
+        sums[:, j] = np.bincount(inverse, weights=scores[j], minlength=num_faces)
+    if mode == "soft":
+        return sums, counts, sums
+    labels = np.argmax(scores, axis=0)
+    hard = np.bincount(inverse * k + labels, minlength=num_faces * k).reshape(num_faces, k)
+    return sums, counts, hard
+
+
+def face_predictive(alpha):
+    """Per-face probability that the next measurement takes each class.
+
+    Each row of the (F, K) evidence is normalized.  Returns ``(weights,
+    known)``; a row without evidence is unknown and keeps zero weights.
+    """
+    totals = alpha.sum(axis=1)
+    known = totals > 0
+    weights = np.divide(alpha, totals[:, None], out=np.zeros_like(alpha), where=known[:, None])
+    return weights, known
 
 
 def dirichlet_update(alpha, measurements, mode: str = "soft") -> np.ndarray:
     """Accumulate measurement evidence onto a class pseudo-count vector.
 
-    ``soft`` adds score vectors elementwise; ``hard`` adds indicator counts
-    of each measurement's argmax class (ties break toward the lowest index).
+    The measurements are reduced as one face by :func:`face_evidence`.
     """
     alpha = np.asarray(alpha, dtype=float)
     if np.any(alpha < 0) or not np.all(np.isfinite(alpha)):
@@ -60,34 +100,15 @@ def dirichlet_update(alpha, measurements, mode: str = "soft") -> np.ndarray:
     if mode not in UPDATE_MODES:
         raise InputError(f"unknown update mode {mode!r}")
     m = _check_measurements(measurements, alpha.size)
-    if mode == "soft":
-        return alpha + m.sum(axis=0)
-    counts = np.bincount(np.argmax(m, axis=1), minlength=alpha.size)
-    return alpha + counts
+    _, _, evidence = face_evidence(np.zeros(m.shape[0], dtype=np.intp), m.T, 1, mode)
+    return alpha + evidence[0]
 
 
 def class_predictive(alpha):
-    """Probability that the next measurement takes each class: alpha normalized.
+    """One row of :func:`face_predictive`: alpha normalized.
 
     Returns ``None`` when alpha is all zero: no observation has been made
     and "unknown" is deliberately distinct from a uniform prediction.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    total = alpha.sum()
-    if total <= 0.0:
-        return None
-    return alpha / total
-
-
-def dirichlet_pdf(theta, alpha) -> float:
-    """Dirichlet density at a point of the open simplex (log-space inside)."""
-    theta = np.asarray(theta, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if theta.shape != alpha.shape:
-        raise InputError("theta and alpha must have matching length")
-    if np.any(alpha <= 0):
-        raise InputError("alpha components must be strictly positive")
-    if np.any(theta <= 0) or abs(theta.sum() - 1.0) > 1e-6:
-        raise InputError("theta must lie on the open probability simplex")
-    log_norm = math.lgamma(alpha.sum()) - sum(map(math.lgamma, alpha.tolist()))
-    return float(np.exp(log_norm + ((alpha - 1.0) * np.log(theta)).sum()))
+    weights, known = face_predictive(np.asarray(alpha, dtype=float).reshape(1, -1))
+    return weights[0] if known[0] else None

@@ -150,12 +150,6 @@ def rect_polygon(x0, x1, y0, y1) -> np.ndarray:
     return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float)
 
 
-def polygon_area(polygon) -> float:
-    poly = np.asarray(polygon, dtype=float)
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
 @dataclass(frozen=True)
 class ClassRegion:
     polygon: np.ndarray

@@ -294,6 +294,19 @@ class TestRun:
         assert field in one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("noise", ["1e-160,0,0", "1e-154,0,0"], ids=["subnormal-variance", "overflowing-sum"])
+    def test_tiny_depth_noise_is_one_error_line(self, tmp_path, capsys, noise):
+        # the height precisions are infinite (exact heights that disagree),
+        # or finite with a sum that overflows: a map of NaN either way
+        bundle = tmp_path / "ramp"
+        assert run_cli("simulate", "--scenario", "ramp", "--seed", 1, "--frames", 5, "--out", bundle) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli("run", "--bundle", bundle, "--out", out, "--noise", noise,
+                       "--mesh-side", 0.1, "--mesh-extent", 2.5) == 2
+        one_error_line(capsys)
+        assert not out.exists()
+
     def test_update_mode_hard(self, sim_dir, tmp_path):
         out = tmp_path / "hard"
         assert run_cli(

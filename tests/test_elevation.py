@@ -144,6 +144,17 @@ class TestKalmanUpdate:
         with pytest.raises(InconsistentCertaintyError):
             kalman_update(1.0, 0.0, 2.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "prior",
+        [(0.5, 5e-324), (5.0, 2.2250738585072014e-308)],
+        ids=["infinite-precision", "overflowing-weighted-mean"],
+    )
+    def test_prior_with_non_finite_precision_terms_is_exact(self, prior):
+        assert kalman_update(*prior, -5.0, 1e-9) == prior
+
+    def test_observation_with_non_finite_precision_terms_is_exact(self):
+        assert kalman_update(0.3, 2.0, 9.9, 5e-324) == (9.9, 0.0)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(InputError):
             kalman_update(0.0, -1.0, 0.0, 1.0)
@@ -270,9 +281,8 @@ class TestUpdateElevation:
         # a point updates exactly the three vertices of its face, so a vertex
         # accumulates points from every face incident to it
         mesh = init_mesh(MeshConfig(0.5, 1.0, 2))
-        inc = mesh.incident_faces()
         vid = 2 * mesh.cfg.vertices_per_side + 2
-        faces = inc[vid][inc[vid] >= 0]
+        faces = np.flatnonzero((mesh.face_vertex_ids == vid).any(axis=1))
         assert faces.size == 6
         cents = mesh.face_centroids()[faces]
         pos = np.column_stack([cents, np.full(6, 0.4)])
@@ -328,6 +338,15 @@ class TestUpdateElevation:
             assert np.all(mesh.z_mean[verts] == 0.5)
             assert np.all(mesh.z_var[verts] == 0.0)
         assert mesh.touched.sum() == verts.size
+
+    def test_overflowing_information_leaves_mesh_unchanged(self):
+        mesh = init_mesh(MeshConfig(1.0, 1.0, 2))
+        mesh.points = make_frame_points(mesh, np.tile([[0.5, 0.25, 0.1]], (3, 1)))
+        before = (mesh.z_mean.tobytes(), mesh.z_var.tobytes(), mesh.touched.tobytes())
+        # each point's precision, 1e308, is finite; their sum is not
+        with pytest.raises(InputError, match="overflows"):
+            update_elevation(mesh, Pose.identity(), SensorNoiseModel(a=1e-154, b=0.0, c=0.0))
+        assert (mesh.z_mean.tobytes(), mesh.z_var.tobytes(), mesh.touched.tobytes()) == before
 
     def test_disagreeing_exact_observations_leave_mesh_unchanged(self, rng):
         mesh = init_mesh(MeshConfig(0.5, 1.0, 2))

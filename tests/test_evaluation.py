@@ -25,6 +25,12 @@ from terramesh.properties import PropertyMixture, PropertyModel, load_default_mo
 from oracles import dense_kl_per_face, gaussian_kl_reference
 
 
+def polygon_area(polygon) -> float:
+    """Shoelace area of a simple polygon."""
+    x, y = np.asarray(polygon, dtype=float).T
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
 def single(mu, sigma):
     return PropertyMixture([1.0], [PropertyModel("x", mu, sigma)])
 
@@ -227,7 +233,7 @@ class TestAccuracy:
         # the constant predictor's accuracy equals the scene's high-friction
         # area share, up to face-grid rounding
         from terramesh.mesh import MeshConfig, init_mesh
-        from terramesh.sim import polygon_area, scenario_library
+        from terramesh.sim import scenario_library
 
         spec = scenario_library()["imbalanced"]
         mesh = init_mesh(MeshConfig(0.15, 3.0, 10))

@@ -9,7 +9,6 @@ from terramesh.geometry import (
     Pose,
     barycentric,
     camera_center,
-    in_simplex,
     pose_from_camera,
     project_frame_arrays,
     transform_to_map,
@@ -195,15 +194,3 @@ def test_barycentric_roundtrip_property(data):
     lam = barycentric(p, *verts)
     assert np.linalg.norm(lam @ verts - p) < 1e-9
     assert abs(lam.sum() - 1.0) < 1e-9
-
-
-class TestInSimplex:
-    def test_interior(self):
-        assert in_simplex([1 / 3, 1 / 3, 1 / 3])
-
-    def test_outside(self):
-        assert not in_simplex([1.2, -0.1, -0.1])
-
-    def test_boundary_accepted(self):
-        assert in_simplex([0.0, 0.5, 0.5])
-        assert in_simplex([1.0, 0.0, 0.0])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from terramesh.errors import ConfigurationError
-from terramesh.geometry import in_simplex
 from terramesh.mesh import (
     FramePoints,
     MeshConfig,
@@ -18,6 +17,15 @@ from terramesh.mesh import (
 
 def small_mesh(side=0.5, half=1.0, k=3):
     return init_mesh(MeshConfig(side, half, k))
+
+
+def incident_faces(m):
+    """(V, 6) face ids incident to each vertex, ascending, -1 padded."""
+    incident = np.full((m.num_vertices, 6), -1)
+    for v in range(m.num_vertices):
+        faces = np.flatnonzero((m.face_vertex_ids == v).any(axis=1))
+        incident[v, : faces.size] = faces
+    return incident
 
 
 def inverse_transforms(m):
@@ -152,7 +160,7 @@ class TestFaceLookup:
         inv = inverse_transforms(m)
         p = m.face_centroids()[7]
         lam = inv[7] @ np.array([1.0, p[0], p[1]])
-        assert in_simplex(lam)
+        assert np.all((lam >= 0.0) & (lam <= 1.0))
 
 
 class TestBulkAssignment:
@@ -360,7 +368,7 @@ class TestLookupAfterRecenter:
 class TestIncidence:
     def test_interior_vertex_has_six_faces(self):
         m = small_mesh(0.5, 1.0, 3)
-        inc = m.incident_faces()
+        inc = incident_faces(m)
         n = m.cfg.vertices_per_side
         interior = 2 * n + 2  # vertex (2, 2)
         faces = inc[interior][inc[interior] >= 0]
@@ -371,7 +379,7 @@ class TestIncidence:
 
     def test_corner_vertices(self):
         m = small_mesh(0.5, 1.0, 3)
-        inc = m.incident_faces()
+        inc = incident_faces(m)
         sw = inc[0][inc[0] >= 0]
         assert sw.size == 2  # both triangles of cell (0, 0)
         ne = inc[-1][inc[-1] >= 0]
@@ -379,7 +387,7 @@ class TestIncidence:
 
     def test_incidence_matches_face_table(self):
         m = small_mesh(0.25, 1.0, 2)
-        inc = m.incident_faces()
+        inc = incident_faces(m)
         # reconstruct incidence from the face table and compare
         expected = [[] for _ in range(m.num_vertices)]
         for fid, ids in enumerate(m.face_vertex_ids):

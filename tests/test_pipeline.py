@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import copy_recenter, sample_psd, unique_frame_update
 
-from terramesh.elevation import SensorNoiseModel
+from terramesh.elevation import SensorNoiseModel, kalman_update, point_height_variances
 from terramesh.errors import InputError
 from terramesh.geometry import CameraIntrinsics, Pose, pose_from_camera
 from terramesh.mesh import MeshConfig, init_mesh, recenter
@@ -18,6 +18,7 @@ from terramesh.pipeline import (
     estimate_properties,
 )
 from terramesh.properties import PropertyMixture, load_default_models
+from terramesh.semantics import class_predictive, dirichlet_update
 
 DOWN = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
 
@@ -485,6 +486,42 @@ class TestGroupedFrameUpdate:
                 assert getattr(mapper.mesh.ring, name).tobytes() == getattr(ref.ring, name).tobytes(), name
             assert mapper.mesh._start == ref._start
         assert mapper.mesh._start != (0, 0)
+
+
+class TestScalarCallsMatchRun:
+    """The scalar functions the acceptance oracles judge, on one frame's
+    measurements, give the state the run itself computes."""
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_one_frame(self, mode, monkeypatch):
+        rng = np.random.default_rng(31)
+        mesh = init_mesh(MeshConfig(0.25, 1.0, 10))
+        monkeypatch.setattr(mesh, "clear_points", lambda: None)  # keep the frame's points
+        frame = frame_over([0.1, -0.2], rng, 10, size=16, fx=8.0, rotation_cov=sample_psd(rng, 2e-3))
+        config = PipelineConfig(update_mode=mode)
+        assert Mapper(mesh, config).process(frame)
+        pts = mesh.points
+        est = estimate_properties(mesh, EstimatorKind.RECURSIVE, load_default_models()[1])
+
+        faces = np.unique(pts.face_ids)
+        assert faces.size > 20
+        for f in faces:
+            alpha = dirichlet_update(np.zeros(10), pts.scores[:, pts.face_ids == f].T, mode)
+            assert alpha.tobytes() == mesh.alpha[f].tobytes()
+            assert class_predictive(mesh.alpha[f]).tobytes() == est.weights[f].tobytes()
+
+        z = pts.pos_map[:, 2]
+        var = point_height_variances(
+            pts.pos_sensor, config.noise_model.variance(pts.pos_sensor[:, 2]), frame.pose
+        )
+        corners = mesh.face_vertex_ids[pts.face_ids]
+        for v in np.flatnonzero(mesh.touched):
+            (seen,) = np.nonzero((corners == v).any(axis=1))
+            mean, v_var = z[seen[0]], var[seen[0]]
+            for i in seen[1:]:
+                mean, v_var = kalman_update(mean, v_var, z[i], var[i])
+            assert mean == pytest.approx(mesh.z_mean[v], rel=0, abs=1e-12)
+            assert v_var == pytest.approx(mesh.z_var[v], rel=1e-12, abs=0)
 
 
 def indexed_estimate(kind, alpha, scores):

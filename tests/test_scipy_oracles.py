@@ -1,7 +1,7 @@
 """The package's closed forms against scipy, an independent reference.
 
 scipy is a test-only dependency: the program computes the normal CDF, the
-Dirichlet normaliser, the force-log filter, the three family CDFs and the
+force-log filter, the three family CDFs and the
 Weibull fit itself, and these tests hold each one to scipy's.
 """
 
@@ -16,7 +16,6 @@ from terramesh.properties import (
     smooth_exponential,
     weibull_fit,
 )
-from terramesh.semantics import dirichlet_pdf
 
 
 def test_ndtr_matches_scipy():
@@ -60,14 +59,6 @@ def test_family_cdfs_match_scipy():
             rtol=0,
             atol=1e-12,
         )
-
-
-@pytest.mark.parametrize("alpha", [[1.0, 1.0], [2.0, 3.5, 0.7], [50.0, 20.0, 1.3, 9.0]])
-def test_dirichlet_pdf_matches_scipy(alpha):
-    alpha = np.asarray(alpha)
-    rng = np.random.default_rng(len(alpha))
-    for theta in rng.dirichlet(alpha, size=5):
-        assert dirichlet_pdf(theta, alpha) == pytest.approx(stats.dirichlet.pdf(theta, alpha), rel=1e-12)
 
 
 @pytest.mark.parametrize("shape, scale, n", [(1.6, 0.5, 10_000), (0.7, 3.0, 500), (4.5, 0.2, 4_000), (1.0, 1e3, 60)])

@@ -7,11 +7,10 @@ from terramesh.errors import ConfigurationError, InputError
 from terramesh.semantics import (
     ClassCatalog,
     class_predictive,
-    dirichlet_pdf,
     dirichlet_update,
 )
 
-from oracles import dirichlet_density_integral, predictive_by_quadrature
+from oracles import predictive_by_quadrature
 
 
 class TestCatalog:
@@ -77,6 +76,8 @@ class TestUpdate:
         with pytest.raises(InputError):
             dirichlet_update([0.0, 0.0], [[0.7, 0.6]])
         with pytest.raises(InputError):
+            dirichlet_update([0.0, 0.0], [[np.nan, 1.0]])
+        with pytest.raises(InputError):
             dirichlet_update([0.0, 0.0], [[1.0, 0.0]], mode="fuzzy")
 
 
@@ -113,31 +114,6 @@ class TestPredictive:
         draws = rng.choice(3, size=2000, p=probs)
         alpha = dirichlet_update(np.zeros(3), np.eye(3)[draws], mode="hard")
         assert np.argmax(class_predictive(alpha)) == 1
-
-
-class TestDirichletPdf:
-    def test_flat_prior_is_uniform(self):
-        for theta in ([0.3, 0.7], [0.5, 0.5], [0.9, 0.1]):
-            assert dirichlet_pdf(theta, [1.0, 1.0]) == pytest.approx(1.0)
-
-    def test_beta22_midpoint(self):
-        # Beta(2,2) density 6 x (1-x) at x = 0.5
-        assert dirichlet_pdf([0.5, 0.5], [2.0, 2.0]) == pytest.approx(1.5)
-
-    def test_integrates_to_one(self, rng):
-        for k in (2, 3):
-            for _ in range(3):
-                alpha = rng.uniform(1.0, 5.0, size=k)
-                total = dirichlet_density_integral(alpha, dirichlet_pdf, nodes=120)
-                assert total == pytest.approx(1.0, abs=1e-3)
-
-    def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(InputError):
-            dirichlet_pdf([0.5, 0.5], [0.0, 1.0])
-
-    def test_rejects_off_simplex(self):
-        with pytest.raises(InputError):
-            dirichlet_pdf([0.5, 0.6], [1.0, 1.0])
 
 
 class TestConjugacy:
