@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .elevation import SensorNoiseModel
-from .errors import TerrameshError
+from .errors import ConfigurationError, TerrameshError
 from .evaluation import (
     bench_update,
     evaluate_estimator,
@@ -196,8 +196,12 @@ def cmd_run(args) -> int:
     )
     kind = EstimatorKind(cfg["estimator"])
     pose_cov = cfg["pose_cov"]
+    try:
+        noise_model = SensorNoiseModel(a=a, b=b, c=c)
+    except ConfigurationError as exc:
+        raise CliError(f"--noise {a!r},{b!r},{c!r}: {exc}") from exc
     pipeline_cfg = PipelineConfig(
-        noise_model=SensorNoiseModel(a=a, b=b, c=c),
+        noise_model=noise_model,
         update_mode=cfg["update_mode"],
         accumulate_alpha=kind is EstimatorKind.RECURSIVE,
         recenter=cfg["recenter"],
@@ -231,8 +235,8 @@ def cmd_run(args) -> int:
         "frames_processed": mapper.frames_processed,
         "frames_skipped": mapper.frames_skipped,
         "faces_total": mapper.mesh.num_faces,
-        "faces_observed": int(mapper.mesh.observed.sum()),
-        "faces_with_estimate": int(estimates.known.sum()),
+        "faces_observed": int(mapper.mesh.ring.observed.sum()),
+        "faces_with_estimate": int(estimates.ids.size),
         "scenario": scenario,
         "mesh": {
             "side_length_m": mesh_cfg.side_length_m,

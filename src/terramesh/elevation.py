@@ -20,12 +20,13 @@ import numpy as np
 from .errors import ConfigurationError, InconsistentCertaintyError, InputError
 
 
-def min_sigma(a: float, b: float, c: float, max_range_m: float) -> float:
-    """Smallest depth sigma a + b*z + c*z^2 over z in [0, max_range_m]."""
+def sigma_bounds(a: float, b: float, c: float, max_range_m: float) -> tuple:
+    """Smallest and largest depth sigma a + b*z + c*z^2 over z in [0, max_range_m]."""
     zs = [0.0, max_range_m]
     if c != 0.0 and 0.0 < -b / (2.0 * c) < max_range_m:
         zs.append(-b / (2.0 * c))
-    return min(a + b * z + c * z * z for z in zs)
+    sigmas = [a + b * z + c * z * z for z in zs]
+    return min(sigmas), max(sigmas)
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,8 @@ class SensorNoiseModel:
     entry is sigma^2; lateral noise is not modeled.  Defaults approximate a
     stereo depth camera's error scaling and are configurable, not normative.
     ``max_range_m`` is the sensor's range: sigma must stay positive up to it,
-    and the pipeline drops depths beyond it.
+    with a finite variance sigma^2 and a finite precision 1/sigma^2, and the
+    pipeline drops depths beyond it.
     """
 
     a: float = 0.001
@@ -48,9 +50,17 @@ class SensorNoiseModel:
         values = (self.a, self.b, self.c, self.max_range_m)
         if not all(map(math.isfinite, values)):
             raise ConfigurationError(f"depth noise a, b, c and max_range_m must be finite, not {values}")
-        if min_sigma(*values) <= 0.0:
+        lo, hi = sigma_bounds(*values)
+        if lo <= 0.0:
             raise ConfigurationError(
                 "depth noise sigma must stay positive over the sensor range"
+            )
+        # an infinite variance carries no information, and an infinite
+        # precision makes every height exact: either way the map is lost
+        if not (math.isfinite(hi * hi) and lo * lo > 0.0 and math.isfinite(1.0 / (lo * lo))):
+            raise ConfigurationError(
+                f"depth noise variance sigma^2 and precision 1/sigma^2 must stay finite "
+                f"over the sensor range, with sigma in [{lo!r}, {hi!r}]"
             )
 
     def sigma(self, depth):

@@ -88,7 +88,7 @@ def kl_per_face(estimates: FaceEstimates, truth_classes, models):
     comp = normal_pdf(grid, mus[:, None], sigmas[:, None])
     p_floor, log_p, p_support = _truth_terms(comp)
     out = np.full(truth_classes.size, np.nan)
-    faces = np.flatnonzero(estimates.known)
+    faces = estimates.ids
     bounds = list(range(0, faces.size, KL_BLOCK_ROWS)) + [faces.size]
     if faces.size > 1 and bounds[-1] - bounds[-2] == 1:
         # a one-row product goes through BLAS gemv, which rounds differently
@@ -98,7 +98,7 @@ def kl_per_face(estimates: FaceEstimates, truth_classes, models):
     for start, stop in zip(bounds[:-1], bounds[1:]):
         rows = faces[start:stop]
         cls = truth_classes[rows]
-        q = estimates.weights[rows] @ comp
+        q = estimates.known_weights[start:stop] @ comp
         out[rows] = _kl_on_grid(p_floor[cls], log_p[cls], p_support[cls], q, grid, scratch[: rows.size])
     return out
 
@@ -113,11 +113,14 @@ def kl_summary(estimates: FaceEstimates, truth_classes, models):
 
 
 def low_friction_scores(estimates: FaceEstimates, models) -> np.ndarray:
-    """Detector statistic for "low friction": mixture CDF mass at the threshold."""
+    """Detector statistic for "low friction": mixture CDF mass at the
+    threshold, per face; zero on unknown faces."""
     mus = np.array([m.mu for m in models])
     sigmas = np.array([m.sigma for m in models])
     phi = ndtr((LOW_FRICTION_THRESHOLD - mus) / sigmas)
-    return estimates.weights @ phi
+    out = np.zeros(estimates.num_faces)
+    out[estimates.ids] = estimates.known_weights @ phi
+    return out
 
 
 @dataclass
@@ -157,9 +160,8 @@ def pr_curve(estimates: FaceEstimates, truth_classes, models, positive: str = "l
     if total_pos == 0:
         raise EvaluationError(f"no faces of positive class {positive!r}")
 
-    known = estimates.known
-    scores = scores_all[known]
-    positives = is_positive[known]
+    scores = scores_all[estimates.ids]
+    positives = is_positive[estimates.ids]
     order = np.argsort(-scores, kind="stable")
     scores = scores[order]
     positives = positives[order]
@@ -345,7 +347,7 @@ def evaluate_estimator(name: str, estimates: FaceEstimates, truth_classes, model
         ap_low=pr_low.average_precision,
         ap_high=pr_high.average_precision,
         accuracy=accuracy(estimates, truth_classes, models),
-        faces_known=int(estimates.known.sum()),
+        faces_known=int(estimates.ids.size),
         faces_total=int(np.asarray(truth_classes).size),
         pr_low=pr_low,
         pr_high=pr_high,

@@ -7,8 +7,11 @@ Binary container layout (shared by map and estimate files):
     remainder       raw array bytes, little-endian, C-order, in manifest order
 
 Arrays are streamed to and from disk without a second copy: the writer
-hands each array's own memory to the file, and the reader reads each one
-straight into the buffer it returns.
+hands each array's own memory, or each chunk of an array given as chunks,
+to the file, and the reader reads each one straight into the buffer it
+returns.  A map is written from the mesh's ring storage in canonical
+order (:meth:`Mesh.canonical_chunks`); the dense estimate weights are
+written and read in blocks, of which memory keeps only the known rows.
 
 Frame-bundle directory layout:
 
@@ -48,7 +51,7 @@ import numpy as np
 from .errors import ConfigurationError, FormatError, InputError
 from .geometry import CameraIntrinsics, Pose
 from .mesh import Mesh, MeshConfig
-from .pipeline import FaceEstimates, FrameBundle
+from .pipeline import ESTIMATE_BLOCK_ROWS, FaceEstimates, FrameBundle
 
 BIN_MAGIC = b"TERRAMESH-BIN v1\n"
 BUNDLE_FORMAT = "terramesh/frame-bundle"
@@ -80,54 +83,83 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_arrays(path, header: dict, arrays: dict) -> None:
-    """Write the binary container: JSON header plus named raw arrays; only an
-    array that is not already little-endian C-order is converted first."""
-    arrays = {
-        name: np.ascontiguousarray(a, dtype=np.asarray(a).dtype.newbyteorder("<")) for name, a in arrays.items()
-    }
-    manifest = [{"name": name, "dtype": a.dtype.str, "shape": list(a.shape)} for name, a in arrays.items()]
+    """Write the binary container: JSON header plus named raw arrays.
+
+    A value is an array or ``(dtype, shape, chunks)``: an iterable of arrays
+    whose elements, in order, make up the named array.  Only an array or a
+    chunk that is not already little-endian C-order of its dtype is
+    converted first.
+    """
+    values = {}
+    for name, value in arrays.items():
+        if isinstance(value, tuple):
+            dtype, shape, chunks = value
+        else:
+            value = np.asarray(value)
+            dtype, shape, chunks = value.dtype, value.shape, (value,)
+        values[name] = (np.dtype(dtype).newbyteorder("<"), tuple(shape), chunks)
+    manifest = [{"name": name, "dtype": dtype.str, "shape": list(shape)} for name, (dtype, shape, _) in values.items()]
     with open(path, "wb") as fh:
         fh.write(BIN_MAGIC)
         fh.write(_json_bytes({"header": header, "arrays": manifest}))
         fh.write(b"\n")
-        for arr in arrays.values():
-            fh.write(arr)
+        for dtype, _, chunks in values.values():
+            for chunk in chunks:
+                fh.write(np.ascontiguousarray(chunk, dtype=dtype))
+
+
+def _read_layout(fh, path):
+    """Check a container's magic, manifest and size against each other.
+
+    Returns ``(header, {name: (dtype, shape, offset)})``, where ``offset``
+    is the byte position of the array's data in the file.
+    """
+    magic = fh.readline()
+    if magic != BIN_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}")
+    try:
+        meta = json.loads(fh.readline().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: unreadable header: {exc}") from exc
+    try:
+        header = meta["header"]
+        manifest = [
+            (str(entry["name"]), np.dtype(entry["dtype"]), tuple(int(n) for n in entry["shape"]))
+            for entry in meta["arrays"]
+        ]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: malformed header: {exc!r}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: malformed header: 'header' is not an object")
+    size = os.fstat(fh.fileno()).st_size
+    offset = fh.tell()
+    layout = {}
+    for name, dtype, shape in manifest:
+        if dtype.hasobject or dtype.itemsize == 0 or min(shape, default=0) < 0:
+            raise FormatError(f"{path}: array {name!r} has dtype {dtype} and shape {shape}")
+        end = offset + math.prod(shape) * dtype.itemsize
+        if end > size:
+            raise FormatError(f"{path}: truncated array {name!r}")
+        layout[name] = (dtype, shape, offset)
+        offset = end
+    if offset != size:
+        raise FormatError(f"{path}: trailing bytes after declared arrays")
+    return header, layout
+
+
+def _read_array(fh, dtype, shape, offset) -> np.ndarray:
+    """The array of ``dtype`` and ``shape`` at byte ``offset``, read straight into its own buffer."""
+    out = np.empty(shape, dtype=dtype)
+    fh.seek(offset)
+    fh.readinto(out)
+    return out
 
 
 def read_arrays(path):
     """Read a binary container into ``(header, {name: array})``, each array straight into its own buffer."""
     with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != BIN_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        try:
-            meta = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: unreadable header: {exc}") from exc
-        try:
-            header = meta["header"]
-            layout = [
-                (str(entry["name"]), np.dtype(entry["dtype"]), tuple(int(n) for n in entry["shape"]))
-                for entry in meta["arrays"]
-            ]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}: malformed header: {exc!r}") from exc
-        if not isinstance(header, dict):
-            raise FormatError(f"{path}: malformed header: 'header' is not an object")
-        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-        arrays = {}
-        for name, dtype, shape in layout:
-            if dtype.hasobject or dtype.itemsize == 0 or min(shape, default=0) < 0:
-                raise FormatError(f"{path}: array {name!r} has dtype {dtype} and shape {shape}")
-            nbytes = math.prod(shape) * dtype.itemsize
-            if nbytes > remaining:
-                raise FormatError(f"{path}: truncated array {name!r}")
-            remaining -= nbytes
-            arrays[name] = np.empty(shape, dtype=dtype)
-            fh.readinto(arrays[name])
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after declared arrays")
-    return header, arrays
+        header, layout = _read_layout(fh, path)
+        return header, {name: _read_array(fh, *entry) for name, entry in layout.items()}
 
 
 # -- map export ---------------------------------------------------------------
@@ -161,17 +193,23 @@ def save_map(mesh: Mesh, path, class_names, frame_count: int = 0, extra: dict | 
     }
     if extra:
         header.update(extra)
+
+    def ring(name, dtype=None):
+        # a ring array in canonical order, written from ring storage
+        arr = getattr(mesh.ring, name)
+        return dtype or arr.dtype, arr.shape, mesh.canonical_chunks(name)
+
     write_arrays(
         path,
         header,
         {
             "vertex_x": vx,
             "vertex_y": vy,
-            "z_mean": mesh.z_mean,
-            "z_var": mesh.z_var,
-            "touched": mesh.touched.astype(np.uint8),
+            "z_mean": ring("z_mean"),
+            "z_var": ring("z_var"),
+            "touched": ring("touched", np.uint8),
             "face_vertices": mesh.face_vertex_ids.astype(np.int32, copy=False),
-            "alpha": mesh.alpha,
+            "alpha": ring("alpha"),
         },
     )
     sidecar = [
@@ -485,8 +523,24 @@ def load_truth(path) -> dict:
 # -- per-face estimates -----------------------------------------------------------
 
 
-def save_estimates(path, estimates, mesh: Mesh, estimator: str, scenario_hash_value: str | None) -> None:
-    """Persist per-face mixture weights produced by one estimator."""
+def _dense_weights(estimates: FaceEstimates):
+    """The (F, K) weights of ``estimates`` in blocks of
+    :data:`ESTIMATE_BLOCK_ROWS` faces, zero on unknown faces.  Each block
+    reuses one buffer, so it must be consumed before the next is asked for."""
+    ids, rows, f = estimates.ids, estimates.known_weights, estimates.num_faces
+    buffer = np.empty((ESTIMATE_BLOCK_ROWS, rows.shape[1]))
+    for start in range(0, f, ESTIMATE_BLOCK_ROWS):
+        stop = min(start + ESTIMATE_BLOCK_ROWS, f)
+        lo, hi = np.searchsorted(ids, (start, stop))
+        block = buffer[: stop - start]
+        block.fill(0.0)
+        block[ids[lo:hi] - start] = rows[lo:hi]
+        yield block
+
+
+def save_estimates(path, estimates: FaceEstimates, mesh: Mesh, estimator: str, scenario_hash_value: str | None) -> None:
+    """Persist per-face mixture weights produced by one estimator: the (F,)
+    known mask and dense (F, K) weights, zero on unknown faces."""
     header = {
         "kind": ESTIMATES_KIND,
         "version": 1,
@@ -494,29 +548,42 @@ def save_estimates(path, estimates, mesh: Mesh, estimator: str, scenario_hash_va
         "scenario_hash": scenario_hash_value,
         **_mesh_header(mesh),
     }
+    f, k = estimates.num_faces, estimates.known_weights.shape[1]
     write_arrays(
         path,
         header,
         {
-            "known": estimates.known.astype(np.uint8),
-            "weights": estimates.weights,
+            "known": estimates.known.view(np.uint8),
+            "weights": (np.float64, (f, k), _dense_weights(estimates)),
         },
     )
 
 
 def load_estimates(path):
     """Returns ``(header, FaceEstimates)``; the arrays must hold one row per
-    face of the mesh the header describes, or :class:`FormatError` names the file."""
-    header, arrays = read_arrays(path)
-    cfg = _check_header(path, header, ESTIMATES_KIND, [("estimator", lambda v: isinstance(v, str), "a string")])
-    try:
-        known, weights = arrays["known"], arrays["weights"]
-    except KeyError as exc:
-        raise FormatError(f"{path}: misses array {exc.args[0]!r}") from exc
-    f, k = cfg.num_faces, cfg.num_classes
-    if known.shape != (f,) or weights.shape != (f, k):
-        raise FormatError(
-            f"{path}: known has shape {known.shape} and weights {weights.shape}; "
-            f"its mesh of {f} faces and {k} classes needs ({f},) and ({f}, {k})"
-        )
-    return header, FaceEstimates(weights=weights.astype(float, copy=False), known=known.astype(bool))
+    face of the mesh the header describes, or :class:`FormatError` names the
+    file.  The weights are read in blocks of :data:`ESTIMATE_BLOCK_ROWS`
+    faces, of which only the known rows are kept."""
+    with open(path, "rb") as fh:
+        header, layout = _read_layout(fh, path)
+        cfg = _check_header(path, header, ESTIMATES_KIND, [("estimator", lambda v: isinstance(v, str), "a string")])
+        try:
+            known, weights = layout["known"], layout["weights"]
+        except KeyError as exc:
+            raise FormatError(f"{path}: misses array {exc.args[0]!r}") from exc
+        f, k = cfg.num_faces, cfg.num_classes
+        if known[1] != (f,) or weights[1] != (f, k):
+            raise FormatError(
+                f"{path}: known has shape {known[1]} and weights {weights[1]}; "
+                f"its mesh of {f} faces and {k} classes needs ({f},) and ({f}, {k})"
+            )
+        ids = np.flatnonzero(_read_array(fh, *known))
+        rows = np.empty((ids.size, k))
+        dtype, _, offset = weights
+        for start in range(0, f, ESTIMATE_BLOCK_ROWS):
+            stop = min(start + ESTIMATE_BLOCK_ROWS, f)
+            lo, hi = np.searchsorted(ids, (start, stop))
+            if lo < hi:
+                block = _read_array(fh, dtype, (stop - start, k), offset + start * k * dtype.itemsize)
+                rows[lo:hi] = block[ids[lo:hi] - start]
+    return header, FaceEstimates(ids, rows, f)

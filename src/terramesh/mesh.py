@@ -17,7 +17,10 @@ the rows and columns that enter the window and moves the offset, so a shift
 costs the cells that enter, not the map.  Face and vertex ids everywhere
 else (``assign_face_ids``, ``face_vertex_ids``, exports) are canonical
 window ids; the per-frame writers translate them to storage slots with
-:meth:`Mesh.vertex_slots` / :meth:`Mesh.face_slots`.  The public
+:meth:`Mesh.vertex_slots` / :meth:`Mesh.face_slots`.  Exports read ring
+storage without a full-size copy: :meth:`Mesh.canonical_chunks` yields any
+ring array in canonical order, a bounded block of rows at a time, and the
+estimator gathers rows through ``face_slots``.  The public
 ``z_mean``/``z_var``/``touched``/``alpha``/``observed`` are canonical views:
 the first access after a shift rolls the storage back to offset zero once
 (``np.roll`` is exact), and assigning one of them does the same first.
@@ -163,10 +166,18 @@ def _canonical_view(name: str, doc: str) -> property:
     return property(get, put, doc=doc)
 
 
+# bytes of canonical grid rows per chunk of Mesh.canonical_chunks on a map
+# whose column offset is not zero
+CHUNK_BYTES = 1 << 18
+
+
 class Mesh:
     """Triangular elevation/semantics map over a regular grid.
 
-    Use :func:`init_mesh` to construct one.
+    Use :func:`init_mesh` to construct one.  State lives once, in ``ring``
+    (storage order).  The canonical views below roll it back to offset zero
+    on first access after a shift; exports and the estimator read it in
+    place, through :meth:`canonical_chunks` and :meth:`face_slots`.
     """
 
     z_mean = _canonical_view("z_mean", "(V,) fused vertex heights, canonical order.")
@@ -280,6 +291,35 @@ class Mesh:
         """``(name, grid side)`` of every ring-stored array."""
         n_v, n_c = self.cfg.vertices_per_side, self.cfg.cells_per_side
         return (("z_mean", n_v), ("z_var", n_v), ("touched", n_v), ("alpha", n_c), ("observed", n_c))
+
+    def canonical_chunks(self, name: str):
+        """Yield ring array ``name`` in canonical order, in chunks that keep
+        its trailing shape, so that they concatenate to the canonical array.
+
+        With a zero column offset the rows run on in storage, and the chunks
+        are the (at most two) storage slices.  Otherwise each chunk holds
+        whole canonical grid rows, copied into one buffer of about
+        :data:`CHUNK_BYTES` that the next chunk reuses: use each chunk
+        before asking for the next.
+        """
+        arr = getattr(self.ring, name)
+        n = dict(self._ring_grids())[name]
+        r, c = self._start[0] % n, self._start[1] % n
+        grid = arr.reshape(n, n, -1)
+        trailing = (-1, *arr.shape[1:])
+        if c == 0:
+            yield from (part.reshape(trailing) for part in (grid[r:], grid[:r]) if part.size)
+            return
+        rows = max(1, CHUNK_BYTES // grid[0].nbytes)
+        buffer = np.empty((rows, *grid.shape[1:]), dtype=arr.dtype)
+        # storage rows r..n-1, then 0..r-1; each row's columns from c on, then those before
+        for lo, hi in ((r, n), (0, r)):
+            for start in range(lo, hi, rows):
+                stop = min(start + rows, hi)
+                block = buffer[: stop - start]
+                block[:, : n - c] = grid[start:stop, c:]
+                block[:, n - c :] = grid[start:stop, :c]
+                yield block.reshape(trailing)
 
     def _canonicalize(self):
         """Roll ring storage back to offset zero (exact; a no-op when there)."""

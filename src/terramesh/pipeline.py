@@ -62,6 +62,11 @@ class FrameBundle:
             raise InputError(f"frame {self.frame_id}: score vectors are not normalized")
 
 
+# faces per block of weights that the recursive estimate normalizes and that
+# estimates files are written and read in: 16384 x 10 classes is 1.3 MB
+ESTIMATE_BLOCK_ROWS = 16384
+
+
 class EstimatorKind(str, Enum):
     RECURSIVE = "recursive"
     UNIMODAL_NONRECURSIVE = "unimodal_nonrecursive"
@@ -121,8 +126,7 @@ class FaceScores:
     """Per-face score sums and point counts from a single frame.
 
     Only the observed faces are stored: ``ids`` (ascending window face ids)
-    with their ``observed_sums`` (m, K) and ``observed_counts`` (m,).  The
-    dense (F, ...) ``known`` and :meth:`mean` are built on demand.
+    with their ``observed_sums`` (m, K) and ``observed_counts`` (m,).
     """
 
     ids: np.ndarray
@@ -139,25 +143,28 @@ class FaceScores:
             num_faces,
         )
 
+
+
+@dataclass
+class FaceEstimates:
+    """Per-face mixture weights of the known faces.
+
+    Only the known faces are stored, as :class:`FaceScores` stores only the
+    observed ones: ``ids`` (ascending window face ids) with their
+    ``known_weights`` (m, K).  Face ``ids[i]`` has the property mixture
+    ``PropertyMixture(known_weights[i], models)``; every other face is
+    unknown.  The dense (F,) ``known`` mask is built on demand.
+    """
+
+    ids: np.ndarray
+    known_weights: np.ndarray
+    num_faces: int
+
     @property
     def known(self) -> np.ndarray:
         out = np.zeros(self.num_faces, dtype=bool)
         out[self.ids] = True
         return out
-
-    def mean(self) -> np.ndarray:
-        out = np.zeros((self.num_faces, self.observed_sums.shape[1]))
-        out[self.ids] = self.observed_sums / self.observed_counts[:, None]
-        return out
-
-
-@dataclass
-class FaceEstimates:
-    """Per-face mixture weights plus a known/unknown mask.  A known face's
-    property mixture is ``PropertyMixture(weights[f], models)``."""
-
-    weights: np.ndarray
-    known: np.ndarray
 
 
 def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
@@ -241,7 +248,8 @@ class Mapper:
 def estimate_properties(mesh: Mesh, kind: EstimatorKind, models, current_scores: FaceScores | None = None) -> FaceEstimates:
     """Per-face mixture weights under the chosen estimator.
 
-    The recursive estimator normalizes the accumulated class evidence.  The
+    The recursive estimator normalizes the accumulated class evidence of
+    the faces that have any, gathering their rows from ring storage.  The
     non-recursive baselines look only at the supplied single-frame face
     scores: the multimodal one keeps the full mean score vector, the
     unimodal one collapses it to its most likely class.  Neither baseline
@@ -252,16 +260,21 @@ def estimate_properties(mesh: Mesh, kind: EstimatorKind, models, current_scores:
     if len(models) != k:
         raise InputError(f"{len(models)} models supplied for {k} classes")
     if kind is EstimatorKind.RECURSIVE:
-        weights, known = face_predictive(mesh.alpha)
-        return FaceEstimates(weights=weights, known=known)
+        ids = np.flatnonzero(np.concatenate([chunk.sum(axis=1) > 0 for chunk in mesh.canonical_chunks("alpha")]))
+        slots = mesh.face_slots(ids)
+        weights = np.empty((ids.size, k))
+        # in blocks, so the gathered evidence never holds a second (m, K) array
+        for start in range(0, ids.size, ESTIMATE_BLOCK_ROWS):
+            block = slice(start, start + ESTIMATE_BLOCK_ROWS)
+            weights[block], _ = face_predictive(mesh.ring.alpha[slots[block]])
+        return FaceEstimates(ids, weights, mesh.num_faces)
 
     if current_scores is None:
         raise InputError("non-recursive estimators need current-frame face scores")
-    known = current_scores.known
-    weights = current_scores.mean()  # zero on every face the frame did not observe
+    ids = current_scores.ids
+    weights = current_scores.observed_sums / current_scores.observed_counts[:, None]
     if kind is EstimatorKind.UNIMODAL_NONRECURSIVE:
-        rows = np.nonzero(known)[0]
-        best = np.argmax(weights[rows], axis=1)
-        weights[rows] = 0.0
-        weights[rows, best] = 1.0
-    return FaceEstimates(weights=weights, known=known)
+        best = np.argmax(weights, axis=1)
+        weights = np.zeros_like(weights)
+        weights[np.arange(ids.size), best] = 1.0
+    return FaceEstimates(ids, weights, mesh.num_faces)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .elevation import min_sigma
+from .elevation import sigma_bounds
 from .errors import ConfigurationError, InputError
 from .formats import _check_fields, _is_int, _is_number, _numbers, decode_intrinsics, decode_pose, encode_pose
 from .geometry import CameraIntrinsics, Pose, camera_center, pose_from_camera
@@ -685,7 +685,7 @@ def world_from_dict(doc: dict) -> WorldSpec:
         _check_fields(f"{where} class_map regions[{i}]", r, (("class_index", *class_index), ("polygon", *_POLYGON)))
 
     _check_fields(f"{where} noise", noise, (
-        ("depth_abc", lambda v: _numbers(3)(v) and min_sigma(*v, max_range) >= 0.0,
+        ("depth_abc", lambda v: _numbers(3)(v) and sigma_bounds(*v, max_range)[0] >= 0.0,
          f"3 finite numbers a, b, c with a + b z + c z^2 >= 0 for z in [0, {max_range}]"),
         ("confusion", lambda v: v is None or isinstance(v, list) and len(v) == k and all(map(_numbers(k), v)),
          f"null or {k} rows of {k} finite numbers"),

@@ -16,6 +16,9 @@ the ``np.cross`` + ``einsum`` height variance.  The renderer's ray cast,
 which starts each march at the terrain's height bound and marches in
 blocks, is checked against the sequential cast below: one gap evaluation
 per grid step for every ray still marching, from the first step on.
+Estimates, which hold known faces only, are compared in the dense (F, K)
+form of the estimates file through :func:`estimates_from_dense` and
+:func:`dense_weights`.
 """
 
 import numpy as np
@@ -380,3 +383,18 @@ def sequential_raycast(heightfield, origin, dirs, d_max, steps, d_min=1e-3, bise
             bhi = np.where(above, bhi, mid)
         depth[bracketed] = 0.5 * (blo + bhi)
     return depth
+
+
+def estimates_from_dense(weights, known):
+    """``FaceEstimates`` of a dense (F, K) weight table and its (F,) known mask."""
+    from terramesh.pipeline import FaceEstimates
+
+    ids = np.flatnonzero(known)
+    return FaceEstimates(ids, np.asarray(weights, dtype=float)[ids], np.asarray(known).size)
+
+
+def dense_weights(estimates):
+    """The (F, K) weights an estimates file holds: the known rows, zero elsewhere."""
+    out = np.zeros((estimates.num_faces, estimates.known_weights.shape[1]))
+    out[estimates.ids] = estimates.known_weights
+    return out

@@ -276,13 +276,15 @@ class TestRun:
             (None, ["--noise", "1,2"], "'noise'"),
             (None, ["--noise", "nan,0,0"], "'noise'"),
             (None, ["--noise", "a,b,c"], "'noise'"),
+            # finite coefficients whose variance overflows within the sensor range
+            (None, ["--noise", "0.001,0,1e200"], "--noise"),
             # the extent over this side overflows to infinity
             (None, ["--mesh-side", "5e-324"], "half_extent_m"),
         ],
         ids=[
             "list", "string", "text-noise", "null-mesh-side", "int-models", "text-recenter",
             "2-entry-pose-cov", "negative-pose-cov", "unknown-update-mode", "2-entry-noise-flag", "nan-noise-flag",
-            "text-noise-flag", "subnormal-mesh-side-flag",
+            "text-noise-flag", "overflowing-variance-noise-flag", "subnormal-mesh-side-flag",
         ],
     )
     def test_malformed_config_is_one_error_line(self, sim_dir, tmp_path, capsys, config, flags, field):

@@ -48,8 +48,9 @@ class TestNoiseModel:
             SensorNoiseModel(a=0.001, b=-0.1, c=0.0)
 
     @pytest.mark.parametrize(
-        "field", [{"a": np.nan}, {"b": np.nan}, {"c": np.nan}, {"c": np.inf}, {"max_range_m": np.nan}],
-        ids=["nan-a", "nan-b", "nan-c", "inf-c", "nan-range"],
+        "field",
+        [{"a": np.nan}, {"b": np.nan}, {"c": np.nan}, {"c": np.inf}, {"max_range_m": np.nan}, {"c": 1e200}, {"a": 1e-160}],
+        ids=["nan-a", "nan-b", "nan-c", "inf-c", "nan-range", "overflowing-variance", "infinite-precision"],
     )
     def test_rejects_non_finite_coefficients(self, field):
         with pytest.raises(ConfigurationError, match="finite"):

@@ -19,10 +19,9 @@ from terramesh.evaluation import (
     write_pr_csv,
     write_summary_csv,
 )
-from terramesh.pipeline import FaceEstimates
 from terramesh.properties import PropertyMixture, PropertyModel, load_default_models
 
-from oracles import dense_kl_per_face, gaussian_kl_reference
+from oracles import dense_kl_per_face, estimates_from_dense, gaussian_kl_reference
 
 
 def polygon_area(polygon) -> float:
@@ -41,7 +40,7 @@ def one_hot_estimates(classes, k, known=None):
     if known is None:
         known = np.ones(classes.size, dtype=bool)
     weights[~known] = 0.0
-    return FaceEstimates(weights=weights, known=np.asarray(known))
+    return estimates_from_dense(weights, np.asarray(known))
 
 
 class TestKlMixture:
@@ -88,7 +87,7 @@ class TestKlMixture:
         weights = rng.dirichlet(np.ones(10), size=12)
         known = rng.random(12) < 0.8
         weights[~known] = 0.0
-        est = FaceEstimates(weights=weights, known=known)
+        est = estimates_from_dense(weights, known)
         per_face = kl_per_face(est, truth, models)
         for i in range(12):
             if not known[i]:
@@ -109,7 +108,7 @@ class TestKlMixture:
         weights[~known] = 0.0
         no_mass = np.flatnonzero(known)[500]
         weights[no_mass] = 0.0
-        per_face = kl_per_face(FaceEstimates(weights=weights, known=known), truth, models)
+        per_face = kl_per_face(estimates_from_dense(weights, known), truth, models)
         assert np.array_equal(per_face, dense_kl_per_face(weights, known, truth, models), equal_nan=True)
         assert per_face[no_mass] == np.inf
         assert np.isnan(per_face[~known]).all()
@@ -123,7 +122,7 @@ class TestKlMixture:
             truth = rng.integers(0, 10, size=n)
             weights = rng.dirichlet(np.ones(10), size=n)
             known = np.ones(n, dtype=bool)
-            per_face = kl_per_face(FaceEstimates(weights=weights, known=known), truth, models)
+            per_face = kl_per_face(estimates_from_dense(weights, known), truth, models)
             assert np.array_equal(per_face, dense_kl_per_face(weights, known, truth, models))
 
     def test_memory_does_not_grow_with_known_faces(self, rng):
@@ -132,7 +131,7 @@ class TestKlMixture:
         _, models = load_default_models()
         n = 4000
         truth = rng.integers(0, 10, size=n)
-        est = FaceEstimates(weights=rng.dirichlet(np.ones(10), size=n), known=np.ones(n, dtype=bool))
+        est = estimates_from_dense(rng.dirichlet(np.ones(10), size=n), np.ones(n, dtype=bool))
         tracemalloc.start()
         try:
             kl_per_face(est, truth, models)
@@ -144,7 +143,7 @@ class TestKlMixture:
 
     def test_summary_requires_known_faces(self):
         _, models = load_default_models()
-        est = FaceEstimates(weights=np.zeros((4, 10)), known=np.zeros(4, dtype=bool))
+        est = estimates_from_dense(np.zeros((4, 10)), np.zeros(4, dtype=bool))
         with pytest.raises(EvaluationError):
             kl_summary(est, np.zeros(4, dtype=int), models)
 
@@ -166,7 +165,7 @@ class TestPrCurve:
     def test_constant_detector_ap_equals_base_rate(self):
         truth = np.array([self.ice] * 5 + [self.concrete] * 15)
         weights = np.tile(np.full(10, 0.1), (20, 1))
-        est = FaceEstimates(weights=weights, known=np.ones(20, dtype=bool))
+        est = estimates_from_dense(weights, np.ones(20, dtype=bool))
         pr = pr_curve(est, truth, self.models, positive="low")
         base = 5 / 20
         assert pr.average_precision == pytest.approx(base, abs=1.0 / 20)
@@ -221,7 +220,7 @@ class TestAccuracy:
 
     def test_all_unknown_zero(self):
         truth = np.array([self.ice] * 4)
-        est = FaceEstimates(weights=np.zeros((4, 10)), known=np.zeros(4, dtype=bool))
+        est = estimates_from_dense(np.zeros((4, 10)), np.zeros(4, dtype=bool))
         assert accuracy(est, truth, self.models) == 0.0
 
     def test_constant_high_predictor_scores_base_rate(self):

@@ -1,3 +1,4 @@
+import copy
 import json
 import tracemalloc
 
@@ -19,10 +20,12 @@ from terramesh.formats import (
     write_arrays,
     write_bundle,
 )
-from terramesh.mesh import MeshConfig, init_mesh
-from terramesh.pipeline import EstimatorKind, FaceEstimates, estimate_properties
+from terramesh.mesh import MeshConfig, init_mesh, recenter
+from terramesh.pipeline import EstimatorKind, FaceScores, estimate_properties
 from terramesh.properties import load_default_models
 from terramesh.sim import scenario_library, render_frames, world_to_dict
+
+from oracles import copy_recenter, dense_weights, estimates_from_dense
 
 
 @pytest.fixture(scope="module")
@@ -254,14 +257,14 @@ class TestTruthAndEstimates:
         known = rng.random(mesh.num_faces) < 0.6
         weights = rng.dirichlet(np.ones(3), size=mesh.num_faces)
         weights[~known] = 0.0
-        est = FaceEstimates(weights=weights, known=known)
+        est = estimates_from_dense(weights, known)
         path = tmp_path / "est.bin"
         save_estimates(path, est, mesh, "recursive", "deadbeef")
         header, back = load_estimates(path)
         assert header["estimator"] == "recursive"
         assert header["scenario_hash"] == "deadbeef"
         assert np.array_equal(back.known, known)
-        assert np.array_equal(back.weights, weights)
+        assert np.array_equal(dense_weights(back), weights)
 
     def test_scenario_hash_sensitivity(self):
         spec = scenario_library()["ramp"]
@@ -300,12 +303,71 @@ class TestContainerMemory:
         mesh, _, estimates = mapped
         path = tmp_path / "estimates.bin"
         save_estimates(path, estimates, mesh, "recursive", None)
-        array_bytes = estimates.known.size + estimates.weights.nbytes
+        array_bytes = estimates.num_faces * (1 + 8 * mesh.cfg.num_classes)
         tracemalloc.start()
         try:
             _, back = load_estimates(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.array_equal(back.weights, estimates.weights)
+        assert np.array_equal(back.ids, estimates.ids)
+        assert np.array_equal(back.known_weights, estimates.known_weights)
         assert peak <= 1.1 * array_bytes
+
+
+class TestRingExport:
+    """A 0.05 m / 5 m mesh (80,000 faces) recentered so that its ring offset
+    wraps both axes (or one), with 5,000 known faces, is exported from ring
+    storage.  Its canonical twin is shifted by the copying oracle instead."""
+
+    @pytest.fixture(scope="class", params=[(1.23, -2.47), (0.0, -2.47), (1.23, 0.0)], ids=["both", "rows", "cols"])
+    def meshes(self, request):
+        catalog, models = load_default_models()
+        ring = init_mesh(MeshConfig(0.05, 5.0, catalog.k))
+        rng = np.random.default_rng(17)
+        ring.z_mean = rng.standard_normal(ring.num_vertices)
+        ring.z_var = rng.random(ring.num_vertices)
+        ring.touched = rng.random(ring.num_vertices) < 0.7
+        ref = copy.deepcopy(ring)
+        recenter(ring, request.param)
+        copy_recenter(ref, request.param)
+        n = ring.cfg.cells_per_side
+        # (row, col) offsets move with the window's (y, x)
+        assert [bool(s % n) for s in ring._start] == [bool(request.param[1]), bool(request.param[0])]
+        ids = np.sort(rng.choice(ring.num_faces, 5000, replace=False))
+        rows = rng.random((ids.size, catalog.k))
+        rows[::7] = np.floor(4 * rows[::7])  # hard-mode counts, some rows all zero
+        ring.ring.alpha[ring.face_slots(ids)] = rows
+        ref.alpha[ids] = rows
+        seen = ids[::3]
+        scores = FaceScores(seen, rng.random((seen.size, catalog.k)), rng.integers(1, 9, seen.size), ring.num_faces)
+        return ring, ref, catalog.names, models, scores
+
+    def test_export_peak_is_below_one_face_by_class_array(self, meshes, tmp_path):
+        ring, _, names, models, _ = meshes
+        start = ring._start
+        tracemalloc.start()
+        try:
+            estimates = estimate_properties(ring, EstimatorKind.RECURSIVE, models)
+            save_map(ring, tmp_path / "map.bin", names)
+            save_estimates(tmp_path / "estimates.bin", estimates, ring, "recursive", None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ring._start == start  # storage was read where it lies
+        assert peak < ring.num_faces * ring.cfg.num_classes * 8
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_files_match_canonical_copy(self, meshes, tmp_path, kind):
+        ring, ref, names, models, scores = meshes
+        for mesh, out in ((ring, tmp_path / "ring"), (ref, tmp_path / "ref")):
+            out.mkdir()
+            save_map(mesh, out / "map.bin", names, frame_count=3)
+            estimates = estimate_properties(mesh, kind, models, scores)
+            save_estimates(out / "estimates.bin", estimates, mesh, kind.value, "cafe")
+        for name in ("map.bin", "map.bin.txt", "estimates.bin"):
+            assert (tmp_path / "ring" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+        # a loaded estimates file exports the same bytes again
+        _, back = load_estimates(tmp_path / "ring" / "estimates.bin")
+        save_estimates(tmp_path / "again.bin", back, ring, kind.value, "cafe")
+        assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "ring" / "estimates.bin").read_bytes()

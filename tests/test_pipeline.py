@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import copy_recenter, sample_psd, unique_frame_update
+from oracles import copy_recenter, dense_weights, sample_psd, unique_frame_update
 
 from terramesh.elevation import SensorNoiseModel, kalman_update, point_height_variances
 from terramesh.errors import InputError
@@ -274,8 +274,8 @@ class TestEstimators:
         base = results[EstimatorKind.RECURSIVE]
         for kind, est in results.items():
             assert np.array_equal(est.known, base.known)
-            assert np.allclose(est.weights, base.weights, atol=1e-12)
-        assert np.all(base.weights[base.known, ice] == 1.0)
+            assert np.allclose(est.known_weights, base.known_weights, atol=1e-12)
+        assert np.all(base.known_weights[:, ice] == 1.0)
 
     def test_conflicting_frames(self):
         ice = self.catalog.index("ice")
@@ -292,12 +292,11 @@ class TestEstimators:
         uni = estimate_properties(
             mapper.mesh, EstimatorKind.UNIMODAL_NONRECURSIVE, self.models, mapper.last_scores
         )
-        known = rec.known
-        assert np.allclose(rec.weights[known, ice], 0.5, atol=1e-12)
-        assert np.allclose(rec.weights[known, concrete], 0.5, atol=1e-12)
+        assert np.allclose(rec.known_weights[:, ice], 0.5, atol=1e-12)
+        assert np.allclose(rec.known_weights[:, concrete], 0.5, atol=1e-12)
         # non-recursive estimators only see the concrete frame
-        assert np.all(multi.weights[multi.known, concrete] == 1.0)
-        assert np.all(uni.weights[uni.known, concrete] == 1.0)
+        assert np.all(multi.known_weights[:, concrete] == 1.0)
+        assert np.all(uni.known_weights[:, concrete] == 1.0)
 
     def test_baselines_never_read_alpha(self, rng):
         rows = rng.dirichlet(np.ones(10), size=9)
@@ -309,13 +308,13 @@ class TestEstimators:
             mesh.alpha = rng.uniform(0, 9, mesh.alpha.shape)
             after = estimate_properties(mesh, kind, self.models, mapper.last_scores)
             mesh.alpha = saved
-            assert np.array_equal(before.weights, after.weights)
-            assert np.array_equal(before.known, after.known)
+            assert np.array_equal(before.known_weights, after.known_weights)
+            assert np.array_equal(before.ids, after.ids)
 
     def test_accumulate_off_leaves_alpha_zero(self):
         mapper = self.run_frames([overhead_frame(np.zeros((8, 8)), 2)], accumulate=False)
         assert np.all(mapper.mesh.alpha == 0.0)
-        assert mapper.last_scores.known.any()
+        assert mapper.last_scores.ids.size > 0
 
     def test_unimodal_collapses_to_argmax(self, rng):
         rows = np.tile(np.array([0.2, 0.5, 0.3] + [0.0] * 7), (5, 1))
@@ -323,9 +322,8 @@ class TestEstimators:
         uni = estimate_properties(
             mapper.mesh, EstimatorKind.UNIMODAL_NONRECURSIVE, self.models, mapper.last_scores
         )
-        known = uni.known
-        assert np.all(uni.weights[known, 1] == 1.0)
-        assert np.all(uni.weights[known].sum(axis=1) == 1.0)
+        assert np.all(uni.known_weights[:, 1] == 1.0)
+        assert np.all(uni.known_weights.sum(axis=1) == 1.0)
 
     def test_nonrecursive_requires_scores(self):
         mesh = mesh_10()
@@ -336,9 +334,8 @@ class TestEstimators:
         ice = self.catalog.index("ice")
         mapper = self.run_frames([overhead_frame(np.zeros((8, 10)), ice)])
         est = estimate_properties(mapper.mesh, EstimatorKind.RECURSIVE, self.models)
-        fid_known = int(np.nonzero(est.known)[0][0])
         fid_unknown = int(np.nonzero(~est.known)[0][0])
-        mix = PropertyMixture(est.weights[fid_known], self.models)
+        mix = PropertyMixture(est.known_weights[0], self.models)
         assert mix.mean() == pytest.approx(0.192)
         assert not est.known[fid_unknown]
 
@@ -362,9 +359,9 @@ class TestEstimators:
             uni = estimate_properties(
                 mesh, EstimatorKind.UNIMODAL_NONRECURSIVE, self.models, mapper.last_scores
             )
-            face = np.nonzero(mapper.last_scores.known)[0][0]
-            rec_argmax.append(int(np.argmax(rec.weights[face])))
-            uni_argmax.append(int(np.argmax(uni.weights[face])))
+            face = mapper.last_scores.ids[0]
+            rec_argmax.append(int(np.argmax(dense_weights(rec)[face])))
+            uni_argmax.append(int(np.argmax(dense_weights(uni)[face])))
         assert all(a == rug for a in rec_argmax[-10:])
         assert len(set(uni_argmax[-10:])) > 1
 
@@ -508,7 +505,7 @@ class TestScalarCallsMatchRun:
         for f in faces:
             alpha = dirichlet_update(np.zeros(10), pts.scores[:, pts.face_ids == f].T, mode)
             assert alpha.tobytes() == mesh.alpha[f].tobytes()
-            assert class_predictive(mesh.alpha[f]).tobytes() == est.weights[f].tobytes()
+            assert class_predictive(mesh.alpha[f]).tobytes() == dense_weights(est)[f].tobytes()
 
         z = pts.pos_map[:, 2]
         var = point_height_variances(
@@ -532,7 +529,10 @@ def indexed_estimate(kind, alpha, scores):
         known = totals > 0
         weights[known] = alpha[known] / totals[known, None]
         return weights
-    mean, known = scores.mean(), scores.known
+    known = np.zeros(alpha.shape[0], dtype=bool)
+    known[scores.ids] = True
+    mean = np.zeros_like(alpha)
+    mean[known] = scores.observed_sums / scores.observed_counts[:, None]
     if kind is EstimatorKind.MULTIMODAL_NONRECURSIVE:
         weights[known] = mean[known]
     else:
@@ -542,8 +542,8 @@ def indexed_estimate(kind, alpha, scores):
 
 class TestEstimatorMemory:
     """The CLI's default 0.02 m / 5 m mesh: 500,000 faces, a 40 MB (F, K)
-    evidence array.  Each estimator allocates its (F, K) weights and (F,)
-    arrays, and no second (F, K) array."""
+    evidence array.  No estimator allocates more than one (F, K) array and
+    two (F,) arrays."""
 
     @pytest.fixture(scope="class")
     def mapped(self):
@@ -568,4 +568,4 @@ class TestEstimatorMemory:
             tracemalloc.stop()
         faces, k = mesh.alpha.shape
         assert peak <= faces * k * 8 + 2 * faces * 8
-        assert np.array_equal(est.weights, indexed_estimate(kind, mesh.alpha, scores))
+        assert np.array_equal(dense_weights(est), indexed_estimate(kind, mesh.alpha, scores))

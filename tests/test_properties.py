@@ -91,14 +91,15 @@ class TestModels:
 
 def face_mixture(alpha, models):
     """The property mixture of a face whose class evidence is ``alpha``:
-    ``PropertyMixture(estimates.weights[f], models)`` over the recursive
-    estimate of a map holding it; ``None`` while the face is unknown."""
+    ``PropertyMixture(estimates.known_weights[i], models)`` over the
+    recursive estimate of a map holding it as face ``estimates.ids[i]``;
+    ``None`` while the face is unknown."""
     mesh = init_mesh(MeshConfig(1.0, 1.0, len(models)))
     evidence = np.zeros_like(mesh.alpha)
     evidence[0] = alpha
     mesh.alpha = evidence
     estimates = estimate_properties(mesh, EstimatorKind.RECURSIVE, models)
-    return PropertyMixture(estimates.weights[0], models) if estimates.known[0] else None
+    return PropertyMixture(estimates.known_weights[0], models) if estimates.known[0] else None
 
 
 class TestMixture:
