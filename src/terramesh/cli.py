@@ -103,7 +103,6 @@ def cmd_simulate(args) -> int:
     # frames are rendered one at a time, as the bundle writer asks for them
     frames, truth = iter_frames(spec, limit=args.frames)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     world = world_to_dict(spec)
     manifest = write_bundle(
         out,
@@ -501,8 +500,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TerrameshError, OSError, ValueError) as exc:
-        # json.JSONDecodeError is a ValueError
+    except (TerrameshError, OSError, ValueError, MemoryError) as exc:
+        # json.JSONDecodeError is a ValueError; a MemoryError is an impossible array size
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,9 +5,10 @@ sensor noise and the small-angle rotation uncertainty of the camera pose.
 Vertex heights fuse their surrounding faces' interior points with a scalar
 Kalman filter, applied per frame in its closed information form
 (:func:`fuse_heights`, of which :func:`kalman_update` is the one-step call).
-The information sums run over the vertices of the faces the frame observes,
-taken from the frame's face grouping (``Mesh.point_groups``), so their
-cost follows the points, not the map.
+:func:`update_elevation` takes the frame's points as an argument; its
+information sums run over the vertices of the faces the frame observes,
+taken from the points' face grouping, so their cost follows the points, not
+the map.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ class SensorNoiseModel:
     def variance(self, depth):
         s = self.sigma(depth)
         return s * s
-
-    def covariance(self, depth: float) -> np.ndarray:
-        cov = np.zeros((3, 3))
-        cov[2, 2] = float(self.variance(depth))
-        return cov
 
 
 def _check_psd(m, name):
@@ -222,32 +218,30 @@ def kalman_update(z_mean, z_var, z_obs, var_obs):
     return float(mean[0]), float(var[0])
 
 
-def update_elevation(mesh, pose, noise_model: SensorNoiseModel, sigma_pose=None):
-    """Fuse the current frame's interior points into the vertex heights.
+def update_elevation(mesh, points, pose, noise_model: SensorNoiseModel, sigma_pose=None):
+    """Fuse one frame's interior points (:class:`~terramesh.mesh.FramePoints`)
+    into the vertex heights.
 
     A point observes the three vertices of its face, so every vertex absorbs
     the heights of all interior points of the faces incident to it (up to
     six), in one :func:`fuse_heights` call.  A vertex seen for the first
     time has no prior; its state is the frame's posterior alone.  The sums
-    run over the vertices of the frame's face grouping (built here by
-    ``mesh.point_groups()``, then reused by the class reduction), each
-    adding its terms in point order.  A raise leaves the mesh unchanged.
+    run over the vertices of the points' face grouping, each adding its
+    terms in point order.  A raise leaves the mesh unchanged.
     """
-    pts = mesh.points
-    if pts is None or pts.count == 0:
+    if points.face_ids.size == 0:
         return mesh
     if sigma_pose is None:
         sigma_pose = pose.rotation_cov
 
-    groups = mesh.point_groups()
-    depth = pts.pos_sensor[:, 2]
-    var = point_height_variances(pts.pos_sensor, noise_model.variance(depth), pose, sigma_pose)
-    # each point's three corners, as rows of groups.vertices
-    rows = np.take(groups.corners, groups.inverse, axis=0)
-    slot = mesh.vertex_slots(groups.vertices)
+    depth = points.pos_sensor[:, 2]
+    var = point_height_variances(points.pos_sensor, noise_model.variance(depth), pose, sigma_pose)
+    # each point's three corners, as rows of points.vertices
+    rows = np.take(points.corners, points.inverse, axis=0)
+    slot = mesh.vertex_slots(points.vertices)
     ring = mesh.ring
     mean, post_var, seen = fuse_heights(
-        rows, pts.pos_map[:, 2], var, ring.z_mean[slot], ring.z_var[slot], ring.touched[slot]
+        rows, points.pos_map[:, 2], var, ring.z_mean[slot], ring.z_var[slot], ring.touched[slot]
     )
     ring.z_mean[slot] = mean
     ring.z_var[slot] = post_var

@@ -179,9 +179,11 @@ MAP_ARRAYS = ("vertex_x", "vertex_y", "z_mean", "z_var", "touched", "face_vertic
 
 
 def save_map(mesh: Mesh, path, class_names, frame_count: int = 0, extra: dict | None = None) -> None:
-    """Dump mesh state losslessly plus a human-readable sidecar header.
+    """Dump the vertex heights and class evidence losslessly plus a
+    human-readable sidecar header.
 
     Writes ``path`` (binary container) and ``path + '.txt'`` (sidecar).
+    The per-face ``observed`` mask is not stored.
     """
     vx, vy = mesh.vertex_positions()
     header = {
@@ -274,7 +276,11 @@ def _check_header(path, header: dict, kind: str, fields=()) -> MeshConfig:
 
 
 def load_map(path):
-    """Rebuild a mesh from :func:`save_map` output; returns ``(mesh, header)``."""
+    """Rebuild a mesh from :func:`save_map` output; returns ``(mesh, header)``.
+
+    Every stored array comes back bit for bit.  ``observed`` is not stored,
+    so the rebuilt mesh reads it all False.
+    """
     header, arrays = read_arrays(path)
     cfg = _check_header(path, header, MAP_KIND)
     missing = [name for name in MAP_ARRAYS if name not in arrays]
@@ -304,9 +310,10 @@ def load_map(path):
 def write_bundle(directory, frames, class_names, scenario: dict | None = None) -> dict:
     """Write a frame-bundle directory consumable by the mapping pipeline and
     return its manifest.  ``frames`` may be any iterable: each frame's files
-    are written as it arrives, and the manifest last."""
+    are written as it arrives, and the manifest last.  A frame with a finite
+    depth that float32 cannot hold raises :class:`FormatError` before its
+    files are written, and no manifest is written."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     entries = []
     width = height = num_classes = None
     intrinsics = None
@@ -320,7 +327,14 @@ def write_bundle(directory, frames, class_names, scenario: dict | None = None) -
             raise FormatError("all frames in a bundle must share image geometry")
         depth_name = f"frame_{frame.frame_id:06d}.depth.f32"
         scores_name = f"frame_{frame.frame_id:06d}.scores.f32"
-        frame.depth.astype("<f4").tofile(directory / depth_name)
+        with np.errstate(over="ignore"):
+            depth = frame.depth.astype("<f4")
+        if np.any(np.isinf(depth) & np.isfinite(frame.depth)):
+            raise FormatError(f"frame {frame.frame_id}: a finite depth overflows float32")
+        if not entries:
+            # made with the first frame, so a bundle refused at once leaves no directory
+            directory.mkdir(parents=True, exist_ok=True)
+        depth.tofile(directory / depth_name)
         frame.scores.astype("<f4").tofile(directory / scores_name)
         entries.append(
             {

@@ -25,14 +25,14 @@ estimator gathers rows through ``face_slots``.  The public
 the first access after a shift rolls the storage back to offset zero once
 (``np.roll`` is exact), and assigning one of them does the same first.
 
-A frame's in-window points live in :class:`FramePoints`.
-:meth:`Mesh.point_groups` groups them by face, and the observed faces'
-corners by vertex, once per frame (:class:`FaceGroups`, shared by height
-fusion and the class reduction).  It does so without sorting the points and
-without scanning the map: two persistent int32 scratch arrays, one slot per
-window face and one per vertex, map ids to ranks, and only the distinct ids
-are sorted.  Every slot a frame reads is written earlier in that frame, so
-the scratch arrays are never cleared.
+The mesh holds map state and scratch only.  A frame's in-window points are
+a value, :class:`FramePoints`, that the frame update builds once and passes
+to height fusion and the class reduction.  :meth:`FramePoints.from_assignment`
+groups the points by face, and the observed faces' corners by vertex,
+without sorting the points and without scanning the map: the mesh's two
+int32 scratch arrays, one slot per window face and one per vertex, map ids
+to ranks, and only the distinct ids are sorted.  Every slot a frame reads is
+written earlier in that frame, so the scratch arrays are never cleared.
 
 Concurrency: a mesh is a single-writer structure.  Exactly one frame update
 may mutate it at a time; reads (export, evaluation) happen between updates.
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,11 @@ class MeshConfig:
 
 
 @dataclass
-class FaceGroups:
-    """One frame's points grouped by face, and the faces' corners by vertex.
+class FramePoints:
+    """One frame's in-window points in projection order, grouped by face.
 
+    ``face_ids`` names the owning face of each point and ``scores`` is
+    class-major: row ``j`` holds every point's score for class ``j``.
     ``faces`` (m,) are the observed window face ids, ascending, and
     ``inverse`` (n,) gives each point's row in ``faces``: together they are
     ``np.unique(face_ids, return_inverse=True)``.  ``vertices`` (h,) are the
@@ -95,52 +97,42 @@ class FaceGroups:
     point's three corners are ``corners[inverse]``.
     """
 
+    pos_map: np.ndarray
+    pos_sensor: np.ndarray
+    scores: np.ndarray
+    face_ids: np.ndarray
     faces: np.ndarray
     inverse: np.ndarray
     vertices: np.ndarray
     corners: np.ndarray
 
-
-@dataclass
-class FramePoints:
-    """Per-frame measurement buffers in projection order.
-
-    Points keep the order they were projected in; ``face_ids`` names the
-    owning face of each point and ``scores`` is class-major: row ``j`` holds
-    every point's score for class ``j``.  Use
-    :func:`FramePoints.from_assignment` to drop points that fell outside the
-    mesh window.  ``groups`` caches the frame's :class:`FaceGroups` (see
-    :meth:`Mesh.point_groups`), which height fusion and the class reduction
-    share.
-    """
-
-    pos_map: np.ndarray
-    pos_sensor: np.ndarray
-    scores: np.ndarray
-    face_ids: np.ndarray
-    groups: FaceGroups | None = None
-
     @classmethod
-    def from_assignment(cls, pos_map, pos_sensor, scores, face_ids, rows):
-        """Keep the points with a face; read their scores once.
+    def from_assignment(cls, mesh, pos_map, pos_sensor, scores, face_ids, rows):
+        """Keep the points with a face of ``mesh``, read their scores once
+        and group them.
 
         ``scores`` is a (N, K) table and ``rows`` each point's row in it;
         the points in the window read theirs with one gather into a
-        class-major (K, n) float array.
+        class-major (K, n) float array.  The grouping goes through the
+        mesh's scratch arrays, sorting only the observed face ids and the
+        corners of those faces.
         """
         keep = np.flatnonzero(face_ids >= 0)
         # np.take gathers rows of a 2-D array far faster than fancy indexing
         scores = np.take(np.asarray(scores), rows[keep], axis=0)
+        pos_map = np.take(pos_map, keep, axis=0)
+        pos_sensor = np.take(pos_sensor, keep, axis=0)
+        scores = scores.T.astype(float, order="C")
+        face_ids = face_ids[keep]
+        # the (n, K) gather and the index of the kept points are freed
+        # before grouping, so that neither coexists with the groups
+        del keep
+        faces, inverse = _group(face_ids, mesh._face_scratch)
+        corner_ids = mesh.face_vertex_ids[faces]
+        vertices, corners = _group(corner_ids.reshape(-1), mesh._vertex_scratch)
         return cls(
-            pos_map=np.take(pos_map, keep, axis=0),
-            pos_sensor=np.take(pos_sensor, keep, axis=0),
-            scores=scores.T.astype(float, order="C"),
-            face_ids=face_ids[keep],
+            pos_map, pos_sensor, scores, face_ids, faces, inverse, vertices, corners.reshape(corner_ids.shape)
         )
-
-    @property
-    def count(self) -> int:
-        return int(self.face_ids.size)
 
 
 @dataclass
@@ -204,8 +196,7 @@ class Mesh:
         # accumulated (row, col) window shift since storage was last canonical
         self._start = (0, 0)
         self.face_vertex_ids = _build_face_vertex_ids(cfg.cells_per_side)
-        self.points: FramePoints | None = None
-        # point_groups' scratch, never cleared (see the module docstring)
+        # FramePoints.from_assignment's scratch, never cleared (see the module docstring)
         self._face_scratch = np.empty(n_f, dtype=np.int32)
         self._vertex_scratch = np.empty(n_v, dtype=np.int32)
         self._face_xy = None
@@ -237,24 +228,6 @@ class Mesh:
         vx, vy = self.vertex_positions()
         ids = self.face_vertex_ids
         return np.column_stack([vx[ids].mean(axis=1), vy[ids].mean(axis=1)])
-
-    def clear_points(self):
-        self.points = None
-
-    def point_groups(self) -> FaceGroups:
-        """The current frame's :class:`FaceGroups`, built on first use.
-
-        Faces and vertices are grouped through the two scratch arrays
-        without sorting the points: only the ``m`` observed face ids and
-        the corners of those faces are sorted.
-        """
-        pts = self.points
-        if pts.groups is None:
-            faces, inverse = _group(pts.face_ids, self._face_scratch)
-            corner_ids = self.face_vertex_ids[faces]
-            vertices, corners = _group(corner_ids.reshape(-1), self._vertex_scratch)
-            pts.groups = FaceGroups(faces, inverse, vertices, corners.reshape(corner_ids.shape))
-        return pts.groups
 
     def face_corner_coords(self):
         """Cached per-face corner coordinates: two (F, 3) arrays (x, y)."""
@@ -369,7 +342,7 @@ def _build_face_vertex_ids(n_cells: int) -> np.ndarray:
 
 
 def init_mesh(cfg: MeshConfig) -> Mesh:
-    """Fresh mesh: flat zero-height vertices, empty buffers, all-zero alpha."""
+    """Fresh mesh: flat zero-height vertices, all-zero alpha."""
     return Mesh(cfg)
 
 
@@ -530,8 +503,6 @@ def recenter(mesh: Mesh, new_center_xy) -> Mesh:
     below one cell leave the mesh untouched.  Only the entering rows and
     columns of the ring storage are written.
     """
-    if mesh.points is not None:
-        raise InputError("cannot recenter while a frame update is in flight")
     target = np.asarray(new_center_xy, dtype=float).reshape(2)
     side = mesh.cfg.side_length_m
     shift = np.trunc((target - mesh.center) / side).astype(np.int64)

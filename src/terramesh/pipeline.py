@@ -1,17 +1,18 @@
 """Per-frame mapping pipeline plus the non-recursive baseline estimators.
 
 One frame update runs projection, point-to-face assignment, elevation fusion
-and class accumulation, in that order, clearing the interior-point buffers at
-the end.  Exactly one frame is in flight at a time (the mesh is
-single-writer); the stages themselves are vectorized internally.
+and class accumulation, in that order.  The frame's in-window points are a
+value the update builds once and passes to the two estimation stages; only
+the map persists between frames.  Exactly one frame update mutates a mesh
+at a time (the mesh is single-writer); the stages themselves are vectorized
+internally.
 
 Projection keeps each point's flat pixel index, not its scores.  After
-assignment, the points inside the window read their scores once, from the
-frame's (H*W, K) score view into class-major (K, n) rows (timed as part of
-assignment).  Elevation fusion groups the points by face once
-(:meth:`Mesh.point_groups`, timed as part of elevation), and the class
-reduction reuses that grouping, so neither sorts the points nor scans the
-map.
+assignment, :meth:`FramePoints.from_assignment` drops the points outside the
+window, reads their scores once from the frame's (H*W, K) score view into
+class-major (K, n) rows, and groups them by face (all timed as part of
+assignment).  Height fusion and the class reduction share that grouping, so
+neither sorts the points nor scans the map.
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
 
     fids = assign_face_ids(mesh, pos_map[:, :2])
     scores = np.asarray(frame.scores)
-    mesh.points = FramePoints.from_assignment(
-        pos_map, pos_sensor, scores.reshape(-1, scores.shape[2]), fids, pixels
+    points = FramePoints.from_assignment(
+        mesh, pos_map, pos_sensor, scores.reshape(-1, scores.shape[2]), fids, pixels
     )
     t2 = time.perf_counter()
 
@@ -191,19 +192,17 @@ def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
         if config.pose_cov_override is not None
         else frame.pose.rotation_cov
     )
-    update_elevation(mesh, frame.pose, config.noise_model, sigma_pose)
+    update_elevation(mesh, points, frame.pose, config.noise_model, sigma_pose)
     t3 = time.perf_counter()
 
-    groups = mesh.point_groups()
-    observed = groups.faces
-    sums, counts, evidence = face_evidence(groups.inverse, mesh.points.scores, observed.size, config.update_mode)
+    observed = points.faces
+    sums, counts, evidence = face_evidence(points.inverse, points.scores, observed.size, config.update_mode)
     slots = mesh.face_slots(observed)
     mesh.ring.observed[slots] = True
     if config.accumulate_alpha:
         mesh.ring.alpha[slots] += evidence
     t4 = time.perf_counter()
 
-    mesh.clear_points()
     timing = FrameTiming(
         project=t1 - t0,
         assign=t2 - t1,

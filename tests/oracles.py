@@ -23,7 +23,6 @@ form of the estimates file through :func:`estimates_from_dense` and
 
 import numpy as np
 
-from terramesh.errors import InputError
 from terramesh.geometry import camera_center, project_frame_arrays
 from terramesh.mesh import assign_face_ids, recenter
 
@@ -201,8 +200,6 @@ def copy_recenter(mesh, new_center_xy):
     The original whole-map form of ``mesh.recenter``, written against the
     mesh's canonical views.
     """
-    if mesh.points is not None:
-        raise InputError("cannot recenter while a frame update is in flight")
     target = np.asarray(new_center_xy, dtype=float).reshape(2)
     side = mesh.cfg.side_length_m
     shift = np.trunc((target - mesh.center) / side).astype(np.int64)

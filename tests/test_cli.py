@@ -160,13 +160,16 @@ class TestSimulate:
             (("heightfield", "patches"), [{"kind": "flat", "params": {"z": 0.5}, "region": None},
                                           {"kind": "ramp", "params": RAMP | {"gx": 1e306}, "region": [0, 1e3, 0, 1]}],
              "patches[1] params"),
+            # depth noise that float32 cannot hold, with an overflowing and a finite sigma^2
+            (("noise", "depth_abc"), [0.001, 0, 1e200], "overflows float32"),
+            (("noise", "depth_abc"), [0.001, 0, 1e100], "overflows float32"),
         ],
         ids=[
             "no-heightfield", "text-fx", "class-index-99", "flat-polygon", "null-spec",
             "patch-without-z", "text-ramp-param", "3-entry-region", "zero-march-steps", "negative-max-range",
             "2-entry-depth-abc", "negative-depth-sigma", "soft-jitter-kappa-0", "3x3-confusion", "nan-base",
             "singular-pose-rot-cov", "overflowing-sinusoid-phase", "overflowing-sinusoid-crest",
-            "overflowing-ramp-region",
+            "overflowing-ramp-region", "overflowing-depth-variance", "float32-overflowing-depth",
         ],
     )
     def test_malformed_spec_is_one_error_line(self, tmp_path, capsys, path, value, field):
@@ -280,11 +283,13 @@ class TestRun:
             (None, ["--noise", "0.001,0,1e200"], "--noise"),
             # the extent over this side overflows to infinity
             (None, ["--mesh-side", "5e-324"], "half_extent_m"),
+            # 4e16 vertices: numpy refuses the first array at once, allocating nothing
+            (None, ["--mesh-side", "0.01", "--mesh-extent", "1e6"], "Unable to allocate"),
         ],
         ids=[
             "list", "string", "text-noise", "null-mesh-side", "int-models", "text-recenter",
             "2-entry-pose-cov", "negative-pose-cov", "unknown-update-mode", "2-entry-noise-flag", "nan-noise-flag",
-            "text-noise-flag", "overflowing-variance-noise-flag", "subnormal-mesh-side-flag",
+            "text-noise-flag", "overflowing-variance-noise-flag", "subnormal-mesh-side-flag", "impossible-mesh-size",
         ],
     )
     def test_malformed_config_is_one_error_line(self, sim_dir, tmp_path, capsys, config, flags, field):
@@ -931,19 +936,36 @@ MUTATIONS = [DELETE, None, "x", float("nan"), -1, 0, [], {}]
 
 
 class TestMutatedInputs:
-    """One leaf of a valid world spec or run config deleted or replaced: the
-    command either succeeds with valid output or ends with one error line."""
+    """One leaf of a valid world spec, run config or bundle manifest deleted
+    or replaced: the command either succeeds with valid output or ends with
+    one error line (``validate`` lists the bundle's faults instead)."""
 
-    @pytest.mark.parametrize("target", ["spec", "config"])
+    @staticmethod
+    def streams(*argv):
+        """``(exit code, stdout lines, stderr text)`` of one command."""
+        import contextlib
+        import io
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = run_cli(*argv)
+        return code, out.getvalue().splitlines(), err.getvalue()
+
+    @pytest.mark.parametrize("target", ["spec", "config", "manifest"])
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(data=st.data())
     def test_one_leaf_mutated(self, sim_dir, target, data):
-        import contextlib
-        import io
         import tempfile
 
-        doc = small_world() if target == "spec" else json.loads(json.dumps(RUN_CONFIG))
-        path = data.draw(st.sampled_from(leaf_paths(doc)), label="path")
+        if target == "spec":
+            doc = small_world()
+        elif target == "config":
+            doc = json.loads(json.dumps(RUN_CONFIG))
+        else:
+            doc = json.loads((sim_dir / "manifest.json").read_text())
+        # a manifest's leaves at the top level and in its first frame
+        paths = [p for p in leaf_paths(doc) if target != "manifest" or p[0] != "frames" or p[1] == 0]
+        path = data.draw(st.sampled_from(paths), label="path")
         doc = edit_json(doc, path, data.draw(st.sampled_from(MUTATIONS), label="value"))
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -951,13 +973,20 @@ class TestMutatedInputs:
             out = tmp / "out"
             if target == "spec":
                 argv = ["simulate", "--spec", tmp / "in.json", "--seed", 3, "--out", out]
-            else:
+            elif target == "config":
                 argv = ["run", "--bundle", sim_dir, "--out", out, "--config", tmp / "in.json"]
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = run_cli(*argv)
-            lines = err.getvalue().splitlines()
-            assert "Traceback" not in err.getvalue()
+            else:
+                bundle = copy_bundle(sim_dir, tmp / "bundle", lambda _: doc)
+                argv = ["run", "--bundle", bundle, "--out", out, "--mesh-side", 0.5, "--mesh-extent", 2.5]
+                code, lines, err = self.streams("validate", "--bundle", bundle)
+                assert err == ""
+                if code == 0:
+                    assert lines == ["bundle is valid"]
+                else:
+                    assert code == 1 and lines and all(line.startswith("invalid: ") for line in lines), lines
+            code, _, err = self.streams(*argv)
+            lines = err.splitlines()
+            assert "Traceback" not in err
             if code == 0:
                 assert lines == []
                 if target == "spec":

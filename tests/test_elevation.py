@@ -35,12 +35,6 @@ class TestNoiseModel:
         assert np.isclose(m.sigma(2.0), 0.001 + 0.0019 * 4.0)
         assert np.isclose(m.variance(2.0), m.sigma(2.0) ** 2)
 
-    def test_covariance_depth_axis_only(self):
-        m = SensorNoiseModel(a=0.01, b=0.0, c=0.0)
-        cov = m.covariance(3.0)
-        assert cov[2, 2] == pytest.approx(1e-4)
-        assert np.all(cov[:2, :2] == 0.0)
-
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ConfigurationError):
             SensorNoiseModel(a=0.0, b=0.0, c=0.0)
@@ -105,7 +99,7 @@ class TestHeightVariance:
         depth_var = model.variance(pts[:, 2])
         vec = point_height_variances(pts, depth_var, pose, sigma_p)
         for i in range(50):
-            sigma_s = model.covariance(pts[i, 2])
+            sigma_s = np.diag([0.0, 0.0, float(model.variance(pts[i, 2]))])
             _, expected = height_variance(pts[i], pose, sigma_s, sigma_p)
             assert vec[i] == pytest.approx(expected, rel=1e-12, abs=1e-18)
 
@@ -210,22 +204,24 @@ def make_frame_points(mesh, pos_map, scores=None):
     if scores is None:
         scores = np.full((pos_map.shape[0], k), 1.0 / k)
     fids = assign_face_ids(mesh, pos_map[:, :2])
-    return FramePoints.from_assignment(pos_map, pos_map.copy(), scores, fids, np.arange(fids.size))
+    return FramePoints.from_assignment(mesh, pos_map, pos_map.copy(), scores, fids, np.arange(fids.size))
 
 
 class TestUpdateElevation:
     def test_no_points_no_change(self):
         mesh = init_mesh(MeshConfig(0.5, 1.0, 2))
         before = mesh.z_mean.copy()
-        update_elevation(mesh, Pose.identity(), SensorNoiseModel())
+        points = make_frame_points(mesh, np.empty((0, 3)))
+        assert points.face_ids.size == 0
+        update_elevation(mesh, points, Pose.identity(), SensorNoiseModel())
         assert np.array_equal(mesh.z_mean, before)
         assert not mesh.touched.any()
 
     def test_first_touch_adopts_observation(self):
         mesh = init_mesh(MeshConfig(1.0, 1.0, 2))
         pos = np.array([[0.5, 0.25, 0.8]])
-        mesh.points = make_frame_points(mesh, pos)
-        update_elevation(mesh, Pose.identity(), SensorNoiseModel(a=0.05, b=0.0, c=0.0))
+        points = make_frame_points(mesh, pos)
+        update_elevation(mesh, points, Pose.identity(), SensorNoiseModel(a=0.05, b=0.0, c=0.0))
         touched = np.nonzero(mesh.touched)[0]
         assert touched.size == 3  # the owning face's three vertices
         assert np.allclose(mesh.z_mean[touched], 0.8, atol=0)
@@ -236,9 +232,8 @@ class TestUpdateElevation:
         model = SensorNoiseModel(a=0.05, b=0.0, c=0.0)
         for _ in range(10):
             pos = np.tile([[0.5, 0.25, 0.8]], (5, 1))
-            mesh.points = make_frame_points(mesh, pos)
-            update_elevation(mesh, Pose.identity(), model)
-            mesh.clear_points()
+            points = make_frame_points(mesh, pos)
+            update_elevation(mesh, points, Pose.identity(), model)
         touched = np.nonzero(mesh.touched)[0]
         assert np.allclose(mesh.z_mean[touched], 0.8, atol=1e-12)
         assert np.all(mesh.z_var[touched] < 1e-4)
@@ -252,9 +247,8 @@ class TestUpdateElevation:
             pos = np.column_stack(
                 [np.full(10, 0.5), np.full(10, 0.25), chunk]
             )
-            mesh.points = make_frame_points(mesh, pos)
-            update_elevation(mesh, Pose.identity(), model)
-            mesh.clear_points()
+            points = make_frame_points(mesh, pos)
+            update_elevation(mesh, points, Pose.identity(), model)
         exp_mean, exp_var = batch_gaussian_fusion(heights, np.full(100, 0.05**2))
         touched = np.nonzero(mesh.touched)[0]
         for v in touched:
@@ -272,8 +266,8 @@ class TestUpdateElevation:
         results = []
         for order in (np.arange(300), rng.permutation(300)):
             mesh = init_mesh(cfg)
-            mesh.points = make_frame_points(mesh, pos[order])
-            update_elevation(mesh, Pose.identity(), model)
+            points = make_frame_points(mesh, pos[order])
+            update_elevation(mesh, points, Pose.identity(), model)
             results.append((mesh.z_mean.copy(), mesh.z_var.copy()))
         assert np.allclose(results[0][0], results[1][0], atol=1e-9)
         assert np.allclose(results[0][1], results[1][1], atol=1e-9)
@@ -287,8 +281,8 @@ class TestUpdateElevation:
         assert faces.size == 6
         cents = mesh.face_centroids()[faces]
         pos = np.column_stack([cents, np.full(6, 0.4)])
-        mesh.points = make_frame_points(mesh, pos)
-        update_elevation(mesh, Pose.identity(), SensorNoiseModel(a=0.1, b=0.0, c=0.0))
+        points = make_frame_points(mesh, pos)
+        update_elevation(mesh, points, Pose.identity(), SensorNoiseModel(a=0.1, b=0.0, c=0.0))
         # six identical observations fused: variance shrinks by 6
         assert mesh.z_var[vid] == pytest.approx(0.1**2 / 6, rel=1e-9)
         assert mesh.z_mean[vid] == pytest.approx(0.4)
@@ -309,8 +303,7 @@ class TestUpdateElevation:
             )
             pose = Pose(random_rotation(rng), rng.standard_normal(3), sample_psd(rng, 1e-3))
             fids = assign_face_ids(mesh, pos[:, :2])
-            mesh.points = FramePoints.from_assignment(pos, pos_sensor, np.full((n, 2), 0.5), fids, np.arange(n))
-            pts = mesh.points
+            pts = FramePoints.from_assignment(mesh, pos, pos_sensor, np.full((n, 2), 0.5), fids, np.arange(n))
             var = point_height_variances(
                 pts.pos_sensor, model.variance(pts.pos_sensor[:, 2]), pose, pose.rotation_cov
             )
@@ -318,8 +311,7 @@ class TestUpdateElevation:
                 pts.face_ids, mesh.face_vertex_ids, pts.pos_map[:, 2], var, z_mean, z_var, touched
             )
             assert bad == -1
-            update_elevation(mesh, pose, model)
-            mesh.clear_points()
+            update_elevation(mesh, pts, pose, model)
             assert np.array_equal(mesh.touched, touched)
             np.testing.assert_allclose(mesh.z_mean, z_mean, rtol=0, atol=1e-12)
             np.testing.assert_allclose(mesh.z_var, z_var, rtol=1e-12, atol=0)
@@ -328,25 +320,24 @@ class TestUpdateElevation:
     def test_exact_observation_overrides_noisy_prior(self):
         mesh = init_mesh(MeshConfig(1.0, 1.0, 2))
         pos = np.array([[0.5, 0.25, 0.2]])
-        mesh.points = make_frame_points(mesh, pos)
-        update_elevation(mesh, Pose.identity(), SensorNoiseModel(a=0.05, b=0.0, c=0.0))
+        points = make_frame_points(mesh, pos)
+        update_elevation(mesh, points, Pose.identity(), SensorNoiseModel(a=0.05, b=0.0, c=0.0))
         verts = np.nonzero(mesh.touched)[0]
         for z in (0.5, 0.9):  # the exact frame, then a noisy one
             model = ExactSensor() if z == 0.5 else SensorNoiseModel(a=0.05, b=0.0, c=0.0)
-            mesh.points = make_frame_points(mesh, np.array([[0.5, 0.25, z]]))
-            update_elevation(mesh, Pose.identity(), model)
-            mesh.clear_points()
+            points = make_frame_points(mesh, np.array([[0.5, 0.25, z]]))
+            update_elevation(mesh, points, Pose.identity(), model)
             assert np.all(mesh.z_mean[verts] == 0.5)
             assert np.all(mesh.z_var[verts] == 0.0)
         assert mesh.touched.sum() == verts.size
 
     def test_overflowing_information_leaves_mesh_unchanged(self):
         mesh = init_mesh(MeshConfig(1.0, 1.0, 2))
-        mesh.points = make_frame_points(mesh, np.tile([[0.5, 0.25, 0.1]], (3, 1)))
+        points = make_frame_points(mesh, np.tile([[0.5, 0.25, 0.1]], (3, 1)))
         before = (mesh.z_mean.tobytes(), mesh.z_var.tobytes(), mesh.touched.tobytes())
         # each point's precision, 1e308, is finite; their sum is not
         with pytest.raises(InputError, match="overflows"):
-            update_elevation(mesh, Pose.identity(), SensorNoiseModel(a=1e-154, b=0.0, c=0.0))
+            update_elevation(mesh, points, Pose.identity(), SensorNoiseModel(a=1e-154, b=0.0, c=0.0))
         assert (mesh.z_mean.tobytes(), mesh.z_var.tobytes(), mesh.touched.tobytes()) == before
 
     def test_disagreeing_exact_observations_leave_mesh_unchanged(self, rng):
@@ -354,15 +345,14 @@ class TestUpdateElevation:
         pos = np.column_stack(
             [rng.uniform(-1, 1, 200), rng.uniform(-1, 1, 200), rng.normal(0.2, 0.1, 200)]
         )
-        mesh.points = make_frame_points(mesh, pos)
-        update_elevation(mesh, Pose.identity(), SensorNoiseModel())
-        mesh.clear_points()
+        points = make_frame_points(mesh, pos)
+        update_elevation(mesh, points, Pose.identity(), SensorNoiseModel())
         # faces 0 and 1 split one cell and share an edge
         shared = np.intersect1d(mesh.face_vertex_ids[0], mesh.face_vertex_ids[1])
         assert shared.size == 2
         cents = mesh.face_centroids()[[0, 1]]
-        mesh.points = make_frame_points(mesh, np.column_stack([cents, [0.1, 0.2]]))
+        points = make_frame_points(mesh, np.column_stack([cents, [0.1, 0.2]]))
         before = (mesh.z_mean.tobytes(), mesh.z_var.tobytes(), mesh.touched.tobytes())
         with pytest.raises(InconsistentCertaintyError):
-            update_elevation(mesh, Pose.identity(), ExactSensor())
+            update_elevation(mesh, points, Pose.identity(), ExactSensor())
         assert (mesh.z_mean.tobytes(), mesh.z_var.tobytes(), mesh.touched.tobytes()) == before

@@ -75,7 +75,6 @@ class TestConfig:
         assert np.all(m.z_mean == 0.0)
         assert np.all(m.z_var == 0.0)
         assert not m.touched.any()
-        assert m.points is None
 
     def test_vertices_on_lattice(self):
         m = small_mesh(0.25, 1.0, 2)
@@ -185,26 +184,27 @@ class TestBulkAssignment:
         m = small_mesh()
         pos = rng.uniform(-2, 2, size=(100, 3))
         fids = assign_face_ids(m, pos[:, :2])
-        fp = FramePoints.from_assignment(pos, pos, np.full((100, 3), 1 / 3), fids, np.arange(100))
-        assert fp.count == int((fids >= 0).sum())
+        fp = FramePoints.from_assignment(m, pos, pos, np.full((100, 3), 1 / 3), fids, np.arange(100))
+        assert fp.face_ids.size == int((fids >= 0).sum())
         assert np.all(fp.face_ids >= 0)
 
 
 class TestPointGroups:
-    """The scratch-array grouping against ``np.unique`` and the corner table."""
+    """``FramePoints.from_assignment``'s scratch-array grouping against
+    ``np.unique`` and the corner table."""
 
     def assert_groups(self, m, fids):
         n = fids.size
-        m.points = FramePoints(np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((1, n)), fids)
-        groups = m.point_groups()
-        assert m.point_groups() is groups  # built once per frame
-        faces, inverse = np.unique(fids, return_inverse=True)
-        assert np.array_equal(groups.faces, faces)
-        assert np.array_equal(groups.inverse, inverse)
+        pos = np.zeros((n, 3))
+        points = FramePoints.from_assignment(m, pos, pos, np.zeros((n, 1)), fids, np.arange(n))
+        kept = fids[fids >= 0]
+        assert np.array_equal(points.face_ids, kept)
+        faces, inverse = np.unique(kept, return_inverse=True)
+        assert np.array_equal(points.faces, faces)
+        assert np.array_equal(points.inverse, inverse)
         corner_ids = m.face_vertex_ids[faces]
-        assert np.array_equal(groups.vertices, np.unique(corner_ids))
-        assert np.array_equal(groups.vertices[groups.corners], corner_ids)
-        m.clear_points()
+        assert np.array_equal(points.vertices, np.unique(corner_ids))
+        assert np.array_equal(points.vertices[points.corners], corner_ids)
 
     def test_matches_unique(self, rng):
         # one mesh throughout, so every case meets the scratch left by the last
@@ -224,11 +224,11 @@ class TestPointGroups:
         m = small_mesh(0.25, 1.0, 3)
         pts = rng.uniform(-1.0, 1.0, size=(400, 2))
         fids = assign_face_ids(m, pts)
-        self.assert_groups(m, fids[fids >= 0])
+        self.assert_groups(m, fids)
         recenter(m, (0.6, -0.35))
         fids = assign_face_ids(m, pts)
         assert 0 < (fids >= 0).sum() < fids.size
-        self.assert_groups(m, fids[fids >= 0])
+        self.assert_groups(m, fids)  # from_assignment drops the points outside
 
 
 class TestRecenter:
@@ -299,16 +299,6 @@ class TestRecenter:
         cents = m.face_centroids()
         for fid in (0, 7, 31):
             assert face_lookup(m, cents[fid]) == fid
-
-    def test_recenter_during_frame_rejected(self, rng):
-        from terramesh.errors import InputError
-
-        m = self.seeded_mesh(rng)
-        m.points = FramePoints(
-            np.zeros((1, 3)), np.zeros((1, 3)), np.ones((1, 3)) / 3, np.zeros(1, dtype=np.int64)
-        )
-        with pytest.raises(InputError):
-            recenter(m, (5.0, 0.0))
 
 
 class TestLookupAfterRecenter:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from oracles import copy_recenter, dense_weights, sample_psd, unique_frame_update
 
-from terramesh.elevation import SensorNoiseModel, kalman_update, point_height_variances
+import terramesh.pipeline as pipeline
+from terramesh.elevation import SensorNoiseModel, kalman_update, point_height_variances, update_elevation
 from terramesh.errors import InputError
 from terramesh.geometry import CameraIntrinsics, Pose, pose_from_camera
 from terramesh.mesh import MeshConfig, init_mesh, recenter
@@ -166,7 +167,6 @@ class TestProcessFrame:
         frame = overhead_frame(np.full((20, 30), 0.1), grass)
         mesh = mesh_10()
         assert Mapper(mesh).process(frame)
-        assert mesh.points is None  # buffers cleared
         observed = mesh.alpha.sum(axis=1) > 0
         assert observed.any()
         weights = mesh.alpha[observed] / mesh.alpha[observed].sum(axis=1, keepdims=True)
@@ -367,13 +367,6 @@ class TestEstimators:
 
 
 class TestLifecycle:
-    def test_buffers_empty_after_every_frame(self):
-        mesh = mesh_10()
-        mapper = Mapper(mesh)
-        for i in range(3):
-            mapper.process(overhead_frame(np.zeros((6, 8)), 1, frame_id=i))
-            assert mesh.points is None
-
     def test_observed_mask_accumulates(self):
         mapper = Mapper(mesh_10())
         mapper.process(overhead_frame(np.zeros((6, 8)), 1))
@@ -493,11 +486,18 @@ class TestScalarCallsMatchRun:
     def test_one_frame(self, mode, monkeypatch):
         rng = np.random.default_rng(31)
         mesh = init_mesh(MeshConfig(0.25, 1.0, 10))
-        monkeypatch.setattr(mesh, "clear_points", lambda: None)  # keep the frame's points
+        passed = []
+
+        def keep_points(mesh, points, *args):
+            passed.append(points)
+            return update_elevation(mesh, points, *args)
+
+        # the frame's points, as the run hands them to both stages
+        monkeypatch.setattr(pipeline, "update_elevation", keep_points)
         frame = frame_over([0.1, -0.2], rng, 10, size=16, fx=8.0, rotation_cov=sample_psd(rng, 2e-3))
         config = PipelineConfig(update_mode=mode)
         assert Mapper(mesh, config).process(frame)
-        pts = mesh.points
+        (pts,) = passed
         est = estimate_properties(mesh, EstimatorKind.RECURSIVE, load_default_models()[1])
 
         faces = np.unique(pts.face_ids)
