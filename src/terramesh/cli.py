@@ -316,9 +316,13 @@ def cmd_eval(args) -> int:
     if len(reports) > 1 and "recursive" in by_name:
         others = [r for r in reports if r.estimator != "recursive"]
         kl_ok = all(by_name["recursive"].kl_mean < r.kl_mean for r in others)
-        ap_ok = all(by_name["recursive"].ap_low >= r.ap_low for r in others)
+        ap_low = by_name["recursive"].ap_low
+        if np.isnan(ap_low):  # the truth has no low-friction face
+            ap_ok = "n/a"
+        else:
+            ap_ok = "yes" if all(ap_low >= r.ap_low for r in others) else "no"
         lines.append(f"ordering recursive-best-kl: {'yes' if kl_ok else 'no'}")
-        lines.append(f"ordering recursive-best-ap-low: {'yes' if ap_ok else 'no'}")
+        lines.append(f"ordering recursive-best-ap-low: {ap_ok}")
     text = "\n".join(lines) + "\n"
     (out / "summary.txt").write_text(text, encoding="utf-8")
     print(text, end="")

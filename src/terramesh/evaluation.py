@@ -123,6 +123,12 @@ def low_friction_scores(estimates: FaceEstimates, models) -> np.ndarray:
     return out
 
 
+def _true_low(truth_classes: np.ndarray, models) -> np.ndarray:
+    """Whether each face's true class has a low-friction mean."""
+    mus = np.array([m.mu for m in models])
+    return mus[truth_classes] <= LOW_FRICTION_THRESHOLD
+
+
 @dataclass
 class PRResult:
     thresholds: np.ndarray
@@ -145,8 +151,7 @@ def pr_curve(estimates: FaceEstimates, truth_classes, models, positive: str = "l
     truth_classes = np.asarray(truth_classes)
     if truth_classes.size == 0:
         raise EvaluationError("empty face set")
-    mus = np.array([m.mu for m in models])
-    true_low = mus[truth_classes] <= LOW_FRICTION_THRESHOLD
+    true_low = _true_low(truth_classes, models)
     if positive == "low":
         is_positive = true_low
         scores_all = low_friction_scores(estimates, models)
@@ -197,8 +202,7 @@ def accuracy(estimates: FaceEstimates, truth_classes, models) -> float:
     truth_classes = np.asarray(truth_classes)
     if truth_classes.size == 0:
         raise EvaluationError("empty face set")
-    mus = np.array([m.mu for m in models])
-    true_low = mus[truth_classes] <= LOW_FRICTION_THRESHOLD
+    true_low = _true_low(truth_classes, models)
     scores = low_friction_scores(estimates, models)
     predicted_low = scores >= 0.5
     correct = estimates.known & (predicted_low == true_low)
@@ -336,10 +340,19 @@ class EstimatorReport:
     pr_high: PRResult = field(repr=False, default=None)
 
 
+def _no_positives() -> PRResult:
+    """The curve of a class that no face has: no points, AP ``nan``."""
+    empty = np.array([])
+    return PRResult(empty, empty, empty, average_precision=math.nan, positives=0, base_rate=0.0)
+
+
 def evaluate_estimator(name: str, estimates: FaceEstimates, truth_classes, models) -> EstimatorReport:
+    """KL, accuracy and both precision-recall curves of one estimator.  A
+    friction class that no truth face has gets an empty curve and AP ``nan``."""
     kl_mean, kl_median, _ = kl_summary(estimates, truth_classes, models)
-    pr_low = pr_curve(estimates, truth_classes, models, positive="low")
-    pr_high = pr_curve(estimates, truth_classes, models, positive="high")
+    true_low = _true_low(np.asarray(truth_classes), models)
+    pr_low = pr_curve(estimates, truth_classes, models, "low") if true_low.any() else _no_positives()
+    pr_high = pr_curve(estimates, truth_classes, models, "high") if not true_low.all() else _no_positives()
     return EstimatorReport(
         estimator=name,
         kl_mean=kl_mean,

@@ -10,7 +10,8 @@ Arrays are streamed to and from disk without a second copy: the writer
 hands each array's own memory, or each chunk of an array given as chunks,
 to the file, and the reader reads each one straight into the buffer it
 returns.  A map is written from the mesh's ring storage in canonical
-order (:meth:`Mesh.canonical_chunks`); the dense estimate weights are
+order (:meth:`Mesh.canonical_chunks`), and its face table is computed from
+the lattice a block of faces at a time; the dense estimate weights are
 written and read in blocks, of which memory keeps only the known rows.
 
 Frame-bundle directory layout:
@@ -210,7 +211,7 @@ def save_map(mesh: Mesh, path, class_names, frame_count: int = 0, extra: dict | 
             "z_mean": ring("z_mean"),
             "z_var": ring("z_var"),
             "touched": ring("touched", np.uint8),
-            "face_vertices": mesh.face_vertex_ids.astype(np.int32, copy=False),
+            "face_vertices": (np.int32, (mesh.num_faces, 3), mesh.face_vertex_chunks()),
             "alpha": ring("alpha"),
         },
     )

@@ -5,7 +5,9 @@ centered on the robot.  Each grid square is split along the diagonal from its
 lower-left corner ``(i, j)`` to its upper-right corner ``(i+1, j+1)``; the
 south-east triangle of a cell precedes the north-west one in face-index
 order.  All state lives in flat numpy arrays (struct-of-arrays) so per-frame
-updates stay vectorizable.
+updates stay vectorizable.  No face table is stored: a face's corner vertex
+ids follow from its id by lattice arithmetic (:meth:`Mesh.face_corners`),
+and ``face_vertex_ids`` builds the whole table only when it is asked for.
 
 Vertex and face state is stored as a ring buffer over the window, as grid_map
 stores a moving map (Fankhauser & Hutter, "A Universal Grid Map Library",
@@ -14,13 +16,16 @@ stores a moving map (Fankhauser & Hutter, "A Universal Grid Map Library",
 ``(cy, cx)`` at ``((cy + r) % n_c, (cx + c) % n_c)``, where ``(r, c)`` is the
 window's accumulated ``(row, col)`` start offset.  :func:`recenter` clears
 the rows and columns that enter the window and moves the offset, so a shift
-costs the cells that enter, not the map.  Face and vertex ids everywhere
-else (``assign_face_ids``, ``face_vertex_ids``, exports) are canonical
-window ids; the per-frame writers translate them to storage slots with
-:meth:`Mesh.vertex_slots` / :meth:`Mesh.face_slots`.  Exports read ring
-storage without a full-size copy: :meth:`Mesh.canonical_chunks` yields any
-ring array in canonical order, a bounded block of rows at a time, and the
-estimator gathers rows through ``face_slots``.  The public
+costs the cells that enter, not the map.  It writes only the entries that
+hold nonzero bits, so storage that no frame has written is never written,
+and resident memory follows the part of the map the robot has seen.  Face
+and vertex ids everywhere else (``assign_face_ids``, ``face_vertex_ids``,
+exports) are canonical window ids; the per-frame writers translate them to
+storage slots with :meth:`Mesh.vertex_slots` / :meth:`Mesh.face_slots`.
+Exports read ring storage without a full-size copy:
+:meth:`Mesh.canonical_chunks` yields any ring array in canonical order, a
+bounded block of rows at a time, and the estimator gathers rows through
+``face_slots``.  The public
 ``z_mean``/``z_var``/``touched``/``alpha``/``observed`` are canonical views:
 the first access after a shift rolls the storage back to offset zero once
 (``np.roll`` is exact), and assigning one of them does the same first.
@@ -128,7 +133,7 @@ class FramePoints:
         # before grouping, so that neither coexists with the groups
         del keep
         faces, inverse = _group(face_ids, mesh._face_scratch)
-        corner_ids = mesh.face_vertex_ids[faces]
+        corner_ids = mesh.face_corners(faces)
         vertices, corners = _group(corner_ids.reshape(-1), mesh._vertex_scratch)
         return cls(
             pos_map, pos_sensor, scores, face_ids, faces, inverse, vertices, corners.reshape(corner_ids.shape)
@@ -158,8 +163,8 @@ def _canonical_view(name: str, doc: str) -> property:
     return property(get, put, doc=doc)
 
 
-# bytes of canonical grid rows per chunk of Mesh.canonical_chunks on a map
-# whose column offset is not zero
+# bytes per chunk of Mesh.face_vertex_chunks, and of canonical grid rows per
+# chunk of Mesh.canonical_chunks on a map whose column offset is not zero
 CHUNK_BYTES = 1 << 18
 
 
@@ -195,7 +200,6 @@ class Mesh:
         )
         # accumulated (row, col) window shift since storage was last canonical
         self._start = (0, 0)
-        self.face_vertex_ids = _build_face_vertex_ids(cfg.cells_per_side)
         # FramePoints.from_assignment's scratch, never cleared (see the module docstring)
         self._face_scratch = np.empty(n_f, dtype=np.int32)
         self._vertex_scratch = np.empty(n_v, dtype=np.int32)
@@ -224,6 +228,22 @@ class Mesh:
         vy = np.repeat(oy + coords, n)
         return vx, vy
 
+    def face_corners(self, fids) -> np.ndarray:
+        """(m, 3) int32 corner vertex ids of canonical faces ``fids``, counterclockwise."""
+        return _lattice_corners(np.asarray(fids), self.cfg.cells_per_side)
+
+    @property
+    def face_vertex_ids(self) -> np.ndarray:
+        """(F, 3) int32 corner vertex ids of every face, built on each access."""
+        return self.face_corners(np.arange(self.num_faces, dtype=np.int32))
+
+    def face_vertex_chunks(self):
+        """Yield :attr:`face_vertex_ids` in blocks of about :data:`CHUNK_BYTES`
+        that concatenate to it."""
+        step = CHUNK_BYTES // (3 * 4)  # three int32 corners per face
+        for lo in range(0, self.num_faces, step):
+            yield self.face_corners(np.arange(lo, min(lo + step, self.num_faces), dtype=np.int32))
+
     def face_centroids(self) -> np.ndarray:
         vx, vy = self.vertex_positions()
         ids = self.face_vertex_ids
@@ -233,7 +253,8 @@ class Mesh:
         """Cached per-face corner coordinates: two (F, 3) arrays (x, y)."""
         if self._face_xy is None:
             vx, vy = self.vertex_positions()
-            self._face_xy = (vx[self.face_vertex_ids], vy[self.face_vertex_ids])
+            ids = self.face_vertex_ids
+            self._face_xy = (vx[ids], vy[ids])
         return self._face_xy
 
     def _invalidate_caches(self):
@@ -322,23 +343,34 @@ def _group(ids: np.ndarray, scratch: np.ndarray):
     return distinct, scratch[ids].astype(np.intp)
 
 
-def _build_face_vertex_ids(n_cells: int) -> np.ndarray:
-    n_verts = n_cells + 1
-    ix, iy = np.meshgrid(np.arange(n_cells), np.arange(n_cells), indexing="xy")
-    v00 = iy * n_verts + ix
-    v10 = v00 + 1
-    v01 = v00 + n_verts
-    v11 = v01 + 1
-    faces = np.empty((n_cells, n_cells, 2, 3), dtype=np.int32)
-    # south-east triangle, counterclockwise
-    faces[iy, ix, 0, 0] = v00
-    faces[iy, ix, 0, 1] = v10
-    faces[iy, ix, 0, 2] = v11
-    # north-west triangle, counterclockwise
-    faces[iy, ix, 1, 0] = v00
-    faces[iy, ix, 1, 1] = v11
-    faces[iy, ix, 1, 2] = v01
-    return faces.reshape(-1, 3)
+def _lattice_corners(fids: np.ndarray, n: int) -> np.ndarray:
+    """Corner vertex ids, (m, 3) int32, of faces ``fids`` on a lattice of
+    ``n`` cells per side.
+
+    Face ``f`` is triangle ``tri = f & 1`` of cell ``cell = f >> 1``, whose
+    lower-left vertex is ``v00 = cell + cell // n`` (one more vertex than
+    cells per row).  The south-east triangle (``tri = 0``) has corners
+    ``(v00, v00 + 1, v00 + n + 2)`` and the north-west one
+    ``(v00, v00 + n + 2, v00 + n + 1)``, both counterclockwise: the middle
+    corner is ``v00 + 1 + tri*(n + 1)`` and the last ``v00 + n + 2 - tri``.
+    """
+    f = fids.astype(np.int32, copy=False)
+    tri = f & 1
+    cell = f >> 1
+    # contiguous temporaries, each copied into its column once, run about
+    # twice as fast as arithmetic in the strided columns
+    v00 = cell // n
+    v00 += cell
+    out = np.empty((f.size, 3), dtype=np.int32)
+    out[:, 0] = v00
+    mid = tri * (n + 1)
+    mid += v00
+    mid += 1
+    out[:, 1] = mid
+    v00 -= tri
+    v00 += n + 2
+    out[:, 2] = v00
+    return out
 
 
 def init_mesh(cfg: MeshConfig) -> Mesh:
@@ -364,7 +396,7 @@ def _lam_direct(corner_x, corner_y, px, py):
 
 # lattice offsets (dy, dx) of the three corners of a cell's south-east (row 0)
 # and north-west (row 1) triangle: the one-cell face table, read as (row, col)
-_CORNER_DY, _CORNER_DX = np.divmod(_build_face_vertex_ids(1), 2)
+_CORNER_DY, _CORNER_DX = np.divmod(_lattice_corners(np.arange(2), 1), 2)
 
 # Distance, in cell units, from a cell edge or diagonal within which a point
 # goes to the exact candidate scan.  Far from the map origin the band widens
@@ -485,14 +517,27 @@ def assign_face_ids(mesh: Mesh, xy: np.ndarray) -> np.ndarray:
 
 
 def _entering(shift: int, start: int, n: int) -> tuple:
-    """Storage slices (at most two) of the canonical lines that enter a ring
+    """Storage slices (none to two) of the canonical lines that enter a ring
     of ``n`` lines when the window moves by ``shift`` and its offset becomes
     ``start``."""
     k = min(abs(shift), n)
+    if k == 0:
+        return ()
     lo = ((n - k if shift > 0 else 0) + start) % n
     if lo + k <= n:
         return (slice(lo, lo + k),)
     return slice(lo, n), slice(0, lo + k - n)
+
+
+def _clear(block: np.ndarray) -> None:
+    """Zero a view of ring storage, writing only the entries whose bits are
+    not zero, so that storage no frame has written is never written.  The
+    bits are compared as unsigned integers of the same width, so that a
+    ``-0.0`` is cleared to ``+0.0`` too."""
+    bits = block.view(f"u{block.itemsize}")
+    nonzero = bits != 0
+    if nonzero.any():
+        block[nonzero] = 0
 
 
 def recenter(mesh: Mesh, new_center_xy) -> Mesh:
@@ -501,7 +546,8 @@ def recenter(mesh: Mesh, new_center_xy) -> Mesh:
     Vertex and face state that stays inside the window is preserved exactly;
     cells entering the window are reinitialized as at startup.  Displacements
     below one cell leave the mesh untouched.  Only the entering rows and
-    columns of the ring storage are written.
+    columns of the ring storage are read, and only their nonzero entries
+    are written.
     """
     target = np.asarray(new_center_xy, dtype=float).reshape(2)
     side = mesh.cfg.side_length_m
@@ -515,9 +561,9 @@ def recenter(mesh: Mesh, new_center_xy) -> Mesh:
     for name, n in mesh._ring_grids():
         grid = getattr(mesh.ring, name).reshape(n, n, -1)
         for rows in _entering(dy, r, n):
-            grid[rows] = 0
+            _clear(grid[rows])
         for cols in _entering(dx, c, n):
-            grid[:, cols] = 0
+            _clear(grid[:, cols])
 
     mesh.center = mesh.center + shift * side
     mesh._invalidate_caches()

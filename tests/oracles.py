@@ -18,7 +18,8 @@ blocks, is checked against the sequential cast below: one gap evaluation
 per grid step for every ray still marching, from the first step on.
 Estimates, which hold known faces only, are compared in the dense (F, K)
 form of the estimates file through :func:`estimates_from_dense` and
-:func:`dense_weights`.
+:func:`dense_weights`.  The closed-form face corners are checked against the
+face table the mesh once stored, built below from a meshgrid of cells.
 """
 
 import numpy as np
@@ -192,6 +193,27 @@ def dense_kl_per_face(weights, known, truth_classes, models):
         no_mass = np.any((p_dens > 1e-12) & (q_dens <= 1e-300), axis=-1)
         out[known] = np.maximum(np.where(no_mass, np.inf, kl), 0.0)
     return out
+
+
+def lattice_face_table(n_cells):
+    """(F, 3) int32 corner vertex ids of every face of an ``n_cells`` square
+    lattice: the table the mesh once built and stored."""
+    n_verts = n_cells + 1
+    ix, iy = np.meshgrid(np.arange(n_cells), np.arange(n_cells), indexing="xy")
+    v00 = iy * n_verts + ix
+    v10 = v00 + 1
+    v01 = v00 + n_verts
+    v11 = v01 + 1
+    faces = np.empty((n_cells, n_cells, 2, 3), dtype=np.int32)
+    # south-east triangle, counterclockwise
+    faces[iy, ix, 0, 0] = v00
+    faces[iy, ix, 0, 1] = v10
+    faces[iy, ix, 0, 2] = v11
+    # north-west triangle, counterclockwise
+    faces[iy, ix, 1, 0] = v00
+    faces[iy, ix, 1, 1] = v11
+    faces[iy, ix, 1, 2] = v01
+    return faces.reshape(-1, 3)
 
 
 def copy_recenter(mesh, new_center_xy):

@@ -465,6 +465,37 @@ class TestEval:
         assert "mesh configuration differs" in capsys.readouterr().err
 
 
+    def test_world_without_low_friction_faces(self, tmp_path, capsys):
+        # ramp-noisy's truth has high-friction faces only
+        bundle = tmp_path / "bundle"
+        assert run_cli("simulate", "--scenario", "ramp-noisy", "--seed", 2, "--frames", 4, "--out", bundle) == 0
+        kinds = ("recursive", "multimodal_nonrecursive")
+        for kind in kinds:
+            assert run_cli(
+                "run", "--bundle", bundle, "--out", tmp_path / kind,
+                "--mesh-side", 0.25, "--mesh-extent", 2.5, "--estimator", kind,
+            ) == 0
+        capsys.readouterr()
+        report = tmp_path / "report"
+        code = run_cli(
+            "eval", "--truth", bundle / "truth.json", "--out", report,
+            "--estimates", *(tmp_path / kind / "estimates.bin" for kind in kinds),
+        )
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "ordering recursive-best-ap-low: n/a"
+        with open(report / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["estimator"] for row in rows] == list(kinds)
+        for row in rows:
+            assert row["ap_low"] == "nan"
+            for name in ("kl_mean", "kl_median", "ap_high", "accuracy"):
+                assert np.isfinite(float(row[name])), name
+        for kind in kinds:
+            assert (report / f"pr_low_{kind}.csv").read_text() == "threshold,recall,precision\n"
+            assert len((report / f"pr_high_{kind}.csv").read_text().splitlines()) > 1
+
+
 class TestEstimatorComparison:
     """The CLI comparison (simulate, one run per estimator, eval) against the
     same comparison made in-process over one mapping pass."""
@@ -936,9 +967,10 @@ MUTATIONS = [DELETE, None, "x", float("nan"), -1, 0, [], {}]
 
 
 class TestMutatedInputs:
-    """One leaf of a valid world spec, run config or bundle manifest deleted
-    or replaced: the command either succeeds with valid output or ends with
-    one error line (``validate`` lists the bundle's faults instead)."""
+    """One leaf of a valid world spec, run config, bundle manifest, ground
+    truth or estimates header deleted or replaced: the command either
+    succeeds with valid output or ends with one error line (``validate``
+    lists the bundle's faults instead)."""
 
     @staticmethod
     def streams(*argv):
@@ -951,16 +983,26 @@ class TestMutatedInputs:
             code = run_cli(*argv)
         return code, out.getvalue().splitlines(), err.getvalue()
 
-    @pytest.mark.parametrize("target", ["spec", "config", "manifest"])
+    @staticmethod
+    def split_container(path):
+        """``(magic line, manifest, array bytes)`` of a binary container."""
+        magic, meta, data = path.read_bytes().split(b"\n", 2)
+        return magic, json.loads(meta), data
+
+    @pytest.mark.parametrize("target", ["spec", "config", "manifest", "truth", "estimates-header"])
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(data=st.data())
-    def test_one_leaf_mutated(self, sim_dir, target, data):
+    def test_one_leaf_mutated(self, sim_dir, run_dir, target, data):
         import tempfile
 
         if target == "spec":
             doc = small_world()
         elif target == "config":
             doc = json.loads(json.dumps(RUN_CONFIG))
+        elif target == "truth":
+            doc = json.loads((sim_dir / "truth.json").read_text())
+        elif target == "estimates-header":
+            doc = self.split_container(run_dir / "estimates.bin")[1]["header"]
         else:
             doc = json.loads((sim_dir / "manifest.json").read_text())
         # a manifest's leaves at the top level and in its first frame
@@ -975,6 +1017,13 @@ class TestMutatedInputs:
                 argv = ["simulate", "--spec", tmp / "in.json", "--seed", 3, "--out", out]
             elif target == "config":
                 argv = ["run", "--bundle", sim_dir, "--out", out, "--config", tmp / "in.json"]
+            elif target == "truth":
+                argv = ["eval", "--truth", tmp / "in.json", "--out", out, "--estimates", run_dir / "estimates.bin"]
+            elif target == "estimates-header":
+                magic, meta, arrays = self.split_container(run_dir / "estimates.bin")
+                meta["header"] = doc
+                (tmp / "in.bin").write_bytes(b"\n".join([magic, json.dumps(meta).encode(), arrays]))
+                argv = ["eval", "--truth", sim_dir / "truth.json", "--out", out, "--estimates", tmp / "in.bin"]
             else:
                 bundle = copy_bundle(sim_dir, tmp / "bundle", lambda _: doc)
                 argv = ["run", "--bundle", bundle, "--out", out, "--mesh-side", 0.5, "--mesh-extent", 2.5]
@@ -991,6 +1040,9 @@ class TestMutatedInputs:
                 assert lines == []
                 if target == "spec":
                     assert validate_bundle(out) == []
+                elif target in ("truth", "estimates-header"):
+                    with open(out / "summary.csv", newline="") as fh:
+                        assert len(list(csv.reader(fh))) == 2
                 else:
                     load_map(out / "map.bin")
             else:

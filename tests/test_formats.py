@@ -25,7 +25,7 @@ from terramesh.pipeline import EstimatorKind, FaceScores, estimate_properties
 from terramesh.properties import load_default_models
 from terramesh.sim import scenario_library, render_frames, world_to_dict
 
-from oracles import copy_recenter, dense_weights, estimates_from_dense
+from oracles import copy_recenter, dense_weights, estimates_from_dense, lattice_face_table
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +128,15 @@ class TestMapExport:
         save_map(back, p2, class_names=["a", "b"], frame_count=1)
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "m1.bin.txt").read_bytes() == (tmp_path / "m2.bin.txt").read_bytes()
+
+    def test_face_table_bytes_match_stored_table(self, tmp_path):
+        # 80,000 faces, so the table is computed and written in several chunks
+        mesh = init_mesh(MeshConfig(0.05, 5.0, 2))
+        assert len(list(mesh.face_vertex_chunks())) > 1
+        save_map(mesh, tmp_path / "map.bin", class_names=["a", "b"])
+        _, arrays = read_arrays(tmp_path / "map.bin")
+        assert arrays["face_vertices"].dtype == np.dtype("<i4")
+        assert arrays["face_vertices"].tobytes() == lattice_face_table(mesh.cfg.cells_per_side).tobytes()
 
     def test_rejects_non_map_container(self, tmp_path):
         path = tmp_path / "not_map.bin"

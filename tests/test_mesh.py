@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 import warnings
 
@@ -8,11 +9,15 @@ from terramesh.errors import ConfigurationError
 from terramesh.mesh import (
     FramePoints,
     MeshConfig,
+    _entering,
+    _lattice_corners,
     assign_face_ids,
     face_lookup,
     init_mesh,
     recenter,
 )
+
+from oracles import copy_recenter, lattice_face_table
 
 
 def small_mesh(side=0.5, half=1.0, k=3):
@@ -97,6 +102,40 @@ class TestConfig:
             )
             assert np.isclose(sides[0], 0.5) and np.isclose(sides[1], 0.5)
             assert np.isclose(sides[2], 0.5 * np.sqrt(2))
+
+
+class TestFaceCorners:
+    """The closed-form face corners against the stored face table they replace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 250, 500])
+    def test_closed_form_matches_lattice_table(self, n):
+        table = lattice_face_table(n)
+        got = _lattice_corners(np.arange(table.shape[0]), n)
+        assert got.dtype == np.int32 and np.array_equal(got, table)
+        if n % 2 == 0:  # a window always spans an even number of cells
+            m = init_mesh(MeshConfig(1.0, n / 2, 1))
+            assert np.array_equal(m.face_corners(np.arange(m.num_faces)), table)
+            assert m.face_vertex_ids.dtype == np.int32
+            assert np.array_equal(m.face_vertex_ids, table)
+            assert np.array_equal(np.concatenate(list(m.face_vertex_chunks())), table)
+
+    def test_any_face_subset(self, rng):
+        m = small_mesh(0.02, 1.0, 2)
+        fids = rng.integers(0, m.num_faces, size=3000)
+        assert np.array_equal(m.face_corners(fids), lattice_face_table(m.cfg.cells_per_side)[fids])
+
+    def test_init_allocates_no_face_table(self):
+        # the CLI's default 0.02 m / 5 m mesh: an (F, 3) int32 table is 6 MB
+        cfg = MeshConfig(0.02, 5.0, 10)
+        tracemalloc.start()
+        try:
+            m = init_mesh(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(getattr(m.ring, name).nbytes for name, _ in m._ring_grids())
+        held += m._face_scratch.nbytes + m._vertex_scratch.nbytes
+        assert peak < held + m.num_faces * 3 * 4
 
 
 class TestFaceLookup:
@@ -289,6 +328,43 @@ class TestRecenter:
         after_alpha = m.alpha.reshape(4, 4, 6)
         assert np.array_equal(after_alpha[:, 2:, :], before_alpha[:, 2:, :])
         assert np.all(after_alpha[:, :2, :] == 0.0)
+
+    @pytest.mark.parametrize("shift", [(9, 9), (-9, 7), (9, -10)])
+    def test_wrapped_entering_lines_match_copy_oracle_bytes(self, rng, shift):
+        m = small_mesh(0.25, 1.5, 3)  # 12 cells, 13 vertices per side
+        side = m.cfg.side_length_m
+        recenter(m, (5.5 * side, -5.5 * side))
+        # every ring entry set in storage, so the offset stays; every third
+        # float entry is -0.0, so every entering line holds some
+        for name, _ in m._ring_grids():
+            arr = getattr(m.ring, name)
+            if arr.dtype == bool:
+                arr[...] = rng.random(arr.shape) < 0.6
+            else:
+                arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
+                arr.reshape(-1)[::3] = -0.0
+        ref = copy.deepcopy(m)
+        d = np.array(shift, dtype=float)
+        target = m.center + (d + 0.5 * np.sign(d)) * side
+        recenter(m, target)
+        copy_recenter(ref, target)
+        # the entering rows and columns run over the end of storage
+        for n in (12, 13):
+            assert len(_entering(shift[1], m._start[0], n)) == 2
+            assert len(_entering(shift[0], m._start[1], n)) == 2
+        view = copy.deepcopy(m)  # keeps the mesh under test at its offset
+        for name in ("z_mean", "z_var", "touched", "alpha"):
+            assert getattr(view, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert np.array_equal(view.center, ref.center)
+
+    def test_storage_holding_zero_is_never_written(self):
+        m = small_mesh(0.25, 1.5, 3)
+        for name, _ in m._ring_grids():
+            getattr(m.ring, name).flags.writeable = False
+        # a write into the read-only storage would raise
+        for target in ((0.9, -1.3), (-2.1, 0.4), (9.0, 9.0)):
+            recenter(m, target)
+        assert m._start != (0, 0)
 
     def test_lattice_preserved_and_lookup_consistent(self, rng):
         m = self.seeded_mesh(rng)
