@@ -285,6 +285,9 @@ def cmd_eval(args) -> int:
             mesh_key = key
         elif key != mesh_key:
             raise CliError(f"{path}: mesh configuration differs between estimate files")
+        # each estimator names its report rows and its precision-recall files
+        if header["estimator"] in dict(loaded):
+            raise CliError(f"{path}: another estimate file is of estimator {header['estimator']!r} too")
         loaded.append((header["estimator"], estimates))
 
     side, extent, k, center = mesh_key

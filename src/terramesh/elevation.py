@@ -21,13 +21,24 @@ import numpy as np
 from .errors import ConfigurationError, InconsistentCertaintyError, InputError
 
 
+def depth_sigma(abc, depth):
+    """Depth standard deviation a + b*z + c*z^2 at depths ``depth`` (meters),
+    for ``abc = (a, b, c)``: the one depth-noise formula of the sensor model
+    and the simulator."""
+    a, b, c = abc
+    depth = np.asarray(depth, dtype=float)
+    return a + b * depth + c * depth * depth
+
+
 def sigma_bounds(a: float, b: float, c: float, max_range_m: float) -> tuple:
-    """Smallest and largest depth sigma a + b*z + c*z^2 over z in [0, max_range_m]."""
+    """Smallest and largest :func:`depth_sigma` over z in [0, max_range_m]."""
     zs = [0.0, max_range_m]
     if c != 0.0 and 0.0 < -b / (2.0 * c) < max_range_m:
         zs.append(-b / (2.0 * c))
-    sigmas = [a + b * z + c * z * z for z in zs]
-    return min(sigmas), max(sigmas)
+    # an overflowing sigma makes a bound inf or NaN, which the callers refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigmas = depth_sigma((a, b, c), zs)
+    return float(sigmas.min()), float(sigmas.max())
 
 
 @dataclass(frozen=True)
@@ -65,8 +76,7 @@ class SensorNoiseModel:
             )
 
     def sigma(self, depth):
-        depth = np.asarray(depth, dtype=float)
-        return self.a + self.b * depth + self.c * depth * depth
+        return depth_sigma((self.a, self.b, self.c), depth)
 
     def variance(self, depth):
         s = self.sigma(depth)

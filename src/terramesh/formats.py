@@ -53,6 +53,7 @@ from .errors import ConfigurationError, FormatError, InputError
 from .geometry import CameraIntrinsics, Pose
 from .mesh import Mesh, MeshConfig
 from .pipeline import ESTIMATE_BLOCK_ROWS, FaceEstimates, FrameBundle
+from .semantics import SCORE_TOL
 
 BIN_MAGIC = b"TERRAMESH-BIN v1\n"
 BUNDLE_FORMAT = "terramesh/frame-bundle"
@@ -576,9 +577,12 @@ def save_estimates(path, estimates: FaceEstimates, mesh: Mesh, estimator: str, s
 
 def load_estimates(path):
     """Returns ``(header, FaceEstimates)``; the arrays must hold one row per
-    face of the mesh the header describes, or :class:`FormatError` names the
-    file.  The weights are read in blocks of :data:`ESTIMATE_BLOCK_ROWS`
-    faces, of which only the known rows are kept."""
+    face of the mesh the header describes, and every known row must be a
+    probability vector (non-negative, summing to one within
+    :data:`~terramesh.semantics.SCORE_TOL`), or :class:`FormatError` names
+    the file and the face.  The weights are read in blocks of
+    :data:`ESTIMATE_BLOCK_ROWS` faces, of which only the known rows are
+    kept."""
     with open(path, "rb") as fh:
         header, layout = _read_layout(fh, path)
         cfg = _check_header(path, header, ESTIMATES_KIND, [("estimator", lambda v: isinstance(v, str), "a string")])
@@ -601,4 +605,13 @@ def load_estimates(path):
             if lo < hi:
                 block = _read_array(fh, dtype, (stop - start, k), offset + start * k * dtype.itemsize)
                 rows[lo:hi] = block[ids[lo:hi] - start]
+    # NaN fails both tests, and an infinite weight the sum's
+    with np.errstate(invalid="ignore"):
+        bad = ~((rows >= 0.0).all(axis=1) & (np.abs(rows.sum(axis=1) - 1.0) <= SCORE_TOL))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FormatError(
+            f"{path}: face {int(ids[i])} is known, but its weights {rows[i].tolist()} are not "
+            f"non-negative and summing to 1 within {SCORE_TOL}"
+        )
     return header, FaceEstimates(ids, rows, f)

@@ -5,9 +5,11 @@ centered on the robot.  Each grid square is split along the diagonal from its
 lower-left corner ``(i, j)`` to its upper-right corner ``(i+1, j+1)``; the
 south-east triangle of a cell precedes the north-west one in face-index
 order.  All state lives in flat numpy arrays (struct-of-arrays) so per-frame
-updates stay vectorizable.  No face table is stored: a face's corner vertex
-ids follow from its id by lattice arithmetic (:meth:`Mesh.face_corners`),
-and ``face_vertex_ids`` builds the whole table only when it is asked for.
+updates stay vectorizable.  Nothing derived from the lattice is stored: a
+face's corner vertex ids follow from its id (:meth:`Mesh.face_corners`),
+and their coordinates from the one placement ``origin + index*side``
+(:meth:`Mesh.corner_xy`), so a shift leaves no cache to clear.
+``face_vertex_ids`` builds the whole table only when it is asked for.
 
 Vertex and face state is stored as a ring buffer over the window, as grid_map
 stores a moving map (Fankhauser & Hutter, "A Universal Grid Map Library",
@@ -203,7 +205,6 @@ class Mesh:
         # FramePoints.from_assignment's scratch, never cleared (see the module docstring)
         self._face_scratch = np.empty(n_f, dtype=np.int32)
         self._vertex_scratch = np.empty(n_v, dtype=np.int32)
-        self._face_xy = None
 
     # -- geometry -----------------------------------------------------------
 
@@ -219,18 +220,31 @@ class Mesh:
     def origin_xy(self) -> np.ndarray:
         return self.center - self.cfg.half_extent_m
 
+    def _axes(self):
+        """Vertex ``(iy, ix)`` lies at ``(xs[ix], ys[iy])``: the lattice axes
+        ``origin + index*side``, the one place a mesh coordinate is computed."""
+        steps = np.arange(self.cfg.vertices_per_side) * self.cfg.side_length_m
+        ox, oy = self.origin_xy
+        return ox + steps, oy + steps
+
     def vertex_positions(self):
         """(x, y) arrays for all vertices, row-major with y as the outer index."""
-        n = self.cfg.vertices_per_side
-        ox, oy = self.origin_xy
-        coords = np.arange(n) * self.cfg.side_length_m
-        vx = np.tile(ox + coords, n)
-        vy = np.repeat(oy + coords, n)
-        return vx, vy
+        xs, ys = self._axes()
+        return np.tile(xs, xs.size), np.repeat(ys, ys.size)
 
     def face_corners(self, fids) -> np.ndarray:
         """(m, 3) int32 corner vertex ids of canonical faces ``fids``, counterclockwise."""
         return _lattice_corners(np.asarray(fids), self.cfg.cells_per_side)
+
+    def corner_xy(self, fids):
+        """Corner coordinates ``(x, y)`` of canonical faces ``fids``, each of
+        shape ``fids.shape + (3,)``, in :meth:`face_corners` order."""
+        fids = np.asarray(fids)
+        xs, ys = self._axes()
+        corners = self.face_corners(fids.reshape(-1)).reshape(*fids.shape, 3)
+        corner_x = xs[corners % xs.size]
+        corners //= xs.size  # in place: one (..., 3) index array at a time
+        return corner_x, ys[corners]
 
     @property
     def face_vertex_ids(self) -> np.ndarray:
@@ -245,20 +259,12 @@ class Mesh:
             yield self.face_corners(np.arange(lo, min(lo + step, self.num_faces), dtype=np.int32))
 
     def face_centroids(self) -> np.ndarray:
-        vx, vy = self.vertex_positions()
-        ids = self.face_vertex_ids
-        return np.column_stack([vx[ids].mean(axis=1), vy[ids].mean(axis=1)])
-
-    def face_corner_coords(self):
-        """Cached per-face corner coordinates: two (F, 3) arrays (x, y)."""
-        if self._face_xy is None:
-            vx, vy = self.vertex_positions()
-            ids = self.face_vertex_ids
-            self._face_xy = (vx[ids], vy[ids])
-        return self._face_xy
-
-    def _invalidate_caches(self):
-        self._face_xy = None
+        """(F, 2) mean corner coordinates of every face."""
+        corner_x, corner_y = self.corner_xy(np.arange(self.num_faces, dtype=np.int32))
+        out = np.empty((self.num_faces, 2))  # means written in place: no (F,) temporaries
+        corner_x.mean(axis=1, out=out[:, 0])
+        corner_y.mean(axis=1, out=out[:, 1])
+        return out
 
     # -- ring storage -------------------------------------------------------
 
@@ -382,9 +388,10 @@ def _lam_direct(corner_x, corner_y, px, py):
     """Closed-form barycentric coordinates from triangle corner coordinates.
 
     ``corner_x``/``corner_y`` are (..., 3); ``px``/``py`` broadcast against
-    the leading shape.  The fixed expression (no linear solve) is shared by
-    the candidate lookup and the exhaustive scan, so both produce
-    bit-identical coordinates per face.
+    the leading shape.  The candidate scan and the exhaustive scan both take
+    their corners from :meth:`Mesh.corner_xy` and both pass them through
+    this fixed expression (no linear solve), so they produce bit-identical
+    coordinates per face.
     """
     x1, x2, x3 = corner_x[..., 0], corner_x[..., 1], corner_x[..., 2]
     y1, y2, y3 = corner_y[..., 0], corner_y[..., 1], corner_y[..., 2]
@@ -393,10 +400,6 @@ def _lam_direct(corner_x, corner_y, px, py):
     l2 = ((y3 - y1) * (px - x3) + (x1 - x3) * (py - y3)) / denom
     return np.stack([l1, l2, 1.0 - l1 - l2], axis=-1)
 
-
-# lattice offsets (dy, dx) of the three corners of a cell's south-east (row 0)
-# and north-west (row 1) triangle: the one-cell face table, read as (row, col)
-_CORNER_DY, _CORNER_DX = np.divmod(_lattice_corners(np.arange(2), 1), 2)
 
 # Distance, in cell units, from a cell edge or diagonal within which a point
 # goes to the exact candidate scan.  Far from the map origin the band widens
@@ -419,23 +422,18 @@ def _candidate_scan(mesh: Mesh, xy: np.ndarray, cu: np.ndarray, cv: np.ndarray) 
     Every face whose closed triangle can contain a point near its cell lies
     in that neighborhood.  Neighbor cells are clamped into the window, so
     the 18 candidate columns are ascending face ids (repeats at the border
-    are harmless) and the first hit is the lowest.  Corners follow the
-    lattice arithmetic of ``vertex_positions`` (``ox + i*side``), so the
-    coordinates are bit-identical to the exhaustive scan's.
+    are harmless) and the first hit is the lowest.  Corners and barycentric
+    coordinates come from :meth:`Mesh.corner_xy` and :func:`_lam_direct`,
+    as in the exhaustive scan, so they are bit-identical to its own.
     """
     n = mesh.cfg.cells_per_side
-    side = mesh.cfg.side_length_m
-    ox, oy = mesh.origin_xy
     step = np.arange(-1, 2)
     # (m, dy, dx, triangle) candidate grid, in face-index order
     gx = np.clip(cu[:, None] + step, 0, n - 1)[:, None, :, None]
     gy = np.clip(cv[:, None] + step, 0, n - 1)[:, :, None, None]
     fids = (2 * (gy * n + gx) + np.arange(2)).reshape(-1, 18)
-    corner_x = ox + (gx[..., None] + _CORNER_DX) * side
-    corner_y = oy + (gy[..., None] + _CORNER_DY) * side
-    px = xy[:, 0, None, None, None]
-    py = xy[:, 1, None, None, None]
-    lam = _lam_direct(corner_x, corner_y, px, py).reshape(-1, 18, 3)
+    corner_x, corner_y = mesh.corner_xy(fids)
+    lam = _lam_direct(corner_x, corner_y, xy[:, 0, None], xy[:, 1, None])
     ok = np.all((lam >= 0.0) & (lam <= 1.0), axis=2)
     first = np.argmax(ok, axis=1)
     hit = fids[np.arange(fids.shape[0]), first]
@@ -454,7 +452,7 @@ def face_lookup(mesh: Mesh, xy, exhaustive: bool = False):
     if not (np.isfinite(x) and np.isfinite(y)):
         return None
     if exhaustive:
-        corner_x, corner_y = mesh.face_corner_coords()
+        corner_x, corner_y = mesh.corner_xy(np.arange(mesh.num_faces))
         lam = _lam_direct(corner_x, corner_y, x, y)
         ok = np.all((lam >= 0.0) & (lam <= 1.0), axis=1)
         hits = np.nonzero(ok)[0]
@@ -566,5 +564,4 @@ def recenter(mesh: Mesh, new_center_xy) -> Mesh:
             _clear(grid[:, cols])
 
     mesh.center = mesh.center + shift * side
-    mesh._invalidate_caches()
     return mesh

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .elevation import sigma_bounds
+from .elevation import depth_sigma, sigma_bounds
 from .errors import ConfigurationError, InputError
 from .formats import _check_fields, _is_int, _is_number, _numbers, decode_intrinsics, decode_pose, encode_pose
 from .geometry import CameraIntrinsics, Pose, camera_center, pose_from_camera
@@ -212,9 +212,7 @@ class NoiseSpec:
             object.__setattr__(self, "pose_rot_cov", cov)
 
     def depth_sigma(self, depth):
-        a, b, c = self.depth_abc
-        depth = np.asarray(depth, dtype=float)
-        return a + b * depth + c * depth * depth
+        return depth_sigma(self.depth_abc, depth)
 
 
 def confusion_matrix(k: int, diagonal: float, partners: dict | None = None, partner_mass: float = 0.0) -> np.ndarray:

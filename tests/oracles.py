@@ -258,7 +258,6 @@ def copy_recenter(mesh, new_center_xy):
     mesh.alpha = out.reshape(-1, k)
 
     mesh.center = mesh.center + shift * side
-    mesh._invalidate_caches()
     return mesh
 
 

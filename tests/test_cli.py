@@ -668,6 +668,42 @@ class TestEvalInputs:
         assert self.eval_one(sim_dir, bad, tmp_path) == 2
         assert "corrupt.bin" in one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda w: np.r_[np.nan, w[1:]],
+            lambda w: np.r_[np.inf, w[1:]],
+            lambda w: np.r_[-0.5, 1.5, np.zeros(w.size - 2)],
+            lambda w: 3.0 * w,
+            lambda w: 0.0 * w,
+        ],
+        ids=["nan", "inf", "negative", "tripled", "all-zero"],
+    )
+    def test_known_row_not_a_probability_vector(self, sim_dir, run_dir, tmp_path, capsys, edit):
+        header, arrays = read_arrays(run_dir / "estimates.bin")
+        face = int(np.flatnonzero(arrays["known"])[3])
+        weights = arrays["weights"].copy()
+        weights[face] = edit(weights[face])
+        write_arrays(tmp_path / "bad.bin", header, {**arrays, "weights": weights})
+        capsys.readouterr()
+        assert self.eval_one(sim_dir, tmp_path / "bad.bin", tmp_path) == 2
+        line = one_error_line(capsys)
+        assert "bad.bin" in line and f"face {face} " in line
+
+    def test_two_files_of_one_estimator(self, sim_dir, run_dir, tmp_path, capsys):
+        # their report rows and precision-recall files would share one name
+        twin = tmp_path / "twin.bin"
+        twin.write_bytes((run_dir / "estimates.bin").read_bytes())
+        capsys.readouterr()
+        code = run_cli(
+            "eval", "--truth", sim_dir / "truth.json", "--out", tmp_path / "report",
+            "--estimates", run_dir / "estimates.bin", twin,
+        )
+        assert code == 2
+        line = one_error_line(capsys)
+        assert "twin.bin" in line and "'recursive'" in line
+        assert not (tmp_path / "report").exists()
+
 
 class TestFitdist:
     def write_log(self, path, mu, mass, n=6000, noise=0.05, seed=0, metadata_mass=False):

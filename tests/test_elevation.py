@@ -5,14 +5,17 @@ from hypothesis import strategies as st
 
 from terramesh.elevation import (
     SensorNoiseModel,
+    depth_sigma,
     height_variance,
     kalman_update,
     point_height_variances,
+    sigma_bounds,
     update_elevation,
 )
 from terramesh.errors import ConfigurationError, InconsistentCertaintyError, InputError
 from terramesh.geometry import Pose
 from terramesh.mesh import FramePoints, MeshConfig, assign_face_ids, init_mesh
+from terramesh.sim import NoiseSpec
 
 from oracles import (
     batch_gaussian_fusion,
@@ -43,12 +46,30 @@ class TestNoiseModel:
 
     @pytest.mark.parametrize(
         "field",
-        [{"a": np.nan}, {"b": np.nan}, {"c": np.nan}, {"c": np.inf}, {"max_range_m": np.nan}, {"c": 1e200}, {"a": 1e-160}],
-        ids=["nan-a", "nan-b", "nan-c", "inf-c", "nan-range", "overflowing-variance", "infinite-precision"],
+        [
+            {"a": np.nan}, {"b": np.nan}, {"c": np.nan}, {"c": np.inf}, {"max_range_m": np.nan},
+            {"c": 1e200}, {"a": 1e-160}, {"b": -1e308, "c": 1e308},
+        ],
+        ids=[
+            "nan-a", "nan-b", "nan-c", "inf-c", "nan-range",
+            "overflowing-variance", "infinite-precision", "nan-sigma-at-range",
+        ],
     )
     def test_rejects_non_finite_coefficients(self, field):
         with pytest.raises(ConfigurationError, match="finite"):
             SensorNoiseModel(**field)
+
+    @pytest.mark.parametrize("abc", [(0.002, 0.0005, 0.0019), (0.02, -0.002, 0.0001)], ids=["rising", "dipping"])
+    def test_one_depth_noise_formula(self, abc):
+        # the sensor model, the simulator and the range bounds share it bit for bit
+        depth = np.linspace(0.0, 30.0, 301)
+        ref = depth_sigma(abc, depth)
+        assert np.array_equal(SensorNoiseModel(*abc).sigma(depth), ref)
+        assert np.array_equal(NoiseSpec(depth_abc=abc).depth_sigma(depth), ref)
+        a, b, c = abc
+        ends = [0.0, 30.0] + ([-b / (2.0 * c)] if b < 0 else [])
+        expected = [float(depth_sigma(abc, z)) for z in ends]
+        assert sigma_bounds(a, b, c, 30.0) == (min(expected), max(expected))
 
 
 class TestHeightVariance:

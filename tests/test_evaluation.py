@@ -13,7 +13,6 @@ from terramesh.evaluation import (
     kl_mixture,
     kl_per_face,
     kl_summary,
-    low_friction_scores,
     pr_curve,
     write_bench_csv,
     write_pr_csv,
@@ -197,14 +196,6 @@ class TestPrCurve:
         est = one_hot_estimates(truth, 10)
         with pytest.raises(EvaluationError):
             pr_curve(est, truth, self.models, positive="low")
-
-    def test_scores_are_cdf_at_threshold(self):
-        est = one_hot_estimates(np.array([self.ice, self.concrete]), 10)
-        scores = low_friction_scores(est, self.models)
-        from scipy.stats import norm
-
-        assert scores[0] == pytest.approx(norm.cdf(0.5, 0.192, 0.046), abs=1e-12)
-        assert scores[1] == pytest.approx(norm.cdf(0.5, 0.543, 0.065), abs=1e-12)
 
 
 class TestAccuracy:

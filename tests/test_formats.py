@@ -349,7 +349,10 @@ class TestRingExport:
         ring.ring.alpha[ring.face_slots(ids)] = rows
         ref.alpha[ids] = rows
         seen = ids[::3]
-        scores = FaceScores(seen, rng.random((seen.size, catalog.k)), rng.integers(1, 9, seen.size), ring.num_faces)
+        # per-face sums of `counts` score vectors that each sum to one, as a frame gives
+        sums, counts = rng.random((seen.size, catalog.k)), rng.integers(1, 9, seen.size)
+        sums *= counts[:, None] / sums.sum(axis=1, keepdims=True)
+        scores = FaceScores(seen, sums, counts, ring.num_faces)
         return ring, ref, catalog.names, models, scores
 
     def test_export_peak_is_below_one_face_by_class_array(self, meshes, tmp_path):

@@ -35,7 +35,7 @@ def incident_faces(m):
 
 def inverse_transforms(m):
     """(F, 3, 3) inverses of the barycentric basis ``[[1,1,1],[x1,x2,x3],[y1,y2,y3]]``."""
-    corner_x, corner_y = m.face_corner_coords()
+    corner_x, corner_y = m.corner_xy(np.arange(m.num_faces))
     basis = np.empty((m.num_faces, 3, 3))
     basis[:, 0, :] = 1.0
     basis[:, 1, :] = corner_x
@@ -136,6 +136,36 @@ class TestFaceCorners:
         held = sum(getattr(m.ring, name).nbytes for name, _ in m._ring_grids())
         held += m._face_scratch.nbytes + m._vertex_scratch.nbytes
         assert peak < held + m.num_faces * 3 * 4
+
+
+class TestCornerCoordinates:
+    """Every coordinate is the lattice placement ``origin + index*side``,
+    gathered through the face table the mesh once stored."""
+
+    @pytest.mark.parametrize(
+        "target", [None, (0.37, -0.21), (3.2e6, 1.1e6)], ids=["unshifted", "recentred", "far-east"]
+    )
+    def test_gathers_match_lattice_table(self, target):
+        m = small_mesh(0.1, 0.5, 3)
+        if target is not None:
+            recenter(m, target)
+        n, side = m.cfg.vertices_per_side, m.cfg.side_length_m
+        ox, oy = m.origin_xy
+        vids = np.arange(m.num_vertices)
+        vx, vy = m.vertex_positions()
+        assert vx.tobytes() == (ox + vids % n * side).tobytes()
+        assert vy.tobytes() == (oy + vids // n * side).tobytes()
+        table = lattice_face_table(m.cfg.cells_per_side)
+        corner_x, corner_y = m.corner_xy(np.arange(m.num_faces))
+        assert corner_x.tobytes() == vx[table].tobytes() and corner_y.tobytes() == vy[table].tobytes()
+        # any id shape, such as the candidate scan's (m, 18)
+        fids = np.arange(m.num_faces).reshape(-1, 20)[::-1]
+        block_x, block_y = m.corner_xy(fids)
+        assert block_x.shape == fids.shape + (3,)
+        assert block_x.tobytes() == vx[table[fids]].tobytes() and block_y.tobytes() == vy[table[fids]].tobytes()
+        # the centroids the table gather gave
+        cents = np.column_stack([vx[table].mean(axis=1), vy[table].mean(axis=1)])
+        assert m.face_centroids().tobytes() == cents.tobytes()
 
 
 class TestFaceLookup:

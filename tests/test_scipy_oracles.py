@@ -1,21 +1,25 @@
 """The package's closed forms against scipy, an independent reference.
 
 scipy is a test-only dependency: the program computes the normal CDF, the
-force-log filter, the three family CDFs and the
-Weibull fit itself, and these tests hold each one to scipy's.
+low-friction scores it yields, the force-log filter, the three family CDFs
+and the Weibull fit itself, and these tests hold each one to scipy's.
 """
 
 import numpy as np
 import pytest
 from scipy import signal, special, stats
 
+from terramesh.evaluation import low_friction_scores
 from terramesh.properties import (
     FAMILY_CDFS,
     fit_and_select,
+    load_default_models,
     ndtr,
     smooth_exponential,
     weibull_fit,
 )
+
+from oracles import estimates_from_dense
 
 
 def test_ndtr_matches_scipy():
@@ -98,3 +102,13 @@ def test_fit_and_select_ks_matches_scipy_cdfs():
     }
     for family, cdf in refs.items():
         assert sel.ks[family] == pytest.approx(stats.kstest(x, cdf).statistic, abs=1e-12)
+
+
+def test_low_friction_scores_are_cdf_at_threshold():
+    catalog, models = load_default_models()
+    classes = [catalog.index("ice"), catalog.index("concrete")]
+    est = estimates_from_dense(np.eye(len(models))[classes], np.ones(2, dtype=bool))
+    scores = low_friction_scores(est, models)
+    norm = stats.norm
+    assert scores[0] == pytest.approx(norm.cdf(0.5, 0.192, 0.046), abs=1e-12)
+    assert scores[1] == pytest.approx(norm.cdf(0.5, 0.543, 0.065), abs=1e-12)
