@@ -335,11 +335,11 @@ def cmd_eval(args) -> int:
 # -- fitdist -----------------------------------------------------------------------
 
 
-def _number(path, row, text):
+def _number(row, text):
     try:
         return float(text)
     except ValueError:
-        raise CliError(f"{path}: row {row}: {text!r} is not a number") from None
+        raise CliError(f"row {row}: {text!r} is not a number") from None
 
 
 def _read_force_csv(path, mass_override):
@@ -352,21 +352,21 @@ def _read_force_csv(path, mass_override):
     if rows and rows[0] and rows[0][0].startswith("#"):
         token = rows[0][0].lstrip("# ").strip()
         if token.startswith("mass_kg="):
-            file_mass = _number(path, 1, token.split("=", 1)[1])
+            file_mass = _number(1, token.split("=", 1)[1])
             if mass is None:
                 mass = file_mass
         start = 1
     if len(rows) <= start or [c.strip() for c in rows[start]] != ["t_seconds", "force_newtons"]:
-        raise CliError(f"{path}: expected header 't_seconds,force_newtons'")
+        raise CliError("expected header 't_seconds,force_newtons'")
     for number, row in enumerate(rows[start + 1 :], start=start + 2):
         if not row:
             continue
-        if len(row) < 2:
-            raise CliError(f"{path}: row {number} has one column, expected 't_seconds,force_newtons'")
-        times.append(_number(path, number, row[0]))
-        forces.append(_number(path, number, row[1]))
+        if len(row) != 2:
+            raise CliError(f"row {number}: expected 2 cells 't_seconds,force_newtons', got {len(row)}")
+        times.append(_number(number, row[0]))
+        forces.append(_number(number, row[1]))
     if mass is None:
-        raise CliError(f"{path}: device mass missing (use --mass or a '# mass_kg=' row)")
+        raise CliError("device mass missing (use --mass or a '# mass_kg=' row)")
     return ForceLog(np.array(times), np.array(forces), mass_kg=mass)
 
 
@@ -383,9 +383,12 @@ def cmd_fitdist(args) -> int:
     selections: list[tuple[str, FitSelection]] = []
     for path in csv_paths:
         class_name = path.stem.replace("_", " ")
-        log = _read_force_csv(path, args.mass)
-        mu_samples = friction_from_force(log, cutoff_hz=args.cutoff)
-        selection = fit_and_select(mu_samples)
+        # a fault in reading or fitting one log names that log
+        try:
+            log = _read_force_csv(path, args.mass)
+            selection = fit_and_select(friction_from_force(log, cutoff_hz=args.cutoff))
+        except (TerrameshError, ValueError, csv.Error) as exc:
+            raise CliError(f"{path}: {exc}") from None
         gauss = selection.params["gaussian"]
         models.append(PropertyModel(class_name, gauss["mu"], gauss["sigma"]))
         selections.append((class_name, selection))

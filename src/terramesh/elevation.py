@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InconsistentCertaintyError, InputError
+from .geometry import check_covariance
 
 
 def depth_sigma(abc, depth):
@@ -83,15 +84,6 @@ class SensorNoiseModel:
         return s * s
 
 
-def _check_psd(m, name):
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise InputError(f"{name} must be 3x3")
-    if np.abs(m - m.T).max() > 1e-9 or np.linalg.eigvalsh(m).min() < -1e-9:
-        raise InputError(f"{name} must be symmetric positive semi-definite")
-    return m
-
-
 def height_variance(p_sensor, pose, sigma_sensor, sigma_pose):
     """Height of a sensor point in the map frame and its propagated variance.
 
@@ -102,8 +94,8 @@ def height_variance(p_sensor, pose, sigma_sensor, sigma_pose):
     uncertainty of the pose is deliberately not part of the propagation
     model.  Returns ``(z, var)``.
     """
-    sigma_sensor = _check_psd(sigma_sensor, "sigma_sensor")
-    sigma_pose = _check_psd(sigma_pose, "sigma_pose")
+    sigma_sensor = check_covariance(sigma_sensor, "sigma_sensor")
+    sigma_pose = check_covariance(sigma_pose, "sigma_pose")
     p = np.asarray(p_sensor, dtype=float).reshape(1, 3)
     r3 = pose.rotation[:, 2]  # third row of rotation.T
     z = float(r3 @ p[0] - pose.translation[2])

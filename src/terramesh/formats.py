@@ -53,7 +53,7 @@ from .errors import ConfigurationError, FormatError, InputError
 from .geometry import CameraIntrinsics, Pose
 from .mesh import Mesh, MeshConfig
 from .pipeline import ESTIMATE_BLOCK_ROWS, FaceEstimates, FrameBundle
-from .semantics import SCORE_TOL
+from .semantics import SCORE_TOL, non_probability_row
 
 BIN_MAGIC = b"TERRAMESH-BIN v1\n"
 BUNDLE_FORMAT = "terramesh/frame-bundle"
@@ -147,6 +147,20 @@ def _read_layout(fh, path):
     if offset != size:
         raise FormatError(f"{path}: trailing bytes after declared arrays")
     return header, layout
+
+
+# the dtype each map and estimates array is written with, as its manifest spells it
+ARRAY_DTYPES = {
+    **dict.fromkeys(("vertex_x", "vertex_y", "z_mean", "z_var", "alpha", "weights"), "<f8"),
+    **dict.fromkeys(("touched", "known"), "|u1"),
+    "face_vertices": "<i4",
+}
+
+
+def _check_dtype(path, name, dtype) -> None:
+    """Raise :class:`FormatError` unless array ``name`` has the dtype its writer emits."""
+    if dtype.str != ARRAY_DTYPES[name]:
+        raise FormatError(f"{path}: array {name!r} has dtype {dtype.str}, expected {ARRAY_DTYPES[name]}")
 
 
 def _read_array(fh, dtype, shape, offset) -> np.ndarray:
@@ -281,13 +295,17 @@ def load_map(path):
     """Rebuild a mesh from :func:`save_map` output; returns ``(mesh, header)``.
 
     Every stored array comes back bit for bit.  ``observed`` is not stored,
-    so the rebuilt mesh reads it all False.
+    so the rebuilt mesh reads it all False.  An array whose dtype is not the
+    one :func:`save_map` writes (:data:`ARRAY_DTYPES`) raises
+    :class:`FormatError` naming the file and the array.
     """
     header, arrays = read_arrays(path)
     cfg = _check_header(path, header, MAP_KIND)
     missing = [name for name in MAP_ARRAYS if name not in arrays]
     if missing:
         raise FormatError(f"{path}: map misses arrays {missing}")
+    for name in MAP_ARRAYS:
+        _check_dtype(path, name, arrays[name].dtype)
     mesh = Mesh(cfg, center_xy=header["center"])
     vx, vy = mesh.vertex_positions()
     if not (np.array_equal(vx, arrays["vertex_x"]) and np.array_equal(vy, arrays["vertex_y"])):
@@ -576,13 +594,13 @@ def save_estimates(path, estimates: FaceEstimates, mesh: Mesh, estimator: str, s
 
 
 def load_estimates(path):
-    """Returns ``(header, FaceEstimates)``; the arrays must hold one row per
-    face of the mesh the header describes, and every known row must be a
-    probability vector (non-negative, summing to one within
-    :data:`~terramesh.semantics.SCORE_TOL`), or :class:`FormatError` names
-    the file and the face.  The weights are read in blocks of
-    :data:`ESTIMATE_BLOCK_ROWS` faces, of which only the known rows are
-    kept."""
+    """Returns ``(header, FaceEstimates)``; the arrays must have the dtypes
+    :func:`save_estimates` writes and hold one row per face of the mesh the
+    header describes, and every known row must be a probability vector
+    (:func:`~terramesh.semantics.non_probability_row`), or
+    :class:`FormatError` names the file and the array or face.  The weights
+    are read in blocks of :data:`ESTIMATE_BLOCK_ROWS` faces, of which only
+    the known rows are kept."""
     with open(path, "rb") as fh:
         header, layout = _read_layout(fh, path)
         cfg = _check_header(path, header, ESTIMATES_KIND, [("estimator", lambda v: isinstance(v, str), "a string")])
@@ -590,6 +608,8 @@ def load_estimates(path):
             known, weights = layout["known"], layout["weights"]
         except KeyError as exc:
             raise FormatError(f"{path}: misses array {exc.args[0]!r}") from exc
+        _check_dtype(path, "known", known[0])
+        _check_dtype(path, "weights", weights[0])
         f, k = cfg.num_faces, cfg.num_classes
         if known[1] != (f,) or weights[1] != (f, k):
             raise FormatError(
@@ -605,11 +625,8 @@ def load_estimates(path):
             if lo < hi:
                 block = _read_array(fh, dtype, (stop - start, k), offset + start * k * dtype.itemsize)
                 rows[lo:hi] = block[ids[lo:hi] - start]
-    # NaN fails both tests, and an infinite weight the sum's
-    with np.errstate(invalid="ignore"):
-        bad = ~((rows >= 0.0).all(axis=1) & (np.abs(rows.sum(axis=1) - 1.0) <= SCORE_TOL))
-    if bad.any():
-        i = int(np.argmax(bad))
+    i = non_probability_row(rows)
+    if i is not None:
         raise FormatError(
             f"{path}: face {int(ids[i])} is known, but its weights {rows[i].tolist()} are not "
             f"non-negative and summing to 1 within {SCORE_TOL}"

@@ -1,7 +1,9 @@
 """Coordinate transforms, pinhole projection and barycentric coordinates.
 
 All operations here are pure functions over immutable inputs and safe to call
-from any number of concurrent contexts.
+from any number of concurrent contexts.  :func:`check_image_size` and
+:func:`check_covariance` are the package's one image-size and one
+covariance rule.
 """
 
 from __future__ import annotations
@@ -21,6 +23,16 @@ def _as_matrix(value, shape, name):
     if arr.shape != shape:
         raise InputError(f"{name} must have shape {shape}, got {arr.shape}")
     return arr
+
+
+def check_covariance(cov, name) -> np.ndarray:
+    """``cov`` as a float 3x3 array with finite entries, symmetric within
+    1e-12 and with eigenvalues of at least -1e-12, else :class:`InputError`
+    (a negative variance would make the map overconfident, not fail)."""
+    m = _as_matrix(cov, (3, 3), name)
+    if not (np.isfinite(m).all() and np.abs(m - m.T).max() <= 1e-12 and np.linalg.eigvalsh(m).min() >= -1e-12):
+        raise InputError(f"{name} must be finite, symmetric and positive semi-definite")
+    return m
 
 
 @dataclass
@@ -43,7 +55,7 @@ class Pose:
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
         if self.rotation_cov is None:
             self.rotation_cov = np.zeros((3, 3))
-        self.rotation_cov = _as_matrix(self.rotation_cov, (3, 3), "rotation_cov")
+        self.rotation_cov = check_covariance(self.rotation_cov, "rotation_cov")
         if not np.all(np.isfinite(self.rotation)) or not np.all(np.isfinite(self.translation)):
             raise InputError("pose entries must be finite")
         gram_err = np.abs(self.rotation @ self.rotation.T - np.eye(3)).max()
@@ -51,10 +63,6 @@ class Pose:
             raise InputError(f"rotation is not orthonormal (max deviation {gram_err:.3e})")
         if abs(np.linalg.det(self.rotation) - 1.0) > _ORTHONORMAL_TOL:
             raise InputError("rotation must have determinant +1")
-        if np.abs(self.rotation_cov - self.rotation_cov.T).max() > 1e-12:
-            raise InputError("rotation_cov must be symmetric")
-        if np.linalg.eigvalsh(self.rotation_cov).min() < -1e-12:
-            raise InputError("rotation_cov must be positive semi-definite")
 
     @staticmethod
     def identity() -> "Pose":
@@ -99,6 +107,16 @@ class CameraIntrinsics:
             raise InputError("image dimensions must be positive")
 
 
+def check_image_size(depth, scores, intrinsics: CameraIntrinsics) -> None:
+    """Raise :class:`InputError` unless ``depth`` is (H, W), ``scores`` is
+    (H, W, K) and ``intrinsics`` declare a W x H image."""
+    if depth.ndim != 2 or scores.ndim != 3 or scores.shape[:2] != depth.shape:
+        raise InputError(f"depth {depth.shape} and scores {scores.shape} do not share one image grid")
+    h, w = depth.shape
+    if (w, h) != (intrinsics.width, intrinsics.height):
+        raise InputError(f"image size disagrees with intrinsics: {w}x{h}, declared {intrinsics.width}x{intrinsics.height}")
+
+
 def transform_to_map(p_sensor, pose: Pose) -> np.ndarray:
     """Map sensor-frame points into the map frame: ``R^T p - t``.
 
@@ -120,16 +138,8 @@ def project_frame_arrays(depth, scores, intrinsics: CameraIntrinsics, pose: Pose
     metric z along the camera axis.
     """
     depth = np.asarray(depth)
-    scores = np.asarray(scores)
-    if depth.ndim != 2 or scores.ndim != 3 or depth.shape != scores.shape[:2]:
-        raise InputError(
-            f"depth {depth.shape} and scores {scores.shape} must share the image grid"
-        )
-    h, w = depth.shape
-    if (w, h) != (intrinsics.width, intrinsics.height):
-        raise InputError(
-            f"image is {w}x{h} but intrinsics declare {intrinsics.width}x{intrinsics.height}"
-        )
+    check_image_size(depth, np.asarray(scores), intrinsics)
+    w = depth.shape[1]
 
     d = depth.astype(float, copy=False).reshape(-1)
     pixels = np.flatnonzero(np.isfinite(d) & (d > 0) & (d <= max_range_m))

@@ -23,11 +23,11 @@ from enum import Enum
 
 import numpy as np
 
-from .elevation import SensorNoiseModel, _check_psd, update_elevation
+from .elevation import SensorNoiseModel, update_elevation
 from .errors import InputError
-from .geometry import CameraIntrinsics, Pose, camera_center, project_frame_arrays
+from .geometry import CameraIntrinsics, Pose, camera_center, check_covariance, check_image_size, project_frame_arrays
 from .mesh import FramePoints, Mesh, assign_face_ids, recenter
-from .semantics import SCORE_TOL, UPDATE_MODES, face_evidence, face_predictive
+from .semantics import UPDATE_MODES, face_evidence, face_predictive, non_probability_row
 
 
 @dataclass
@@ -43,23 +43,17 @@ class FrameBundle:
     valid: bool = True
 
     def validate(self) -> None:
-        """Raise :class:`InputError` unless the frame is flagged valid, its
-        image size matches its intrinsics and every pixel's class scores are
-        non-negative and sum to one within :data:`SCORE_TOL`."""
+        """Raise :class:`InputError` unless the frame is flagged valid and
+        passes :func:`~terramesh.geometry.check_image_size` and
+        :func:`~terramesh.semantics.non_probability_row`."""
         if not self.valid:
             raise InputError(f"frame {self.frame_id} is flagged invalid")
-        depth = np.asarray(self.depth)
         scores = np.asarray(self.scores)
-        if depth.ndim != 2 or scores.ndim != 3 or scores.shape[:2] != depth.shape:
-            raise InputError(
-                f"frame {self.frame_id}: depth {depth.shape} and scores {scores.shape} disagree"
-            )
-        h, w = depth.shape
-        if (w, h) != (self.intrinsics.width, self.intrinsics.height):
-            raise InputError(f"frame {self.frame_id}: image size disagrees with intrinsics")
-        # written so that NaN fails both comparisons (a NaN score makes the minimum NaN)
-        total = np.einsum("hwk->hw", scores, dtype=float)
-        if not (np.abs(total - 1.0).max() <= SCORE_TOL and scores.min() >= 0):
+        try:
+            check_image_size(np.asarray(self.depth), scores, self.intrinsics)
+        except InputError as exc:
+            raise InputError(f"frame {self.frame_id}: {exc}") from None
+        if non_probability_row(scores) is not None:
             raise InputError(f"frame {self.frame_id}: score vectors are not normalized")
 
 
@@ -78,9 +72,9 @@ class EstimatorKind(str, Enum):
 class PipelineConfig:
     """Knobs of a mapping run (estimation mode, noise model, recentering).
 
-    ``pose_cov_override`` replaces the per-frame pose rotation covariance
-    from the bundle for the height-variance propagation; ``None`` keeps the
-    per-frame values.
+    ``pose_cov_override``, 3 diagonal entries or a 3x3 matrix, replaces the
+    per-frame pose rotation covariance from the bundle for the
+    height-variance propagation; ``None`` keeps the per-frame values.
     """
 
     noise_model: SensorNoiseModel = field(default_factory=SensorNoiseModel)
@@ -98,12 +92,7 @@ class PipelineConfig:
                 cov = np.diag(cov.reshape(3))
             elif cov.size == 9:
                 cov = cov.reshape(3, 3)
-            else:
-                raise InputError(
-                    "pose covariance override must be 3 diagonal entries or a 3x3 matrix"
-                )
-            # a negative variance would make the map overconfident, not fail
-            object.__setattr__(self, "pose_cov_override", _check_psd(cov, "pose covariance override"))
+            object.__setattr__(self, "pose_cov_override", check_covariance(cov, "pose covariance override"))
 
 
 @dataclass

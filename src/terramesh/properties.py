@@ -2,9 +2,11 @@
 
 Each terrain class carries a unimodal Gaussian over the friction coefficient.
 A face's property estimate is the mixture of these Gaussians weighted by the
-face's class predictive.  The fitting side ingests pull-force logs from a
-drag-sled style device (mu = F / (m * g)), low-pass filters them, fits three
-candidate families and ranks them by Kolmogorov-Smirnov distance.
+face's class predictive; its weights pass the rule of estimates files,
+:func:`~terramesh.semantics.non_probability_row`.  The fitting side ingests
+pull-force logs from a drag-sled style device (mu = F / (m * g)), low-pass
+filters them, fits three candidate families and ranks them by
+Kolmogorov-Smirnov distance.
 
 The normal CDF and density, the filter and the fits are written out here in
 closed form, so the package needs numpy alone at run time.
@@ -25,7 +27,7 @@ from .errors import (
     InputError,
     InsufficientDataError,
 )
-from .semantics import ClassCatalog
+from .semantics import ClassCatalog, non_probability_row
 
 GRAVITY = 9.81
 
@@ -73,7 +75,7 @@ class PropertyMixture:
         self.components = list(components)
         if self.weights.size != len(self.components):
             raise ConfigurationError("one weight per component required")
-        if abs(self.weights.sum() - 1.0) > 1e-9 or np.any(self.weights < 0):
+        if non_probability_row(self.weights) is not None:
             raise ConfigurationError("weights must be a probability vector")
         self._mus = np.array([c.mu for c in self.components])
         self._sigmas = np.array([c.sigma for c in self.components])

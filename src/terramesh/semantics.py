@@ -8,7 +8,9 @@ identity sum(alpha') = sum(alpha) + n.
 
 A run reduces each frame's measurements with :func:`face_evidence` and
 estimates with :func:`face_predictive`; :func:`dirichlet_update` and
-:func:`class_predictive` are their one-face calls.
+:func:`class_predictive` are their one-face calls.  :func:`non_probability_row`
+is the one rule that frame scores, measurements, estimates rows and mixture
+weights pass.
 """
 
 from __future__ import annotations
@@ -43,14 +45,17 @@ class ClassCatalog:
         return self.names.index(name)
 
 
-def _check_measurements(measurements, k):
-    m = np.atleast_2d(np.asarray(measurements, dtype=float))
-    if m.shape[1] != k:
-        raise InputError(f"measurements have {m.shape[1]} classes, expected {k}")
-    # the rule of FrameBundle.validate, written so that NaN fails it
-    if not (np.all(m >= 0) and np.all(np.abs(m.sum(axis=1) - 1.0) <= SCORE_TOL)):
-        raise InputError("each measurement must be a normalized score vector")
-    return m
+def non_probability_row(vectors):
+    """The first row of ``vectors.reshape(-1, K)`` that is not a probability
+    vector (non-negative, summing to one within :data:`SCORE_TOL`; NaN and
+    inf fail), or ``None``.  Per-row verdicts are computed only after two
+    whole-array reductions fail."""
+    v = np.asarray(vectors)
+    off = np.abs(np.einsum("...k->...", v, dtype=float) - 1.0)
+    # written so that NaN fails both comparisons (a NaN entry makes the minimum NaN)
+    if off.size == 0 or (off.max() <= SCORE_TOL and v.min() >= 0):
+        return None
+    return int(np.argmin(((off <= SCORE_TOL) & (v >= 0).all(axis=-1)).reshape(-1)))
 
 
 def face_evidence(inverse, scores, num_faces: int, mode: str):
@@ -99,7 +104,11 @@ def dirichlet_update(alpha, measurements, mode: str = "soft") -> np.ndarray:
         raise InputError("alpha must be non-negative and finite")
     if mode not in UPDATE_MODES:
         raise InputError(f"unknown update mode {mode!r}")
-    m = _check_measurements(measurements, alpha.size)
+    m = np.atleast_2d(np.asarray(measurements, dtype=float))
+    if m.shape[1] != alpha.size:
+        raise InputError(f"measurements have {m.shape[1]} classes, expected {alpha.size}")
+    if non_probability_row(m) is not None:
+        raise InputError("each measurement must be a normalized score vector")
     _, _, evidence = face_evidence(np.zeros(m.shape[0], dtype=np.intp), m.T, 1, mode)
     return alpha + evidence[0]
 

@@ -22,7 +22,7 @@ from terramesh.formats import (
 )
 from terramesh.mesh import MeshConfig, init_mesh
 from terramesh.pipeline import EstimatorKind, Mapper, PipelineConfig, estimate_properties
-from terramesh.properties import GRAVITY, PropertyModel, load_models
+from terramesh.properties import GRAVITY, PropertyMixture, PropertyModel, load_default_models, load_models
 from terramesh.sim import scenario_library, world_from_dict, world_to_dict
 
 
@@ -553,6 +553,26 @@ def rewrite_estimates(src, dst, **changes):
     return dst
 
 
+@pytest.mark.parametrize("score_mode", ["soft", "soft_jitter"])
+def test_every_known_estimate_row_builds_a_mixture(tmp_path, score_mode):
+    # the multimodal rows are means of float32 scores: they sum to one only
+    # to float32 precision, and an estimates file holds them
+    doc = world_to_dict(scenario_library()["two-class-split-noisy"])
+    doc["noise"].update(score_mode=score_mode, jitter_kappa=50.0)
+    (tmp_path / "world.json").write_text(json.dumps(doc))
+    bundle, run = tmp_path / "bundle", tmp_path / "run"
+    assert run_cli("simulate", "--spec", tmp_path / "world.json", "--seed", 3, "--frames", 4, "--out", bundle) == 0
+    assert run_cli(
+        "run", "--bundle", bundle, "--out", run, "--mesh-side", 0.25, "--mesh-extent", 2.5,
+        "--estimator", "multimodal_nonrecursive",
+    ) == 0
+    _, estimates = load_estimates(run / "estimates.bin")
+    _, models = load_default_models()
+    assert estimates.ids.size > 400
+    for row in estimates.known_weights:
+        PropertyMixture(row, models)
+
+
 class TestEvalInputs:
     def eval_one(self, sim_dir, estimates, tmp_path, truth=None):
         return run_cli(
@@ -690,6 +710,20 @@ class TestEvalInputs:
         line = one_error_line(capsys)
         assert "bad.bin" in line and f"face {face} " in line
 
+    @pytest.mark.parametrize(
+        "name, dtype", [("weights", "|V8"), ("weights", "<i8"), ("known", "|b1")], ids=["void", "int", "bool"]
+    )
+    def test_array_of_another_dtype(self, sim_dir, run_dir, tmp_path, capsys, name, dtype):
+        # the manifest relabelled, the bytes kept
+        magic, meta, data = (run_dir / "estimates.bin").read_bytes().split(b"\n", 2)
+        meta = json.loads(meta)
+        next(entry for entry in meta["arrays"] if entry["name"] == name)["dtype"] = dtype
+        (tmp_path / "bad.bin").write_bytes(b"\n".join([magic, json.dumps(meta).encode(), data]))
+        capsys.readouterr()
+        assert self.eval_one(sim_dir, tmp_path / "bad.bin", tmp_path) == 2
+        line = one_error_line(capsys)
+        assert "bad.bin" in line and f"array {name!r} has dtype {dtype}" in line
+
     def test_two_files_of_one_estimator(self, sim_dir, run_dir, tmp_path, capsys):
         # their report rows and precision-recall files would share one name
         twin = tmp_path / "twin.bin"
@@ -759,6 +793,17 @@ class TestFitdist:
         err = one_error_line(capsys)
         assert "wood.csv" in err and "row 4" in err
 
+    def test_long_row_is_one_error_line(self, tmp_path, capsys):
+        # a third cell is refused, not dropped
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        rows = "".join(f"{0.01 * i!r},{9.5 + 0.01 * (i % 7)!r}\n" for i in range(1, 100))
+        (logs / "wood.csv").write_text("t_seconds,force_newtons\n0.0,1.0,2.0\n" + rows)
+        capsys.readouterr()
+        assert run_cli("fitdist", "--logs", logs, "--out", tmp_path / "m.tsv", "--mass", 2.0) == 2
+        err = one_error_line(capsys)
+        assert "wood.csv" in err and "row 2: expected 2 cells" in err and "got 3" in err
+
     @pytest.mark.parametrize(
         "text, row",
         [
@@ -776,6 +821,27 @@ class TestFitdist:
         assert run_cli("fitdist", "--logs", logs, "--out", tmp_path / "m.tsv") == 2
         err = one_error_line(capsys)
         assert "wood.csv" in err and row in err and "not a number" in err
+
+    @pytest.mark.parametrize(
+        "mass, cell, rows, message",
+        [
+            ("3.0", "nan", 40, "finite"),
+            ("3.0", "-Infinity", 40, "finite"),
+            ("3.0", "9" * 200_000, 40, "field limit"),
+            ("inf", "9.5", 40, "zero spread"),
+            ("3.0", "9.5", 3, "at least 30 samples"),
+        ],
+        ids=["nan-force", "minus-inf-force", "huge-cell", "infinite-mass", "three-samples"],
+    )
+    def test_fault_names_the_file(self, tmp_path, capsys, mass, cell, rows, message):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        samples = "".join(f"{0.01 * i!r},{9.4 + 0.1 * (i % 3)!r}\n" for i in range(1, rows))
+        (logs / "wood.csv").write_text(f"# mass_kg={mass}\nt_seconds,force_newtons\n0.0,{cell}\n" + samples)
+        capsys.readouterr()
+        assert run_cli("fitdist", "--logs", logs, "--out", tmp_path / "m.tsv") == 2
+        err = one_error_line(capsys)
+        assert "wood.csv" in err and message in err
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -1000,13 +1066,15 @@ RUN_CONFIG = {
     "noise": [0.001, 0.0, 0.0019], "pose_cov": [1e-6, 1e-6, 1e-6], "recenter": False,
 }
 MUTATIONS = [DELETE, None, "x", float("nan"), -1, 0, [], {}]
+# a force-log row cut at the mutated cell, and the mutated cell repeated
+CUT_ROW, REPEAT_CELL = object(), object()
 
 
 class TestMutatedInputs:
     """One leaf of a valid world spec, run config, bundle manifest, ground
-    truth or estimates header deleted or replaced: the command either
-    succeeds with valid output or ends with one error line (``validate``
-    lists the bundle's faults instead)."""
+    truth or estimates header, or one cell of a force log, deleted or
+    replaced: the command either succeeds with valid output or ends with one
+    error line (``validate`` lists the bundle's faults instead)."""
 
     @staticmethod
     def streams(*argv):
@@ -1081,6 +1149,37 @@ class TestMutatedInputs:
                         assert len(list(csv.reader(fh))) == 2
                 else:
                     load_map(out / "map.bin")
+            else:
+                assert code == 2 and len(lines) == 1 and lines[0].startswith("error:"), lines
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_one_force_cell_mutated(self, data):
+        import tempfile
+
+        rows = [["# mass_kg=2.0"], ["t_seconds", "force_newtons"]]
+        rows += [[repr(0.01 * i), repr(0.4 * 2.0 * GRAVITY + 0.1 * (7 * i % 11 - 5))] for i in range(40)]
+        row = rows[data.draw(st.integers(0, len(rows) - 1), label="row")]
+        cell = data.draw(st.integers(0, len(row) - 1), label="cell")
+        value = data.draw(st.sampled_from([*MUTATIONS, "", CUT_ROW, REPEAT_CELL]), label="value")
+        if value is DELETE:
+            del row[cell]
+        elif value is CUT_ROW:
+            del row[cell:]
+        elif value is REPEAT_CELL:
+            row.insert(cell, row[cell])
+        else:
+            row[cell] = value if isinstance(value, str) else json.dumps(value)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "logs").mkdir()
+            (tmp / "logs" / "wood.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+            code, _, err = self.streams("fitdist", "--logs", tmp / "logs", "--out", tmp / "m.tsv")
+            lines = err.splitlines()
+            assert "Traceback" not in err
+            if code == 0:
+                assert lines == []
+                load_models(tmp / "m.tsv")
             else:
                 assert code == 2 and len(lines) == 1 and lines[0].startswith("error:"), lines
 

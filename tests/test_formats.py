@@ -166,6 +166,22 @@ class TestMapExport:
             load_map(path)
 
     @pytest.mark.parametrize(
+        "name, dtype",
+        [("vertex_x", "<i8"), ("z_mean", "|V8"), ("z_var", ">f8"), ("touched", "|b1"),
+         ("face_vertices", "<u4"), ("alpha", "<i8")],
+    )
+    def test_rejects_an_array_of_another_dtype(self, tmp_path, name, dtype):
+        # the manifest relabelled, the bytes kept
+        path = tmp_path / "map.bin"
+        save_map(init_mesh(MeshConfig(0.5, 1.0, 2)), path, class_names=["a", "b"])
+        magic, meta, data = path.read_bytes().split(b"\n", 2)
+        meta = json.loads(meta)
+        next(entry for entry in meta["arrays"] if entry["name"] == name)["dtype"] = dtype
+        path.write_bytes(b"\n".join([magic, json.dumps(meta).encode(), data]))
+        with pytest.raises(FormatError, match=f"map.bin: array '{name}' has dtype"):
+            load_map(path)
+
+    @pytest.mark.parametrize(
         "field, value",
         [("num_classes", None), ("center", [0.0]), ("half_extent_m", True), ("side_length_m", float("nan"))],
     )

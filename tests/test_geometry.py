@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from terramesh.elevation import height_variance
 from terramesh.errors import DegenerateSimplexError, InputError
 from terramesh.geometry import (
     CameraIntrinsics,
@@ -13,6 +14,7 @@ from terramesh.geometry import (
     project_frame_arrays,
     transform_to_map,
 )
+from terramesh.pipeline import PipelineConfig
 
 from oracles import random_rotation
 
@@ -75,6 +77,41 @@ class TestPoseHelpers:
     def test_rotation_cov_validation(self):
         with pytest.raises(InputError):
             Pose(np.eye(3), np.zeros(3), rotation_cov=np.diag([1.0, 1.0, -1.0]))
+
+
+ASYMMETRIC = np.eye(3) * 1e-4
+ASYMMETRIC[0, 1] += 1e-10
+
+
+@pytest.mark.parametrize(
+    "cov, valid",
+    [
+        (np.eye(3) * 1e-4, True),
+        (np.zeros((3, 3)), True),
+        (ASYMMETRIC, False),
+        (np.diag([-1e-4, 1e-4, 1e-4]), False),
+        (np.diag([np.inf, 1.0, 1.0]), False),
+        (np.full((3, 3), np.nan), False),
+    ],
+    ids=["psd", "zero", "asymmetric-1e-10", "negative", "inf", "nan"],
+)
+def test_one_covariance_rule(cov, valid):
+    # a pose's rotation covariance, the run's override of it, and both
+    # covariances of height_variance
+    readers = [
+        lambda: Pose(np.eye(3), np.zeros(3), rotation_cov=cov),
+        lambda: PipelineConfig(pose_cov_override=cov),
+        lambda: height_variance([0.0, 0.0, 1.0], Pose.identity(), np.eye(3) * 1e-6, cov),
+        lambda: height_variance([0.0, 0.0, 1.0], Pose.identity(), cov, np.zeros((3, 3))),
+    ]
+    verdicts = []
+    for read in readers:
+        try:
+            read()
+            verdicts.append(True)
+        except InputError:
+            verdicts.append(False)
+    assert verdicts == [valid] * 4
 
 
 class TestProjection:

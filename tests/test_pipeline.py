@@ -7,21 +7,36 @@ from oracles import copy_recenter, dense_weights, sample_psd, unique_frame_updat
 
 import terramesh.pipeline as pipeline
 from terramesh.elevation import SensorNoiseModel, kalman_update, point_height_variances, update_elevation
-from terramesh.errors import InputError
+from terramesh.errors import ConfigurationError, FormatError, InputError
+from terramesh.formats import load_estimates, save_estimates
 from terramesh.geometry import CameraIntrinsics, Pose, pose_from_camera
 from terramesh.mesh import MeshConfig, init_mesh, recenter
 from terramesh.pipeline import (
     EstimatorKind,
+    FaceEstimates,
     FaceScores,
     FrameBundle,
     Mapper,
     PipelineConfig,
     estimate_properties,
 )
-from terramesh.properties import PropertyMixture, load_default_models
+from terramesh.properties import PropertyMixture, PropertyModel, load_default_models
 from terramesh.semantics import class_predictive, dirichlet_update
 
 DOWN = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+
+# two class scores and whether they make a probability vector; SCORE_TOL is 1e-4
+SCORE_CELLS = [
+    pytest.param([np.nan, 1.0], False, id="nan"),
+    pytest.param([np.inf, 0.0], False, id="inf"),
+    pytest.param([-np.inf, 1.0], False, id="minus-inf"),
+    pytest.param([-0.05, 1.05], False, id="negative"),
+    pytest.param([-0.0, 1.0], True, id="minus-zero"),
+    pytest.param([0.5, 0.5 + 0.9e-4], True, id="sum-up-in"),
+    pytest.param([0.5, 0.5 - 0.9e-4], True, id="sum-down-in"),
+    pytest.param([0.5, 0.5 + 1.1e-4], False, id="sum-up-out"),
+    pytest.param([0.5, 0.5 - 1.1e-4], False, id="sum-down-out"),
+]
 
 
 def overhead_frame(heights, class_index, k=10, frame_id=0, noise=None, rng=None):
@@ -91,24 +106,7 @@ class TestFrameValidation:
             frame.validate()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize(
-        "cell, valid",
-        [
-            ([np.nan, 1.0], False),
-            ([np.inf, 0.0], False),
-            ([-np.inf, 1.0], False),
-            ([-0.05, 1.05], False),
-            ([-0.0, 1.0], True),
-            ([0.5, 0.5 + 0.9e-4], True),
-            ([0.5, 0.5 - 0.9e-4], True),
-            ([0.5, 0.5 + 1.1e-4], False),
-            ([0.5, 0.5 - 1.1e-4], False),
-        ],
-        ids=[
-            "nan", "inf", "minus-inf", "negative", "minus-zero",
-            "sum-up-in", "sum-down-in", "sum-up-out", "sum-down-out",
-        ],
-    )
+    @pytest.mark.parametrize("cell, valid", SCORE_CELLS)
     def test_score_rule_verdicts(self, cell, valid, dtype):
         # one pixel's first two class scores replaced; SCORE_TOL is 1e-4
         frame = overhead_frame(np.zeros((4, 6)), 0)
@@ -119,6 +117,29 @@ class TestFrameValidation:
         else:
             with pytest.raises(InputError, match="not normalized"):
                 frame.validate()
+
+    @pytest.mark.parametrize("cell, valid", SCORE_CELLS)
+    def test_four_readers_agree(self, cell, valid, tmp_path):
+        # the cell as a pixel's scores, a Dirichlet measurement, a known
+        # estimates row and a mixture's weights
+        mesh = init_mesh(MeshConfig(0.5, 0.5, 2))
+        path = tmp_path / "estimates.bin"
+        save_estimates(path, FaceEstimates(np.array([0]), np.array([cell]), mesh.num_faces), mesh, "recursive", None)
+        models = [PropertyModel("a", 0.2, 0.05), PropertyModel("b", 0.6, 0.05)]
+        readers = [
+            (lambda: scored_frame([cell]).validate(), InputError),
+            (lambda: dirichlet_update(np.ones(2), [cell]), InputError),
+            (lambda: load_estimates(path), FormatError),
+            (lambda: PropertyMixture(cell, models), ConfigurationError),
+        ]
+        verdicts = []
+        for read, error in readers:
+            try:
+                read()
+                verdicts.append(True)
+            except error:
+                verdicts.append(False)
+        assert verdicts == [valid] * 4
 
     def test_mapper_skips_and_counts_nan_scores(self):
         frame = overhead_frame(np.zeros((4, 6)), 0)

