@@ -4,7 +4,10 @@ Every subcommand exits 0 on success and 2 with a single ``error: <message>``
 line on stderr otherwise, except that ``validate`` reports a readable but
 invalid bundle as ``invalid: <issue>`` lines on stdout with exit code 1.
 ``run`` streams a bundle one frame at a time, and ``validate`` reads it
-through the same checks (:func:`terramesh.formats.open_bundle`).
+through the same checks (:func:`terramesh.formats.open_bundle`) and holds
+its classes to the same model catalog
+(:func:`terramesh.formats.check_class_names`, ``--models`` as ``run`` takes
+it), so that a bundle it calls valid is one ``run`` accepts.
 Seeds are mandatory wherever randomness exists; nothing is seeded from the
 wall clock.
 """
@@ -34,6 +37,7 @@ from .formats import (
     _is_int,
     _is_number,
     _numbers,
+    check_class_names,
     load_estimates,
     load_truth,
     open_bundle,
@@ -180,12 +184,7 @@ def cmd_run(args) -> int:
     cfg = _merge_run_config(args)
     manifest, frames = open_bundle(args.bundle)
     catalog, models = load_models(cfg["models"])
-    if catalog.k != manifest["num_classes"]:
-        raise CliError(
-            f"bundle has {manifest['num_classes']} classes, model file has {catalog.k}"
-        )
-    if list(catalog.names) != list(manifest["class_names"]):
-        raise CliError("bundle class names disagree with the model catalog")
+    check_class_names(manifest, catalog.names)
 
     a, b, c = cfg["noise"]
     mesh_cfg = MeshConfig(
@@ -411,7 +410,8 @@ def cmd_fitdist(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    issues = validate_bundle(args.bundle)
+    catalog, _ = load_models(args.models)
+    issues = validate_bundle(args.bundle, catalog.names)
     if issues:
         for issue in issues:
             print(f"invalid: {issue}")
@@ -490,8 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, default=5.0, help="low-pass cutoff [Hz]")
     p.set_defaults(func=cmd_fitdist)
 
-    p = sub.add_parser("validate", help="check a frame bundle against the documented format")
+    p = sub.add_parser("validate", help="check a frame bundle against the documented format and a model catalog")
     p.add_argument("--bundle", required=True)
+    p.add_argument("--models", help="friction-model file, as run takes it (default: shipped)")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("bench", help="time the map update across mesh resolutions")

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EvaluationError
 from .formats import write_csv
 from .pipeline import FaceEstimates
-from .properties import ndtr, normal_pdf
+from .properties import median, ndtr, normal_pdf
 
 KL_GRID_LO = -0.5
 KL_GRID_HI = 1.5
@@ -109,7 +109,7 @@ def kl_summary(estimates: FaceEstimates, truth_classes, models):
     vals = per_face[~np.isnan(per_face)]
     if vals.size == 0:
         raise EvaluationError("no faces carry a known estimate")
-    return float(np.mean(vals)), float(np.median(vals)), per_face
+    return float(np.mean(vals)), median(vals), per_face
 
 
 def low_friction_scores(estimates: FaceEstimates, models) -> np.ndarray:

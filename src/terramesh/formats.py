@@ -484,13 +484,28 @@ def read_bundle(directory):
     return manifest, list(frames)
 
 
-def validate_bundle(directory) -> list:
-    """Check a bundle against the documented format; returns the issues: one per
-    valid-flagged frame :meth:`FrameBundle.validate` rejects, then the first
-    manifest or file fault :func:`open_bundle` meets."""
+def check_class_names(manifest: dict, class_names) -> None:
+    """Raise :class:`FormatError` unless a bundle's classes are
+    ``class_names``, in order: the model catalog's rule, which ``run``
+    applies and ``validate`` reports."""
+    k = manifest["num_classes"]
+    if len(class_names) != k:
+        raise FormatError(f"bundle has {k} classes, model file has {len(class_names)}")
+    if list(class_names) != list(manifest["class_names"]):
+        raise FormatError("bundle class names disagree with the model catalog")
+
+
+def validate_bundle(directory, class_names=None) -> list:
+    """Check a bundle against the documented format, and against the model
+    catalog's ``class_names`` when they are given; returns the issues: one
+    per valid-flagged frame :meth:`FrameBundle.validate` rejects, then the
+    first manifest, catalog or file fault met."""
     issues = []
     try:
-        for frame in open_bundle(directory)[1]:
+        manifest, frames = open_bundle(directory)
+        if class_names is not None:
+            check_class_names(manifest, class_names)
+        for frame in frames:
             if frame.valid:
                 try:
                     frame.validate()

@@ -20,14 +20,20 @@ window's accumulated ``(row, col)`` start offset.  :func:`recenter` clears
 the rows and columns that enter the window and moves the offset, so a shift
 costs the cells that enter, not the map.  It writes only the entries that
 hold nonzero bits, so storage that no frame has written is never written,
-and resident memory follows the part of the map the robot has seen.  Face
+and resident memory follows the part of the map the robot has seen.  For
+the same reason each ring array is its own private anonymous mapping,
+advised against transparent huge pages where the platform has that advice
+(:func:`_ring_zeros`): numpy asks for huge pages on arrays of 4 MiB or more,
+and on a host whose huge pages are in ``madvise`` mode the evidence array
+would then become resident in 2 MiB steps instead of the 4 KiB pages that
+frames write.  Face
 and vertex ids everywhere else (``assign_face_ids``, ``face_vertex_ids``,
 exports) are canonical window ids; the per-frame writers translate them to
 storage slots with :meth:`Mesh.vertex_slots` / :meth:`Mesh.face_slots`.
 Exports read ring storage without a full-size copy:
 :meth:`Mesh.canonical_chunks` yields any ring array in canonical order, a
 bounded block of rows at a time, and the estimator gathers rows through
-``face_slots``.  The public
+``face_slots`` a block of faces at a time.  The public
 ``z_mean``/``z_var``/``touched``/``alpha``/``observed`` are canonical views:
 the first access after a shift rolls the storage back to offset zero once
 (``np.roll`` is exact), and assigning one of them does the same first.
@@ -47,6 +53,8 @@ may mutate it at a time; reads (export, evaluation) happen between updates.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,14 +199,14 @@ class Mesh:
         n_v = cfg.num_vertices
         n_f = cfg.num_faces
         self.ring = RingState(
-            z_mean=np.zeros(n_v),
-            z_var=np.zeros(n_v),
+            z_mean=_ring_zeros((n_v,)),
+            z_var=_ring_zeros((n_v,)),
             # zero-variance initialization would freeze the filter, so
             # vertices are flagged untouched and adopt their first
             # observation wholesale
-            touched=np.zeros(n_v, dtype=bool),
-            alpha=np.zeros((n_f, cfg.num_classes)),
-            observed=np.zeros(n_f, dtype=bool),
+            touched=_ring_zeros((n_v,), bool),
+            alpha=_ring_zeros((n_f, cfg.num_classes)),
+            observed=_ring_zeros((n_f,), bool),
         )
         # accumulated (row, col) window shift since storage was last canonical
         self._start = (0, 0)
@@ -332,6 +340,25 @@ class Mesh:
             # one array at a time, so at most one extra copy is alive
             setattr(self.ring, name, np.roll(grid, (-(r % n), -(c % n)), axis=(0, 1)).reshape(arr.shape))
         self._start = (0, 0)
+
+
+def _ring_zeros(shape: tuple, dtype=float) -> np.ndarray:
+    """A zero array on its own private anonymous mapping, advised against
+    transparent huge pages where the platform has that advice.
+
+    Pages become resident when first written, 4 KiB at a time (see the
+    module docstring).  A mapping the system refuses raises
+    :class:`MemoryError`, as an impossible ``np.zeros`` does.
+    """
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    try:
+        buffer = mmap.mmap(-1, count * dtype.itemsize, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except (OSError, OverflowError):
+        raise MemoryError(f"Unable to allocate {count * dtype.itemsize} bytes of ring storage {shape}") from None
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
 
 
 def _group(ids: np.ndarray, scratch: np.ndarray):

@@ -189,7 +189,11 @@ def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
     slots = mesh.face_slots(observed)
     mesh.ring.observed[slots] = True
     if config.accumulate_alpha:
-        mesh.ring.alpha[slots] += evidence
+        # slots are distinct, so one gather, add and scatter adds each term
+        # once, as `alpha[slots] += evidence` does, in about half its time
+        rows = np.take(mesh.ring.alpha, slots, axis=0)
+        rows += evidence
+        mesh.ring.alpha[slots] = rows
     t4 = time.perf_counter()
 
     timing = FrameTiming(
@@ -237,7 +241,9 @@ def estimate_properties(mesh: Mesh, kind: EstimatorKind, models, current_scores:
     """Per-face mixture weights under the chosen estimator.
 
     The recursive estimator normalizes the accumulated class evidence of
-    the faces that have any, gathering their rows from ring storage.  The
+    the faces that have any, gathering their rows from ring storage into
+    the output a block of :data:`ESTIMATE_BLOCK_ROWS` faces at a time and
+    normalizing each block in place.  The
     non-recursive baselines look only at the supplied single-frame face
     scores: the multimodal one keeps the full mean score vector, the
     unimodal one collapses it to its most likely class.  Neither baseline
@@ -249,12 +255,16 @@ def estimate_properties(mesh: Mesh, kind: EstimatorKind, models, current_scores:
         raise InputError(f"{len(models)} models supplied for {k} classes")
     if kind is EstimatorKind.RECURSIVE:
         ids = np.flatnonzero(np.concatenate([chunk.sum(axis=1) > 0 for chunk in mesh.canonical_chunks("alpha")]))
-        slots = mesh.face_slots(ids)
         weights = np.empty((ids.size, k))
-        # in blocks, so the gathered evidence never holds a second (m, K) array
+        # a block at a time, each gathered straight into its output rows and
+        # normalized there: no evidence copy, and slots for one block only
         for start in range(0, ids.size, ESTIMATE_BLOCK_ROWS):
-            block = slice(start, start + ESTIMATE_BLOCK_ROWS)
-            weights[block], _ = face_predictive(mesh.ring.alpha[slots[block]])
+            block = weights[start : start + ESTIMATE_BLOCK_ROWS]
+            slots = mesh.face_slots(ids[start : start + ESTIMATE_BLOCK_ROWS])
+            # slots lie in range, so "clip" only spares the copy of `out`
+            # that the default "raise" mode writes through
+            np.take(mesh.ring.alpha, slots, axis=0, out=block, mode="clip")
+            face_predictive(block, out=block)
         return FaceEstimates(ids, weights, mesh.num_faces)
 
     if current_scores is None:

@@ -8,8 +8,9 @@ pull-force logs from a drag-sled style device (mu = F / (m * g)), low-pass
 filters them, fits three candidate families and ranks them by
 Kolmogorov-Smirnov distance.
 
-The normal CDF and density, the filter and the fits are written out here in
-closed form, so the package needs numpy alone at run time.
+The normal CDF and density, the median, the filter and the fits are
+written out here in closed form, so the package needs numpy alone at run
+time.
 """
 
 from __future__ import annotations
@@ -50,6 +51,22 @@ def normal_pdf(x, mu, sigma):
     """Gaussian density, elementwise over broadcast ``x``, ``mu``, ``sigma``."""
     z = (x - mu) / sigma
     return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+
+
+def median(values) -> float:
+    """``np.median`` of the flattened ``values``, from one partition: the
+    middle element, or ``(a + b) / 2`` of the two middle elements, and NaN
+    if any value is NaN.  ``np.median`` would import ``numpy.ma`` on its
+    first call, which costs a cold process about 18 ms."""
+    a = np.asarray(values, dtype=float).reshape(-1)
+    if a.size == 0 or np.isnan(a).any():
+        return math.nan
+    half = a.size // 2
+    # np.median's sum starts from +0.0, so a median of zeros reads +0.0
+    if a.size % 2:
+        return float(np.partition(a, half)[half] + 0.0)
+    part = np.partition(a, (half - 1, half))
+    return float((part[half - 1] + part[half] + 0.0) / 2)
 
 
 @dataclass(frozen=True)
@@ -153,7 +170,7 @@ def friction_from_force(log: ForceLog, cutoff_hz: float = 5.0) -> np.ndarray:
         raise InputError("cutoff frequency must be positive")
     forces = log.forces_n
     if log.times_s.size > 1:
-        dt = float(np.median(np.diff(log.times_s)))
+        dt = median(np.diff(log.times_s))
         if dt <= 0:
             raise InputError("timestamps must be increasing")
         tau = 1.0 / (2.0 * math.pi * cutoff_hz)

@@ -82,15 +82,21 @@ def face_evidence(inverse, scores, num_faces: int, mode: str):
     return sums, counts, hard
 
 
-def face_predictive(alpha):
+def face_predictive(alpha, out=None):
     """Per-face probability that the next measurement takes each class.
 
     Each row of the (F, K) evidence is normalized.  Returns ``(weights,
     known)``; a row without evidence is unknown and keeps zero weights.
+    The weights are written into ``out`` when it is given, which may be
+    ``alpha`` itself to normalize in place; otherwise into a new array.
     """
     totals = alpha.sum(axis=1)
     known = totals > 0
-    weights = np.divide(alpha, totals[:, None], out=np.zeros_like(alpha), where=known[:, None])
+    if out is None:
+        out = np.zeros_like(alpha)
+    elif not known.all():
+        out[~known] = 0.0
+    weights = np.divide(alpha, totals[:, None], out=out, where=known[:, None])
     return weights, known
 
 

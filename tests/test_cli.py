@@ -997,6 +997,29 @@ class TestBundleReader:
         lines = captured.out.splitlines()
         assert lines and all(line.startswith("invalid: ") for line in lines)
 
+    def test_validate_holds_class_names_to_the_catalog_run_uses(self, sim_dir, tmp_path, capsys):
+        from terramesh.properties import save_models
+
+        renamed = copy_bundle(sim_dir, tmp_path / "renamed", lambda m: m["class_names"].__setitem__(3, "x"))
+        capsys.readouterr()
+        assert run_cli("validate", "--bundle", renamed) == 1
+        assert capsys.readouterr().out == "invalid: bundle class names disagree with the model catalog\n"
+        assert run_cli("run", "--bundle", renamed, "--out", tmp_path / "out") == 2
+        assert "class names disagree" in one_error_line(capsys)
+        # a catalog that carries the new name passes both, given to each as --models
+        names = json.loads((renamed / "manifest.json").read_text())["class_names"]
+        models = [PropertyModel(name, m.mu, m.sigma) for name, m in zip(names, load_default_models()[1])]
+        save_models(tmp_path / "models.tsv", models)
+        assert run_cli("validate", "--bundle", renamed, "--models", tmp_path / "models.tsv") == 0
+        assert run_cli(
+            "run", "--bundle", renamed, "--out", tmp_path / "out", "--models", tmp_path / "models.tsv",
+            "--mesh-side", 0.5, "--mesh-extent", 2.5,
+        ) == 0
+        # the shipped bundle fails against that catalog, with one issue line
+        capsys.readouterr()
+        assert run_cli("validate", "--bundle", sim_dir, "--models", tmp_path / "models.tsv") == 1
+        assert capsys.readouterr().out == "invalid: bundle class names disagree with the model catalog\n"
+
     def test_validate_refuses_absolute_name_of_real_frame_file(self, sim_dir, tmp_path, capsys):
         target = sorted(sim_dir.glob("*.depth.f32"))[0].resolve()
         broken = copy_bundle(sim_dir, tmp_path / "abs", lambda m: m["frames"][0].update(depth_file=str(target)))
@@ -1131,13 +1154,16 @@ class TestMutatedInputs:
             else:
                 bundle = copy_bundle(sim_dir, tmp / "bundle", lambda _: doc)
                 argv = ["run", "--bundle", bundle, "--out", out, "--mesh-side", 0.5, "--mesh-extent", 2.5]
-                code, lines, err = self.streams("validate", "--bundle", bundle)
+                verdict, lines, err = self.streams("validate", "--bundle", bundle)
                 assert err == ""
-                if code == 0:
+                if verdict == 0:
                     assert lines == ["bundle is valid"]
                 else:
-                    assert code == 1 and lines and all(line.startswith("invalid: ") for line in lines), lines
+                    assert verdict == 1 and lines and all(line.startswith("invalid: ") for line in lines), lines
             code, _, err = self.streams(*argv)
+            if target == "manifest":
+                # what validate accepts, run accepts, and no more
+                assert (verdict == 0) == (code == 0), (verdict, code, err)
             lines = err.splitlines()
             assert "Traceback" not in err
             if code == 0:

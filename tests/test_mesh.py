@@ -81,6 +81,43 @@ class TestConfig:
         assert np.all(m.z_var == 0.0)
         assert not m.touched.any()
 
+    def test_ring_storage_is_plain_zero_arrays(self):
+        m = small_mesh(0.25, 1.5, 3)
+        for name, _ in m._ring_grids():
+            arr = getattr(m.ring, name)
+            assert arr.flags.writeable and arr.flags.c_contiguous, name
+            assert not arr.any(), name
+        m.ring.alpha[5] = [1.0, 2.0, 3.0]
+        twin = copy.deepcopy(m)
+        for name, _ in m._ring_grids():
+            got, want = getattr(twin.ring, name), getattr(m.ring, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        twin.ring.alpha[5] = 0.0
+        assert m.ring.alpha[5].tolist() == [1.0, 2.0, 3.0]
+
+    def test_evidence_storage_stays_off_huge_pages(self):
+        # the CLI's default mesh: alpha is 40 MB, far above numpy's 4 MiB
+        # huge-page threshold, so only its own allocation keeps it off them
+        alpha = init_mesh(MeshConfig(0.02, 5.0, 10)).ring.alpha
+        lo = alpha.__array_interface__["data"][0]
+        hi = lo + alpha.nbytes
+        try:
+            with open("/proc/self/smaps") as fh:
+                text = fh.read()
+        except OSError:
+            pytest.skip("no /proc/self/smaps")
+        eligible, overlaps = [], False
+        for line in text.splitlines():
+            head = line.split()[0]
+            if "-" in head and not head.endswith(":"):
+                start, stop = (int(x, 16) for x in head.split("-"))
+                overlaps = start < hi and lo < stop
+            elif overlaps and head == "THPeligible:":
+                eligible.append(line.split()[1])
+        if not eligible:
+            pytest.skip("smaps has no THPeligible field")
+        assert set(eligible) == {"0"}
+
     def test_vertices_on_lattice(self):
         m = small_mesh(0.25, 1.0, 2)
         vx, vy = m.vertex_positions()
@@ -133,8 +170,8 @@ class TestFaceCorners:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = sum(getattr(m.ring, name).nbytes for name, _ in m._ring_grids())
-        held += m._face_scratch.nbytes + m._vertex_scratch.nbytes
+        # the ring arrays are anonymous mappings, which tracemalloc does not see
+        held = m._face_scratch.nbytes + m._vertex_scratch.nbytes
         assert peak < held + m.num_faces * 3 * 4
 
 

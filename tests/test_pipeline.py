@@ -21,7 +21,7 @@ from terramesh.pipeline import (
     estimate_properties,
 )
 from terramesh.properties import PropertyMixture, PropertyModel, load_default_models
-from terramesh.semantics import class_predictive, dirichlet_update
+from terramesh.semantics import class_predictive, dirichlet_update, face_predictive
 
 DOWN = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
 
@@ -590,3 +590,49 @@ class TestEstimatorMemory:
         faces, k = mesh.alpha.shape
         assert peak <= faces * k * 8 + 2 * faces * 8
         assert np.array_equal(dense_weights(est), indexed_estimate(kind, mesh.alpha, scores))
+
+
+class TestBlockedRecursiveEstimate:
+    """The recursive estimate gathers and normalizes a block of known faces
+    at a time, in place in its output."""
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_blocks_match_one_normalization(self, mode, monkeypatch):
+        rng = np.random.default_rng(23)
+        cfg = MeshConfig(0.1, 1.0, 4)
+        mapper = Mapper(init_mesh(cfg), PipelineConfig(update_mode=mode, recenter=True))
+        xy = np.zeros(2)
+        for i in range(12):
+            xy = xy + rng.uniform(-0.25, 0.25, size=2)
+            assert mapper.process(frame_over(xy, rng, cfg.num_classes, size=16, fx=8.0, frame_id=i))
+        mesh = mapper.mesh
+        assert all(mesh._start)  # the ring is offset along both axes
+        known = int(np.count_nonzero(copy.deepcopy(mesh).alpha.sum(axis=1) > 0))
+        rows = known // 3 - 1  # three whole blocks and a partial fourth
+        assert rows > 0 and known % rows
+        monkeypatch.setattr(pipeline, "ESTIMATE_BLOCK_ROWS", rows)
+        est = estimate_properties(mesh, EstimatorKind.RECURSIVE, load_default_models()[1][: cfg.num_classes])
+        alpha = copy.deepcopy(mesh).alpha  # canonical, without moving the mesh under test
+        assert np.array_equal(est.ids, np.flatnonzero(alpha.sum(axis=1) > 0))
+        want, _ = face_predictive(alpha[est.ids])
+        assert est.known_weights.tobytes() == want.tobytes()
+
+    def test_working_memory_is_below_one_block(self):
+        # the CLI's default 0.02 m / 5 m mesh recentred along both axes, with
+        # as many known faces as a robot-centric run leaves: 107,831
+        _, models = load_default_models()
+        mesh = init_mesh(MeshConfig(0.02, 5.0, 10))
+        recenter(mesh, (1.23, -2.47))
+        rng = np.random.default_rng(1)
+        ids = np.sort(rng.choice(mesh.num_faces, 107_831, replace=False))
+        mesh.ring.alpha[mesh.face_slots(ids)] = rng.random((ids.size, 10))
+        tracemalloc.start()
+        try:
+            est = estimate_properties(mesh, EstimatorKind.RECURSIVE, models)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(est.ids, ids)
+        # beyond its output, less than one block of weights: no block is copied
+        output = est.ids.nbytes + est.known_weights.nbytes
+        assert peak - output < pipeline.ESTIMATE_BLOCK_ROWS * 10 * 8
