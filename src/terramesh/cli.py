@@ -205,7 +205,9 @@ def cmd_run(args) -> int:
         recenter=cfg["recenter"],
         pose_cov_override=None if pose_cov is None else np.array(pose_cov, dtype=float),
     )
-    mapper = Mapper(init_mesh(mesh_cfg), pipeline_cfg).run(frames)
+    mapper = Mapper(init_mesh(mesh_cfg), pipeline_cfg)
+    # timing.csv names each processed frame by its bundle frame id
+    frame_ids = [frame.frame_id for frame in frames if mapper.process(frame)]
     # when every frame was skipped, the baselines leave every face unknown
     estimates = estimate_properties(mapper.mesh, kind, models, mapper.last_scores)
 
@@ -224,7 +226,7 @@ def cmd_run(args) -> int:
     write_csv(
         out / "timing.csv",
         ["frame", *(f"{f.name}_s" for f in fields(FrameTiming))],
-        ([i, *astuple(t)] for i, t in enumerate(mapper.timings)),
+        ([fid, *astuple(t)] for fid, t in zip(frame_ids, mapper.timings)),
     )
 
     summary = {

@@ -6,13 +6,18 @@ Binary container layout (shared by map and estimate files):
     line 2          JSON: {"header": {...}, "arrays": [{name, dtype, shape}, ...]}
     remainder       raw array bytes, little-endian, C-order, in manifest order
 
+A map or estimates file holds the arrays :data:`CONTAINER_ARRAYS` lists for
+its kind, in that order, with the dtypes and the shapes on its header's mesh
+given there: the writers take them from that table, and the readers check a
+file's manifest against it before they read any array data.
 Arrays are streamed to and from disk without a second copy: the writer
 hands each array's own memory, or each chunk of an array given as chunks,
 to the file, and the reader reads each one straight into the buffer it
 returns.  A map is written from the mesh's ring storage in canonical
 order (:meth:`Mesh.canonical_chunks`), and its face table is computed from
-the lattice a block of faces at a time; the dense estimate weights are
-written and read in blocks, of which memory keeps only the known rows.
+the lattice a block of faces at a time; the dense estimate mask and
+weights are written from the known rows in blocks, and the weights are
+read in blocks, of which memory keeps only the known rows.
 
 Frame-bundle directory layout:
 
@@ -52,7 +57,7 @@ import numpy as np
 from .errors import ConfigurationError, FormatError, InputError
 from .geometry import CameraIntrinsics, Pose
 from .mesh import Mesh, MeshConfig
-from .pipeline import ESTIMATE_BLOCK_ROWS, FaceEstimates, FrameBundle
+from .pipeline import ESTIMATE_BLOCK_ROWS, EstimatorKind, FaceEstimates, FrameBundle
 from .semantics import SCORE_TOL, non_probability_row
 
 BIN_MAGIC = b"TERRAMESH-BIN v1\n"
@@ -88,9 +93,9 @@ def write_arrays(path, header: dict, arrays: dict) -> None:
     """Write the binary container: JSON header plus named raw arrays.
 
     A value is an array or ``(dtype, shape, chunks)``: an iterable of arrays
-    whose elements, in order, make up the named array.  Only an array or a
-    chunk that is not already little-endian C-order of its dtype is
-    converted first.
+    whose elements, in order, make up the named array, or
+    :class:`FormatError` is raised.  Only an array or a chunk that is not
+    already little-endian C-order of its dtype is converted first.
     """
     values = {}
     for name, value in arrays.items():
@@ -105,9 +110,10 @@ def write_arrays(path, header: dict, arrays: dict) -> None:
         fh.write(BIN_MAGIC)
         fh.write(_json_bytes({"header": header, "arrays": manifest}))
         fh.write(b"\n")
-        for dtype, _, chunks in values.values():
-            for chunk in chunks:
-                fh.write(np.ascontiguousarray(chunk, dtype=dtype))
+        for name, (dtype, shape, chunks) in values.items():
+            size = sum(fh.write(np.ascontiguousarray(chunk, dtype=dtype)) for chunk in chunks)
+            if size != math.prod(shape) * dtype.itemsize:
+                raise FormatError(f"{path}: array {name!r} of shape {shape} was given {size} bytes")
 
 
 def _read_layout(fh, path):
@@ -149,20 +155,6 @@ def _read_layout(fh, path):
     return header, layout
 
 
-# the dtype each map and estimates array is written with, as its manifest spells it
-ARRAY_DTYPES = {
-    **dict.fromkeys(("vertex_x", "vertex_y", "z_mean", "z_var", "alpha", "weights"), "<f8"),
-    **dict.fromkeys(("touched", "known"), "|u1"),
-    "face_vertices": "<i4",
-}
-
-
-def _check_dtype(path, name, dtype) -> None:
-    """Raise :class:`FormatError` unless array ``name`` has the dtype its writer emits."""
-    if dtype.str != ARRAY_DTYPES[name]:
-        raise FormatError(f"{path}: array {name!r} has dtype {dtype.str}, expected {ARRAY_DTYPES[name]}")
-
-
 def _read_array(fh, dtype, shape, offset) -> np.ndarray:
     """The array of ``dtype`` and ``shape`` at byte ``offset``, read straight into its own buffer."""
     out = np.empty(shape, dtype=dtype)
@@ -181,55 +173,57 @@ def read_arrays(path):
 # -- map export ---------------------------------------------------------------
 
 
-def _mesh_header(mesh: Mesh) -> dict:
-    """The mesh fields that map and estimates headers share (:data:`_MESH_FIELDS`)."""
-    return {
+# Each container's arrays in file order: name, dtype as the manifest spells
+# it, and shape on the header's mesh, one letter per axis (V vertices,
+# F faces, K classes, 3 corners).  Writers and readers both use it.
+CONTAINER_ARRAYS = {
+    MAP_KIND: (
+        *((name, "<f8", "V") for name in ("vertex_x", "vertex_y", "z_mean", "z_var")),
+        ("touched", "|u1", "V"),
+        ("face_vertices", "<i4", "F3"),
+        ("alpha", "<f8", "FK"),
+    ),
+    ESTIMATES_KIND: (("known", "|u1", "F"), ("weights", "<f8", "FK")),
+}
+
+
+def container_layout(kind: str, cfg: MeshConfig) -> dict:
+    """``{name: (dtype, shape)}`` of a ``kind`` container on the mesh ``cfg``, in file order."""
+    sizes = {"V": cfg.num_vertices, "F": cfg.num_faces, "K": cfg.num_classes, "3": 3}
+    return {name: (np.dtype(dtype), tuple(sizes[a] for a in axes)) for name, dtype, axes in CONTAINER_ARRAYS[kind]}
+
+
+def _write_container(path, kind: str, mesh: Mesh, fields: dict, chunks: dict) -> None:
+    """Write a ``kind`` container of ``mesh``: a header of the kind, its
+    version, the mesh fields (:data:`_MESH_FIELDS`) and ``fields``, then each
+    array of the kind's layout, in file order, from the arrays ``chunks[name]``."""
+    header = {
+        "kind": kind,
+        "version": 1,
         "side_length_m": mesh.cfg.side_length_m,
         "half_extent_m": mesh.cfg.half_extent_m,
         "num_classes": mesh.cfg.num_classes,
         "center": [float(mesh.center[0]), float(mesh.center[1])],
+        **fields,
     }
-
-
-MAP_ARRAYS = ("vertex_x", "vertex_y", "z_mean", "z_var", "touched", "face_vertices", "alpha")
+    layout = container_layout(kind, mesh.cfg)
+    write_arrays(path, header, {name: (dtype, shape, chunks[name]) for name, (dtype, shape) in layout.items()})
 
 
 def save_map(mesh: Mesh, path, class_names, frame_count: int = 0, extra: dict | None = None) -> None:
     """Dump the vertex heights and class evidence losslessly plus a
     human-readable sidecar header.
 
-    Writes ``path`` (binary container) and ``path + '.txt'`` (sidecar).
-    The per-face ``observed`` mask is not stored.
+    Writes ``path`` (binary container, laid out as
+    ``CONTAINER_ARRAYS[MAP_KIND]``) and ``path + '.txt'`` (sidecar).  The
+    per-face ``observed`` mask is not stored.
     """
     vx, vy = mesh.vertex_positions()
-    header = {
-        "kind": MAP_KIND,
-        "version": 1,
-        **_mesh_header(mesh),
-        "frame_count": int(frame_count),
-        "class_names": list(class_names),
-    }
-    if extra:
-        header.update(extra)
-
-    def ring(name, dtype=None):
-        # a ring array in canonical order, written from ring storage
-        arr = getattr(mesh.ring, name)
-        return dtype or arr.dtype, arr.shape, mesh.canonical_chunks(name)
-
-    write_arrays(
-        path,
-        header,
-        {
-            "vertex_x": vx,
-            "vertex_y": vy,
-            "z_mean": ring("z_mean"),
-            "z_var": ring("z_var"),
-            "touched": ring("touched", np.uint8),
-            "face_vertices": (np.int32, (mesh.num_faces, 3), mesh.face_vertex_chunks()),
-            "alpha": ring("alpha"),
-        },
-    )
+    fields = {"frame_count": int(frame_count), "class_names": list(class_names), **(extra or {})}
+    # ring arrays are written from ring storage, in canonical order
+    ring = {name: mesh.canonical_chunks(name) for name in ("z_mean", "z_var", "touched", "alpha")}
+    chunks = {"vertex_x": (vx,), "vertex_y": (vy,), "face_vertices": mesh.face_vertex_chunks(), **ring}
+    _write_container(path, MAP_KIND, mesh, fields, chunks)
     sidecar = [
         "terramesh map export v1",
         f"side_length_m: {mesh.cfg.side_length_m!r}",
@@ -279,48 +273,55 @@ def _check_fields(where: str, doc, fields) -> None:
             raise FormatError(f"{where} field {name!r} must be {what}, not {doc[name]!r}")
 
 
-def _check_header(path, header: dict, kind: str, fields=()) -> MeshConfig:
-    """The :class:`MeshConfig` of a map or estimates header of ``kind`` holding
-    the mesh fields plus ``fields``, each of its type, else :class:`FormatError`."""
+def _open_container(fh, path, kind: str, fields=()):
+    """Check an open ``kind`` container before any array data is read: its
+    header holds the mesh fields plus ``fields``, each of its type, and its
+    manifest each array of the kind's layout with that dtype and shape, or
+    :class:`FormatError` names the file and the field or array.  Returns
+    ``(header, MeshConfig, {name: (dtype, shape, offset)})`` of the layout."""
+    header, layout = _read_layout(fh, path)
     if header.get("kind") != kind:
         raise FormatError(f"{path}: not a {kind} file")
     _check_fields(f"{path}: header", header, _MESH_FIELDS + tuple(fields))
     try:
-        return MeshConfig(header["side_length_m"], header["half_extent_m"], header["num_classes"])
+        cfg = MeshConfig(header["side_length_m"], header["half_extent_m"], header["num_classes"])
     except ConfigurationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    expected = container_layout(kind, cfg)
+    missing = [name for name in expected if name not in layout]
+    if missing:
+        raise FormatError(f"{path}: {kind} misses arrays {missing}")
+    for name, (dtype, shape) in expected.items():
+        got_dtype, got_shape, _ = layout[name]
+        if got_dtype.str != dtype.str:
+            raise FormatError(f"{path}: array {name!r} has dtype {got_dtype.str}, expected {dtype.str}")
+        if got_shape != shape:
+            raise FormatError(
+                f"{path}: {name} has shape {got_shape}, expected {shape} on its mesh of {cfg.num_faces} faces"
+            )
+    return header, cfg, {name: layout[name] for name in expected}
 
 
 def load_map(path):
     """Rebuild a mesh from :func:`save_map` output; returns ``(mesh, header)``.
 
-    Every stored array comes back bit for bit.  ``observed`` is not stored,
-    so the rebuilt mesh reads it all False.  An array whose dtype is not the
-    one :func:`save_map` writes (:data:`ARRAY_DTYPES`) raises
-    :class:`FormatError` naming the file and the array.
+    The file is checked against the map layout (:func:`_open_container`)
+    before any array is read, then its lattice and face table against the
+    header's mesh; a fault raises :class:`FormatError` naming the file and
+    the array.  Every stored array comes back bit for bit.  ``observed`` is
+    not stored, so the rebuilt mesh reads it all False.
     """
-    header, arrays = read_arrays(path)
-    cfg = _check_header(path, header, MAP_KIND)
-    missing = [name for name in MAP_ARRAYS if name not in arrays]
-    if missing:
-        raise FormatError(f"{path}: map misses arrays {missing}")
-    for name in MAP_ARRAYS:
-        _check_dtype(path, name, arrays[name].dtype)
+    with open(path, "rb") as fh:
+        header, cfg, layout = _open_container(fh, path, MAP_KIND)
+        arrays = {name: _read_array(fh, *entry) for name, entry in layout.items()}
     mesh = Mesh(cfg, center_xy=header["center"])
     vx, vy = mesh.vertex_positions()
     if not (np.array_equal(vx, arrays["vertex_x"]) and np.array_equal(vy, arrays["vertex_y"])):
         raise FormatError(f"{path}: vertex lattice does not match configuration")
     if not np.array_equal(mesh.face_vertex_ids, arrays["face_vertices"]):
         raise FormatError(f"{path}: face table does not match configuration")
-    for name in ("z_mean", "z_var", "touched"):
-        if arrays[name].shape != (cfg.num_vertices,):
-            raise FormatError(f"{path}: {name} has shape {arrays[name].shape}, expected ({cfg.num_vertices},)")
-    mesh.z_mean = arrays["z_mean"].astype(float, copy=False)
-    mesh.z_var = arrays["z_var"].astype(float, copy=False)
+    mesh.z_mean, mesh.z_var, mesh.alpha = arrays["z_mean"], arrays["z_var"], arrays["alpha"]
     mesh.touched = arrays["touched"].astype(bool)
-    mesh.alpha = arrays["alpha"].astype(float, copy=False)
-    if mesh.alpha.shape != (cfg.num_faces, cfg.num_classes):
-        raise FormatError(f"{path}: alpha shape mismatch")
     return mesh, header
 
 
@@ -572,68 +573,53 @@ def load_truth(path) -> dict:
 # -- per-face estimates -----------------------------------------------------------
 
 
-def _dense_weights(estimates: FaceEstimates):
-    """The (F, K) weights of ``estimates`` in blocks of
-    :data:`ESTIMATE_BLOCK_ROWS` faces, zero on unknown faces.  Each block
-    reuses one buffer, so it must be consumed before the next is asked for."""
-    ids, rows, f = estimates.ids, estimates.known_weights, estimates.num_faces
-    buffer = np.empty((ESTIMATE_BLOCK_ROWS, rows.shape[1]))
+def _dense_rows(estimates: FaceEstimates, rows):
+    """The (F, ...) array that holds ``rows`` on the known faces of
+    ``estimates`` and zero on the others, in blocks of
+    :data:`ESTIMATE_BLOCK_ROWS` faces.  Each block reuses one buffer, so it
+    must be consumed before the next is asked for."""
+    ids, f = estimates.ids, estimates.num_faces
+    buffer = np.empty((ESTIMATE_BLOCK_ROWS, *rows.shape[1:]), dtype=rows.dtype)
     for start in range(0, f, ESTIMATE_BLOCK_ROWS):
         stop = min(start + ESTIMATE_BLOCK_ROWS, f)
         lo, hi = np.searchsorted(ids, (start, stop))
         block = buffer[: stop - start]
-        block.fill(0.0)
+        block.fill(0)
         block[ids[lo:hi] - start] = rows[lo:hi]
         yield block
 
 
 def save_estimates(path, estimates: FaceEstimates, mesh: Mesh, estimator: str, scenario_hash_value: str | None) -> None:
     """Persist per-face mixture weights produced by one estimator: the (F,)
-    known mask and dense (F, K) weights, zero on unknown faces."""
-    header = {
-        "kind": ESTIMATES_KIND,
-        "version": 1,
-        "estimator": estimator,
-        "scenario_hash": scenario_hash_value,
-        **_mesh_header(mesh),
+    known mask and dense (F, K) weights, zero on unknown faces, laid out as
+    ``CONTAINER_ARRAYS[ESTIMATES_KIND]``."""
+    fields = {"estimator": estimator, "scenario_hash": scenario_hash_value}
+    chunks = {
+        "known": _dense_rows(estimates, np.broadcast_to(True, estimates.ids.shape)),
+        "weights": _dense_rows(estimates, estimates.known_weights),
     }
-    f, k = estimates.num_faces, estimates.known_weights.shape[1]
-    write_arrays(
-        path,
-        header,
-        {
-            "known": estimates.known.view(np.uint8),
-            "weights": (np.float64, (f, k), _dense_weights(estimates)),
-        },
-    )
+    _write_container(path, ESTIMATES_KIND, mesh, fields, chunks)
+
+
+_ESTIMATORS = tuple(kind.value for kind in EstimatorKind)
+_ESTIMATOR_FIELD = ("estimator", lambda v: v in _ESTIMATORS, f"one of {_ESTIMATORS}")
 
 
 def load_estimates(path):
-    """Returns ``(header, FaceEstimates)``; the arrays must have the dtypes
-    :func:`save_estimates` writes and hold one row per face of the mesh the
-    header describes, and every known row must be a probability vector
-    (:func:`~terramesh.semantics.non_probability_row`), or
-    :class:`FormatError` names the file and the array or face.  The weights
-    are read in blocks of :data:`ESTIMATE_BLOCK_ROWS` faces, of which only
-    the known rows are kept."""
+    """Returns ``(header, FaceEstimates)``.  The file is checked against the
+    estimates layout, and its ``estimator`` against the estimator kinds,
+    before any array is read (:func:`_open_container`); then every known
+    row must be a probability vector
+    (:func:`~terramesh.semantics.non_probability_row`).  A fault raises
+    :class:`FormatError` naming the file and the field, array or face.  The
+    weights are read in blocks of :data:`ESTIMATE_BLOCK_ROWS` faces, of
+    which only the known rows are kept."""
     with open(path, "rb") as fh:
-        header, layout = _read_layout(fh, path)
-        cfg = _check_header(path, header, ESTIMATES_KIND, [("estimator", lambda v: isinstance(v, str), "a string")])
-        try:
-            known, weights = layout["known"], layout["weights"]
-        except KeyError as exc:
-            raise FormatError(f"{path}: misses array {exc.args[0]!r}") from exc
-        _check_dtype(path, "known", known[0])
-        _check_dtype(path, "weights", weights[0])
+        header, cfg, layout = _open_container(fh, path, ESTIMATES_KIND, [_ESTIMATOR_FIELD])
         f, k = cfg.num_faces, cfg.num_classes
-        if known[1] != (f,) or weights[1] != (f, k):
-            raise FormatError(
-                f"{path}: known has shape {known[1]} and weights {weights[1]}; "
-                f"its mesh of {f} faces and {k} classes needs ({f},) and ({f}, {k})"
-            )
-        ids = np.flatnonzero(_read_array(fh, *known))
+        ids = np.flatnonzero(_read_array(fh, *layout["known"]))
         rows = np.empty((ids.size, k))
-        dtype, _, offset = weights
+        dtype, _, offset = layout["weights"]
         for start in range(0, f, ESTIMATE_BLOCK_ROWS):
             stop = min(start + ESTIMATE_BLOCK_ROWS, f)
             lo, hi = np.searchsorted(ids, (start, stop))

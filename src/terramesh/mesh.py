@@ -42,10 +42,11 @@ The mesh holds map state and scratch only.  A frame's in-window points are
 a value, :class:`FramePoints`, that the frame update builds once and passes
 to height fusion and the class reduction.  :meth:`FramePoints.from_assignment`
 groups the points by face, and the observed faces' corners by vertex,
-without sorting the points and without scanning the map: the mesh's two
-int32 scratch arrays, one slot per window face and one per vertex, map ids
-to ranks, and only the distinct ids are sorted.  Every slot a frame reads is
-written earlier in that frame, so the scratch arrays are never cleared.
+without sorting the points and without scanning the map: the mesh's one
+int32 scratch array, with a slot per window face or vertex, whichever are
+more, maps ids to ranks, and only the distinct ids are sorted.  The face
+grouping is copied out before the vertex grouping writes, and every slot a
+grouping reads is written earlier in it, so the scratch is never cleared.
 
 Concurrency: a mesh is a single-writer structure.  Exactly one frame update
 may mutate it at a time; reads (export, evaluation) happen between updates.
@@ -129,7 +130,7 @@ class FramePoints:
         ``scores`` is a (N, K) table and ``rows`` each point's row in it;
         the points in the window read theirs with one gather into a
         class-major (K, n) float array.  The grouping goes through the
-        mesh's scratch arrays, sorting only the observed face ids and the
+        mesh's scratch array, sorting only the observed face ids and the
         corners of those faces.
         """
         keep = np.flatnonzero(face_ids >= 0)
@@ -142,9 +143,9 @@ class FramePoints:
         # the (n, K) gather and the index of the kept points are freed
         # before grouping, so that neither coexists with the groups
         del keep
-        faces, inverse = _group(face_ids, mesh._face_scratch)
+        faces, inverse = _group(face_ids, mesh._scratch)
         corner_ids = mesh.face_corners(faces)
-        vertices, corners = _group(corner_ids.reshape(-1), mesh._vertex_scratch)
+        vertices, corners = _group(corner_ids.reshape(-1), mesh._scratch)
         return cls(
             pos_map, pos_sensor, scores, face_ids, faces, inverse, vertices, corners.reshape(corner_ids.shape)
         )
@@ -211,8 +212,7 @@ class Mesh:
         # accumulated (row, col) window shift since storage was last canonical
         self._start = (0, 0)
         # FramePoints.from_assignment's scratch, never cleared (see the module docstring)
-        self._face_scratch = np.empty(n_f, dtype=np.int32)
-        self._vertex_scratch = np.empty(n_v, dtype=np.int32)
+        self._scratch = np.empty(max(n_f, n_v), dtype=np.int32)
 
     # -- geometry -----------------------------------------------------------
 

@@ -318,11 +318,16 @@ def load_models(path=None):
 
     lines = text.splitlines()
     if not lines or lines[0].strip() != MODEL_FILE_MAGIC:
-        raise ConfigurationError(
-            f"model file must start with {MODEL_FILE_MAGIC!r}"
-        )
+        raise ConfigurationError(f"model file must start with {MODEL_FILE_MAGIC!r}")
+    models = _read_models(lines[1:], start=2)
+    return ClassCatalog(tuple(m.class_name for m in models)), models
+
+
+def _read_models(lines, start: int) -> list:
+    """The models of model-file ``lines``, numbered from ``start``; blank
+    lines and lines starting with ``#`` are skipped."""
     models = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(lines, start=start):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -339,19 +344,24 @@ def load_models(path=None):
             models.append(PropertyModel(name, mu, sigma))
         except ConfigurationError as exc:
             raise ConfigurationError(f"line {lineno}: {exc}") from exc
-    if not models:
-        raise ConfigurationError("model file contains no classes")
-    names = [m.class_name for m in models]
-    if len(set(names)) != len(names):
-        raise ConfigurationError("duplicate class name in model file")
-    return ClassCatalog(tuple(names)), models
+    return models
 
 
 def save_models(path, models) -> None:
-    """Write a friction-model file (the exact inverse of :func:`load_models`)."""
+    """Write a friction-model file that :func:`load_models` reads back as
+    ``models``.  Each line is read back as it is made, and a class name
+    that would read back otherwise, or a catalog :class:`ClassCatalog`
+    refuses, raises :class:`ConfigurationError` before anything is written."""
+    ClassCatalog(tuple(m.class_name for m in models))
     lines = [MODEL_FILE_MAGIC, "# class\tmu\tsigma"]
     for m in models:
-        lines.append(f"{m.class_name}\t{m.mu!r}\t{m.sigma!r}")
+        lines.append(f"{m.class_name}\t{float(m.mu)!r}\t{float(m.sigma)!r}")
+        try:
+            back = _read_models(lines[-1].splitlines(), start=len(lines))
+        except ConfigurationError:
+            back = None
+        if back != [m]:
+            raise ConfigurationError(f"class name {m.class_name!r} would not read back from a model file")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -34,8 +34,9 @@ class ClassCatalog:
     def __post_init__(self):
         if len(self.names) < 1:
             raise ConfigurationError("catalog needs at least one class")
-        if len(set(self.names)) != len(self.names):
-            raise ConfigurationError("class names must be unique")
+        repeated = [name for name in self.names if self.names.count(name) > 1]
+        if repeated:
+            raise ConfigurationError(f"duplicate class name {repeated[0]!r}")
 
     @property
     def k(self) -> int:

@@ -390,6 +390,18 @@ class TestRun:
         assert rows[0] == ["frame", "project_s", "assign_s", "elevation_s", "semantics_s", "total_s"]
         assert len(rows) == 1 + 4
 
+    def test_timing_rows_name_bundle_frames(self, sim_dir, tmp_path):
+        # an invalid-flagged frame mid-bundle is skipped, and each later row
+        # still names the frame it timed
+        bundle = copy_bundle(sim_dir, tmp_path / "flagged", lambda m: m["frames"][1].update(valid=False))
+        ids = [entry["frame_id"] for entry in json.loads((bundle / "manifest.json").read_text())["frames"]]
+        out = tmp_path / "out"
+        assert run_cli("run", "--bundle", bundle, "--out", out, "--mesh-side", 0.5, "--mesh-extent", 2.5) == 0
+        with open(out / "timing.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(row[0]) for row in rows] == ids[:1] + ids[2:]
+        assert json.loads((out / "summary.json").read_text())["frames_skipped"] == 1
+
 
 @pytest.fixture(scope="module")
 def eval_dir(sim_dir, run_dir, tmp_path_factory):
@@ -724,6 +736,16 @@ class TestEvalInputs:
         line = one_error_line(capsys)
         assert "bad.bin" in line and f"array {name!r} has dtype {dtype}" in line
 
+    @pytest.mark.parametrize("estimator", ["a/b", "..", ""], ids=["slash", "dots", "empty"])
+    def test_estimator_outside_the_kinds(self, sim_dir, run_dir, tmp_path, capsys, estimator):
+        # the estimator names report files, so only the three kinds may pass
+        bad = rewrite_estimates(run_dir / "estimates.bin", tmp_path / "bad.bin", estimator=lambda _: estimator)
+        capsys.readouterr()
+        assert self.eval_one(sim_dir, bad, tmp_path) == 2
+        line = one_error_line(capsys)
+        assert "bad.bin" in line and "'estimator'" in line
+        assert not (tmp_path / "report").exists()
+
     def test_two_files_of_one_estimator(self, sim_dir, run_dir, tmp_path, capsys):
         # their report rows and precision-recall files would share one name
         twin = tmp_path / "twin.bin"
@@ -875,6 +897,22 @@ class TestFitdist:
 
         save_models(out2, models)
         assert out.read_bytes() == out2.read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "names, fault",
+        [(["ice_rink", "ice rink"], "duplicate class name 'ice rink'"), (["#grass"], "'#grass' would not read back")],
+        ids=["underscore-twin", "comment-name"],
+    )
+    def test_class_names_a_model_file_cannot_hold(self, tmp_path, capsys, names, fault):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        for seed, name in enumerate(names):
+            self.write_log(logs / f"{name}.csv", 0.2 + 0.1 * seed, 2.0, seed=seed, metadata_mass=True)
+        capsys.readouterr()
+        assert run_cli("fitdist", "--logs", logs, "--out", tmp_path / "m.tsv") == 2
+        assert fault in one_error_line(capsys)
+        assert not (tmp_path / "m.tsv").exists()
 
 
 class TestValidateAndBench:

@@ -5,8 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from terramesh import formats
 from terramesh.errors import FormatError
 from terramesh.formats import (
+    CONTAINER_ARRAYS,
+    ESTIMATES_KIND,
+    MAP_KIND,
+    container_layout,
     load_estimates,
     load_map,
     load_truth,
@@ -193,6 +198,89 @@ class TestMapExport:
         write_arrays(path, header, arrays)
         with pytest.raises(FormatError, match=field):
             load_map(path)
+
+
+# a dtype of the same size as each table dtype, for relabelled manifests
+OTHER_DTYPE = {"<f8": "<i8", "|u1": "|i1", "<i4": "<u4"}
+LOADERS = {MAP_KIND: load_map, ESTIMATES_KIND: load_estimates}
+
+
+def count_reads(monkeypatch) -> list:
+    """The list to which each later ``formats._read_array`` call appends its arguments."""
+    reads, read_array = [], formats._read_array
+    monkeypatch.setattr(formats, "_read_array", lambda *args: reads.append(args) or read_array(*args))
+    return reads
+
+
+class TestContainerLayout:
+    """Each container is written from the one layout table and checked
+    against it before any array data is read."""
+
+    @pytest.fixture
+    def files(self, tmp_path, rng):
+        mesh = init_mesh(MeshConfig(0.5, 1.0, 3))
+        mesh.alpha = rng.uniform(0, 4, mesh.alpha.shape)
+        recenter(mesh, (0.7, -1.2))
+        assert mesh._start != (0, 0)
+        known = rng.random(mesh.num_faces) < 0.5
+        weights = np.where(known[:, None], rng.dirichlet(np.ones(3), size=mesh.num_faces), 0.0)
+        save_map(mesh, tmp_path / "map.bin", class_names=["a", "b", "c"])
+        save_estimates(tmp_path / "estimates.bin", estimates_from_dense(weights, known), mesh, "recursive", None)
+        return mesh, {MAP_KIND: tmp_path / "map.bin", ESTIMATES_KIND: tmp_path / "estimates.bin"}
+
+    def test_manifests_are_the_table(self, files):
+        mesh, paths = files
+        v, f = mesh.num_vertices, mesh.num_faces
+        spelled = {
+            MAP_KIND: [
+                ("vertex_x", "<f8", [v]), ("vertex_y", "<f8", [v]), ("z_mean", "<f8", [v]), ("z_var", "<f8", [v]),
+                ("touched", "|u1", [v]), ("face_vertices", "<i4", [f, 3]), ("alpha", "<f8", [f, 3]),
+            ],
+            ESTIMATES_KIND: [("known", "|u1", [f]), ("weights", "<f8", [f, 3])],
+        }
+        for kind, path in paths.items():
+            manifest = json.loads(path.read_bytes().split(b"\n", 2)[1])["arrays"]
+            table = container_layout(kind, mesh.cfg)
+            assert manifest == [{"name": n, "dtype": d.str, "shape": list(s)} for n, (d, s) in table.items()]
+            assert manifest == [{"name": n, "dtype": d, "shape": s} for n, d, s in spelled[kind]]
+            assert [n for n, _, _ in CONTAINER_ARRAYS[kind]] == list(table)
+
+    @pytest.mark.parametrize("fault", ["missing", "relabelled", "reshaped"])
+    @pytest.mark.parametrize(
+        "kind, name", [(kind, name) for kind, rows in CONTAINER_ARRAYS.items() for name, _, _ in rows]
+    )
+    def test_fault_is_refused_before_any_array_is_read(self, files, monkeypatch, fault, kind, name):
+        path = files[1][kind]
+        if fault == "relabelled":
+            # the bytes kept
+            magic, meta, data = path.read_bytes().split(b"\n", 2)
+            meta = json.loads(meta)
+            entry = next(entry for entry in meta["arrays"] if entry["name"] == name)
+            entry["dtype"] = OTHER_DTYPE[entry["dtype"]]
+            path.write_bytes(b"\n".join([magic, json.dumps(meta).encode(), data]))
+        else:
+            header, arrays = read_arrays(path)
+            if fault == "missing":
+                del arrays[name]
+            else:
+                arrays[name] = arrays[name].reshape(-1)[1:]
+            write_arrays(path, header, arrays)
+        reads = count_reads(monkeypatch)
+        wording = {"missing": f"misses arrays \\['{name}'\\]", "relabelled": f"array '{name}' has dtype"}
+        with pytest.raises(FormatError, match=wording.get(fault, f"{name} has shape")):
+            LOADERS[kind](path)
+        assert reads == []
+
+    @pytest.mark.parametrize("kind", [MAP_KIND, ESTIMATES_KIND])
+    def test_intact_file_reads_its_arrays(self, files, monkeypatch, kind):
+        # the counter sees the reads of a file that passes
+        reads = count_reads(monkeypatch)
+        LOADERS[kind](files[1][kind])
+        assert len(reads) == {MAP_KIND: 7, ESTIMATES_KIND: 2}[kind]
+
+    def test_writer_refuses_chunks_that_miss_the_shape(self, tmp_path):
+        with pytest.raises(FormatError, match="'a' of shape \\(2, 3\\) was given 40 bytes"):
+            write_arrays(tmp_path / "x.bin", {}, {"a": (np.float64, (2, 3), [np.zeros(2), np.zeros(3)])})
 
 
 class TestBundleIO:

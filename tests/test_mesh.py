@@ -171,7 +171,7 @@ class TestFaceCorners:
         finally:
             tracemalloc.stop()
         # the ring arrays are anonymous mappings, which tracemalloc does not see
-        held = m._face_scratch.nbytes + m._vertex_scratch.nbytes
+        held = m._scratch.nbytes
         assert peak < held + m.num_faces * 3 * 4
 
 

@@ -69,6 +69,23 @@ class TestModels:
         save_models(out, models)
         assert out.read_bytes() == shipped
 
+    def test_numpy_numbers_read_back(self, tmp_path):
+        models = [PropertyModel("ice", np.float64(0.5), np.float64(0.125)), PropertyModel("mud", np.float32(0.1), 0.2)]
+        save_models(tmp_path / "models.tsv", models)
+        catalog, back = load_models(tmp_path / "models.tsv")
+        assert catalog.names == ("ice", "mud")
+        assert back == models
+        assert all(type(m.mu) is float and type(m.sigma) is float for m in back)
+
+    @pytest.mark.parametrize(
+        "names", [["#grass"], [" ice"], ["ice\tmud"], ["ice\nmud"], ["ice", "ice"], []],
+        ids=["comment", "edge-blank", "tab", "line-break", "repeated", "none"],
+    )
+    def test_refuses_what_would_not_read_back(self, tmp_path, names):
+        with pytest.raises(ConfigurationError):
+            save_models(tmp_path / "models.tsv", [PropertyModel(name, 0.3, 0.1) for name in names])
+        assert not (tmp_path / "models.tsv").exists()
+
     def test_rejects_zero_sigma_file(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("terramesh-friction-models v1\nice\t0.2\t0.0\n")
