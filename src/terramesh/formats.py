@@ -12,12 +12,12 @@ given there: the writers take them from that table, and the readers check a
 file's manifest against it before they read any array data.
 Arrays are streamed to and from disk without a second copy: the writer
 hands each array's own memory, or each chunk of an array given as chunks,
-to the file, and the reader reads each one straight into the buffer it
-returns.  A map is written from the mesh's ring storage in canonical
-order (:meth:`Mesh.canonical_chunks`), and its face table is computed from
-the lattice a block of faces at a time; the dense estimate mask and
-weights are written from the known rows in blocks, and the weights are
-read in blocks, of which memory keeps only the known rows.
+to the file, and the reader reads each one straight into the buffer that
+keeps it.  A map's ring state is written from, and loaded into, ring storage
+(:meth:`Mesh.canonical_chunks`), and its face table is computed from the
+lattice a block of faces at a time, for the writer and the loader's check
+alike; the dense estimate mask and weights are written from the known rows
+in blocks, and the weights are read in blocks, keeping only the known rows.
 
 Frame-bundle directory layout:
 
@@ -155,9 +155,9 @@ def _read_layout(fh, path):
     return header, layout
 
 
-def _read_array(fh, dtype, shape, offset) -> np.ndarray:
-    """The array of ``dtype`` and ``shape`` at byte ``offset``, read straight into its own buffer."""
-    out = np.empty(shape, dtype=dtype)
+def _read_array(fh, dtype, shape, offset, out=None) -> np.ndarray:
+    """The array of ``dtype`` and ``shape`` at byte ``offset``, read straight into ``out`` or its own buffer."""
+    out = np.empty(shape, dtype=dtype) if out is None else out
     fh.seek(offset)
     fh.readinto(out)
     return out
@@ -210,20 +210,26 @@ def _write_container(path, kind: str, mesh: Mesh, fields: dict, chunks: dict) ->
     write_arrays(path, header, {name: (dtype, shape, chunks[name]) for name, (dtype, shape) in layout.items()})
 
 
+def _map_chunks(mesh: Mesh):
+    """``(lattice, state)``: each map array's chunks by name, the arrays
+    that follow from the mesh's configuration and centre (the face table a
+    block of faces at a time), then its ring state in canonical order."""
+    vx, vy = mesh.vertex_positions()
+    state = {name: mesh.canonical_chunks(name) for name in ("z_mean", "z_var", "touched", "alpha")}
+    return {"vertex_x": (vx,), "vertex_y": (vy,), "face_vertices": mesh.face_vertex_chunks()}, state
+
+
 def save_map(mesh: Mesh, path, class_names, frame_count: int = 0, extra: dict | None = None) -> None:
     """Dump the vertex heights and class evidence losslessly plus a
     human-readable sidecar header.
 
     Writes ``path`` (binary container, laid out as
-    ``CONTAINER_ARRAYS[MAP_KIND]``) and ``path + '.txt'`` (sidecar).  The
-    per-face ``observed`` mask is not stored.
+    ``CONTAINER_ARRAYS[MAP_KIND]``, from :func:`_map_chunks`) and
+    ``path + '.txt'`` (sidecar).  The per-face ``observed`` mask is not stored.
     """
-    vx, vy = mesh.vertex_positions()
     fields = {"frame_count": int(frame_count), "class_names": list(class_names), **(extra or {})}
-    # ring arrays are written from ring storage, in canonical order
-    ring = {name: mesh.canonical_chunks(name) for name in ("z_mean", "z_var", "touched", "alpha")}
-    chunks = {"vertex_x": (vx,), "vertex_y": (vy,), "face_vertices": mesh.face_vertex_chunks(), **ring}
-    _write_container(path, MAP_KIND, mesh, fields, chunks)
+    lattice, state = _map_chunks(mesh)
+    _write_container(path, MAP_KIND, mesh, fields, {**lattice, **state})
     sidecar = [
         "terramesh map export v1",
         f"side_length_m: {mesh.cfg.side_length_m!r}",
@@ -306,22 +312,27 @@ def load_map(path):
     """Rebuild a mesh from :func:`save_map` output; returns ``(mesh, header)``.
 
     The file is checked against the map layout (:func:`_open_container`)
-    before any array is read, then its lattice and face table against the
-    header's mesh; a fault raises :class:`FormatError` naming the file and
-    the array.  Every stored array comes back bit for bit.  ``observed`` is
-    not stored, so the rebuilt mesh reads it all False.
+    before any array is read.  Its ring state is read straight into a new
+    mesh's ring storage, and its lattice compared with :func:`_map_chunks`; a
+    lattice array that differs, or a ``touched`` byte other than 0 or 1,
+    raises :class:`FormatError` naming the file and the array.  Every stored
+    array comes back bit for bit; ``observed`` is not stored, so it reads all False.
     """
     with open(path, "rb") as fh:
         header, cfg, layout = _open_container(fh, path, MAP_KIND)
-        arrays = {name: _read_array(fh, *entry) for name, entry in layout.items()}
-    mesh = Mesh(cfg, center_xy=header["center"])
-    vx, vy = mesh.vertex_positions()
-    if not (np.array_equal(vx, arrays["vertex_x"]) and np.array_equal(vy, arrays["vertex_y"])):
-        raise FormatError(f"{path}: vertex lattice does not match configuration")
-    if not np.array_equal(mesh.face_vertex_ids, arrays["face_vertices"]):
-        raise FormatError(f"{path}: face table does not match configuration")
-    mesh.z_mean, mesh.z_var, mesh.alpha = arrays["z_mean"], arrays["z_var"], arrays["alpha"]
-    mesh.touched = arrays["touched"].astype(bool)
+        mesh = Mesh(cfg, center_xy=header["center"])
+        lattice, state = _map_chunks(mesh)
+        for name in state:
+            # a new mesh's storage is canonical: offset zero, the file's order
+            _read_array(fh, *layout[name], getattr(mesh.ring, name))
+        for name, chunks in lattice.items():
+            dtype, _, offset = layout[name]
+            for chunk in chunks:
+                if not np.array_equal(_read_array(fh, dtype, chunk.shape, offset), chunk):
+                    raise FormatError(f"{path}: {name} does not match the lattice of its header's mesh")
+                offset += chunk.size * dtype.itemsize
+    if np.any(mesh.ring.touched.view(np.uint8) > 1):
+        raise FormatError(f"{path}: touched holds a byte other than 0 or 1")
     return mesh, header
 
 

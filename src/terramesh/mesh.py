@@ -37,6 +37,8 @@ bounded block of rows at a time, and the estimator gathers rows through
 ``z_mean``/``z_var``/``touched``/``alpha``/``observed`` are canonical views:
 the first access after a shift rolls the storage back to offset zero once
 (``np.roll`` is exact), and assigning one of them does the same first.
+They serve tests, the oracles and the benchmark's checks; no library path
+assigns them, and a loaded map is read into the ring storage of a new mesh.
 
 The mesh holds map state and scratch only.  A frame's in-window points are
 a value, :class:`FramePoints`, that the frame update builds once and passes
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputError
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,10 @@ class MeshConfig:
             raise ConfigurationError(
                 "half_extent_m must be a positive integer multiple of side_length_m"
             )
+        # lattice coordinates span the width, and barycentric areas take side squared
+        side, half = float(self.side_length_m), float(self.half_extent_m)
+        if not (math.isfinite(2.0 * half) and math.isfinite(side * side)):
+            raise ConfigurationError("the window width 2*half_extent_m and side_length_m**2 must be finite")
 
     @property
     def cells_per_side(self) -> int:
@@ -572,11 +578,18 @@ def recenter(mesh: Mesh, new_center_xy) -> Mesh:
     cells entering the window are reinitialized as at startup.  Displacements
     below one cell leave the mesh untouched.  Only the entering rows and
     columns of the ring storage are read, and only their nonzero entries
-    are written.
+    are written.  A shift of 2**63 cells or more, or not finite, raises
+    :class:`InputError` before any state changes.
     """
     target = np.asarray(new_center_xy, dtype=float).reshape(2)
     side = mesh.cfg.side_length_m
-    shift = np.trunc((target - mesh.center) / side).astype(np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = np.trunc((target - mesh.center) / side)
+    if not abs(cells).max() < 2.0**63:  # NaN fails too
+        raise InputError(
+            f"recentering on {target.tolist()} moves the window {cells.tolist()} cells, more than its offset holds"
+        )
+    shift = cells.astype(np.int64)
     if shift[0] == 0 and shift[1] == 0:
         return mesh
 

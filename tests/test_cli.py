@@ -246,6 +246,18 @@ class TestRun:
         assert 0 < with_evidence < summary["faces_total"]
         assert summary["faces_observed"] == with_evidence
 
+    @pytest.mark.filterwarnings("error")
+    def test_recenter_past_the_offset_is_one_error_line(self, sim_dir, tmp_path, capsys):
+        # the second camera sits 1e300 m out: no int64 ring offset holds that shift
+        translation = ["frames", 1, "pose", "translation", 0]
+        far = copy_bundle(sim_dir, tmp_path / "far", lambda m: edit_json(m, translation, -1e300))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        flags = ["--mesh-side", 0.25, "--mesh-extent", 2.5, "--recenter"]
+        assert run_cli("run", "--bundle", far, "--out", out, *flags) == 2
+        assert "more than its offset holds" in one_error_line(capsys)
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, sim_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mesh_side": 0.5, "mesh_extent": 2.5, "estimator": "recursive"}))
@@ -285,13 +297,18 @@ class TestRun:
             (None, ["--mesh-side", "5e-324"], "half_extent_m"),
             # 4e16 vertices: numpy refuses the first array at once, allocating nothing
             (None, ["--mesh-side", "0.01", "--mesh-extent", "1e6"], "Unable to allocate"),
+            # a window 2e308 m wide, and a side whose square overflows
+            (None, ["--mesh-side", "1e308", "--mesh-extent", "1e308"], "must be finite"),
+            (None, ["--mesh-side", "1e200", "--mesh-extent", "1e200"], "must be finite"),
         ],
         ids=[
             "list", "string", "text-noise", "null-mesh-side", "int-models", "text-recenter",
             "2-entry-pose-cov", "negative-pose-cov", "unknown-update-mode", "2-entry-noise-flag", "nan-noise-flag",
             "text-noise-flag", "overflowing-variance-noise-flag", "subnormal-mesh-side-flag", "impossible-mesh-size",
+            "overflowing-window-flags", "overflowing-side-squared-flags",
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_malformed_config_is_one_error_line(self, sim_dir, tmp_path, capsys, config, flags, field):
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -682,11 +699,12 @@ class TestEvalInputs:
             lambda meta: meta["header"].update(center=None),
             lambda meta: meta["header"].update(side_length_m="x"),
             lambda meta: meta["header"].update(side_length_m=5e-324),
+            lambda meta: meta["header"].update(side_length_m=1e308, half_extent_m=1e308),
         ],
         ids=[
             "no-arrays", "no-header", "no-name", "no-dtype", "no-shape", "bad-dtype",
             "object-dtype", "huge-shape", "header-list", "arrays-int",
-            "no-estimator", "null-center", "text-side-length", "subnormal-side-length",
+            "no-estimator", "null-center", "text-side-length", "subnormal-side-length", "overflowing-window",
         ],
     )
     def test_malformed_container_header(self, sim_dir, run_dir, tmp_path, capsys, corrupt):

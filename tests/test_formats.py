@@ -123,9 +123,14 @@ class TestMapExport:
         assert header["class_names"] == ["a", "b", "c", "d"]
         assert (tmp_path / "map.bin.txt").exists()
 
-    def test_reexport_is_byte_identical(self, tmp_path, rng):
+    @pytest.mark.parametrize("target", [None, (0.7, -1.2)], ids=["canonical", "recentred"])
+    def test_reexport_is_byte_identical(self, tmp_path, rng, target):
         mesh = init_mesh(MeshConfig(0.5, 1.0, 2))
         mesh.alpha = rng.uniform(0, 4, mesh.alpha.shape)
+        mesh.touched[:] = rng.random(mesh.num_vertices) < 0.5
+        if target is not None:
+            recenter(mesh, target)
+            assert mesh._start != (0, 0)
         p1 = tmp_path / "m1.bin"
         p2 = tmp_path / "m2.bin"
         save_map(mesh, p1, class_names=["a", "b"], frame_count=1)
@@ -142,6 +147,24 @@ class TestMapExport:
         _, arrays = read_arrays(tmp_path / "map.bin")
         assert arrays["face_vertices"].dtype == np.dtype("<i4")
         assert arrays["face_vertices"].tobytes() == lattice_face_table(mesh.cfg.cells_per_side).tobytes()
+
+    @pytest.mark.parametrize(
+        "name, wording",
+        [
+            *((name, f"{name} does not match the lattice") for name in ("vertex_x", "vertex_y", "face_vertices")),
+            ("touched", "touched holds a byte other than 0 or 1"),
+        ],
+        ids=["vertex_x", "vertex_y", "face_vertices", "touched"],
+    )
+    def test_rejects_a_changed_entry(self, tmp_path, name, wording):
+        # 80,000 faces: the face table is compared in several chunks, and its last one is changed
+        path = tmp_path / "map.bin"
+        save_map(init_mesh(MeshConfig(0.05, 5.0, 2)), path, class_names=["a", "b"])
+        header, arrays = read_arrays(path)
+        arrays[name].reshape(-1)[-1] += 2
+        write_arrays(path, header, arrays)
+        with pytest.raises(FormatError, match=f"map.bin: {wording}"):
+            load_map(path)
 
     def test_rejects_non_map_container(self, tmp_path):
         path = tmp_path / "not_map.bin"
@@ -411,6 +434,20 @@ class TestContainerMemory:
         finally:
             tracemalloc.stop()
         assert peak < lattice + 0.1 * mesh.alpha.nbytes
+
+    def test_map_loads_into_ring_storage(self, mapped, tmp_path):
+        mesh, names, _ = mapped
+        path = tmp_path / "map.bin"
+        save_map(mesh, path, names)
+        tracemalloc.start()
+        try:
+            back, _ = load_map(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the ring arrays are anonymous mappings, which tracemalloc does not see
+        assert peak < back.ring.alpha.nbytes
+        assert back.ring.alpha.tobytes() == mesh.ring.alpha.tobytes()
 
     def test_load_reads_each_array_once(self, mapped, tmp_path):
         mesh, _, estimates = mapped

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from terramesh.errors import ConfigurationError
+from terramesh.errors import ConfigurationError, InputError
+from terramesh.formats import load_map, save_map
 from terramesh.mesh import (
     FramePoints,
     MeshConfig,
@@ -74,6 +75,11 @@ class TestConfig:
             MeshConfig(0.3, 1.0, 3)  # 1.0 not a multiple of 0.3
         with pytest.raises(ConfigurationError):
             MeshConfig(0.5, 1.0, 0)
+        # a window 2*half_extent_m wide, or a side squared, that overflows
+        for side in (1e308, 1e200):
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                MeshConfig(side, side, 3)
+        assert MeshConfig(1e150, 1e150, 2).num_faces == 8
 
     def test_initial_state(self):
         m = small_mesh()
@@ -95,10 +101,16 @@ class TestConfig:
         twin.ring.alpha[5] = 0.0
         assert m.ring.alpha[5].tolist() == [1.0, 2.0, 3.0]
 
-    def test_evidence_storage_stays_off_huge_pages(self):
+    @pytest.mark.parametrize("source", ["new", "loaded"])
+    def test_evidence_storage_stays_off_huge_pages(self, tmp_path, source):
         # the CLI's default mesh: alpha is 40 MB, far above numpy's 4 MiB
-        # huge-page threshold, so only its own allocation keeps it off them
-        alpha = init_mesh(MeshConfig(0.02, 5.0, 10)).ring.alpha
+        # huge-page threshold, so only its own allocation keeps it off them;
+        # a loaded map is read into the storage of a new mesh
+        mesh = init_mesh(MeshConfig(0.02, 5.0, 10))
+        if source == "loaded":
+            save_map(mesh, tmp_path / "map.bin", [str(k) for k in range(10)])
+            mesh, _ = load_map(tmp_path / "map.bin")
+        alpha = mesh.ring.alpha
         lo = alpha.__array_interface__["data"][0]
         hi = lo + alpha.nbytes
         try:
@@ -432,6 +444,23 @@ class TestRecenter:
         for target in ((0.9, -1.3), (-2.1, 0.4), (9.0, 9.0)):
             recenter(m, target)
         assert m._start != (0, 0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_shift_past_the_offset_is_refused_before_any_state_changes(self, rng):
+        m = self.seeded_mesh(rng)
+        recenter(m, (0.7, -1.2))
+        start, center = m._start, m.center.copy()
+        stored = {name: getattr(m.ring, name).tobytes() for name, _ in m._ring_grids()}
+        for target in ((1e300, 0.0), (0.0, -1e300), (np.inf, 0.0), (np.nan, 0.0), (2.0**62, 0.0)):
+            with pytest.raises(InputError, match="more than its offset holds"):
+                recenter(m, target)
+            assert m._start == start and np.array_equal(m.center, center)
+            for name, _ in m._ring_grids():
+                assert getattr(m.ring, name).tobytes() == stored[name], name
+        # 2e12 cells: the offset holds it, and the whole window enters
+        recenter(m, (1e12, center[1]))
+        assert m.center.tolist() == [1e12, center[1]] and m._start == (start[0], start[1] + 1999999999999)
+        assert not m.z_mean.any() and not m.touched.any() and not m.alpha.any()
 
     def test_lattice_preserved_and_lookup_consistent(self, rng):
         m = self.seeded_mesh(rng)
