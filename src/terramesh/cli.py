@@ -140,16 +140,18 @@ _RUN_FIELDS = (
 
 def _merge_run_config(args) -> dict:
     """The run settings: defaults, then the config file, then explicit flags,
-    checked once against :data:`_RUN_FIELDS`."""
+    checked once against :data:`_RUN_FIELDS`; the library's defaults where it has them."""
+    pipeline = PipelineConfig()
+    noise = pipeline.noise_model
     cfg = {
         "estimator": "recursive",
-        "update_mode": "soft",
+        "update_mode": pipeline.update_mode,
         "mesh_side": 0.02,
         "mesh_extent": 5.0,
         "models": None,
-        "noise": [0.001, 0.0, 0.0019],
-        "pose_cov": None,
-        "recenter": False,
+        "noise": [noise.a, noise.b, noise.c],
+        "pose_cov": pipeline.pose_cov_override,
+        "recenter": pipeline.recenter,
     }
     if args.config:
         try:

@@ -231,7 +231,7 @@ def update_elevation(mesh, points, pose, noise_model: SensorNoiseModel, sigma_po
     run over the vertices of the points' face grouping, each adding its
     terms in point order.  A raise leaves the mesh unchanged.
     """
-    if points.face_ids.size == 0:
+    if points.inverse.size == 0:
         return mesh
     if sigma_pose is None:
         sigma_pose = pose.rotation_cov
@@ -242,9 +242,7 @@ def update_elevation(mesh, points, pose, noise_model: SensorNoiseModel, sigma_po
     rows = np.take(points.corners, points.inverse, axis=0)
     slot = mesh.vertex_slots(points.vertices)
     ring = mesh.ring
-    mean, post_var, seen = fuse_heights(
-        rows, points.pos_map[:, 2], var, ring.z_mean[slot], ring.z_var[slot], ring.touched[slot]
-    )
+    mean, post_var, seen = fuse_heights(rows, points.z, var, ring.z_mean[slot], ring.z_var[slot], ring.touched[slot])
     ring.z_mean[slot] = mean
     ring.z_var[slot] = post_var
     ring.touched[slot] = seen

@@ -135,8 +135,6 @@ class PRResult:
     recall: np.ndarray
     precision: np.ndarray
     average_precision: float
-    positives: int
-    base_rate: float
 
 
 def pr_curve(estimates: FaceEstimates, truth_classes, models, positive: str = "low") -> PRResult:
@@ -184,14 +182,7 @@ def pr_curve(estimates: FaceEstimates, truth_classes, models, positive: str = "l
     r = np.concatenate([[0.0], recall])
     p = np.concatenate([[precision[0] if precision.size else 1.0], precision])
     ap = float(np.sum(np.diff(r) * 0.5 * (p[1:] + p[:-1])))
-    return PRResult(
-        thresholds=thresholds,
-        recall=recall,
-        precision=precision,
-        average_precision=ap,
-        positives=total_pos,
-        base_rate=float(is_positive.mean()),
-    )
+    return PRResult(thresholds=thresholds, recall=recall, precision=precision, average_precision=ap)
 
 
 def accuracy(estimates: FaceEstimates, truth_classes, models) -> float:
@@ -343,7 +334,7 @@ class EstimatorReport:
 def _no_positives() -> PRResult:
     """The curve of a class that no face has: no points, AP ``nan``."""
     empty = np.array([])
-    return PRResult(empty, empty, empty, average_precision=math.nan, positives=0, base_rate=0.0)
+    return PRResult(empty, empty, empty, average_precision=math.nan)
 
 
 def evaluate_estimator(name: str, estimates: FaceEstimates, truth_classes, models) -> EstimatorReport:

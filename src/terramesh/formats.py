@@ -14,16 +14,18 @@ Arrays are streamed to and from disk without a second copy: the writer
 hands each array's own memory, or each chunk of an array given as chunks,
 to the file, and the reader reads each one straight into the buffer that
 keeps it.  A map's ring state is written from, and loaded into, ring storage
-(:meth:`Mesh.canonical_chunks`), and its face table is computed from the
-lattice a block of faces at a time, for the writer and the loader's check
-alike; the dense estimate mask and weights are written from the known rows
-in blocks, and the weights are read in blocks, keeping only the known rows.
+(:meth:`Mesh.canonical_chunks`), and its lattice is computed, the vertex
+coordinates a grid row at a time and the face table a block of faces at a
+time, for the writer and the loader's check alike; the dense estimate mask
+and weights are written from the known rows in blocks, and the weights are
+read in blocks, keeping only the known rows.
 
 Frame-bundle directory layout:
 
     manifest.json               format id/version, image geometry, class names,
-                                per-frame pose (rotation row-major, translation,
-                                rotation covariance), timestamps, file names
+                                per-frame id (unique in the bundle), pose
+                                (rotation row-major, translation, rotation
+                                covariance), timestamps, file names
     frame_<id>.depth.f32        raw float32, height*width values, row-major
     frame_<id>.scores.f32       raw float32, height*width*num_classes values,
                                 row-major with the class axis fastest
@@ -46,6 +48,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -212,11 +215,13 @@ def _write_container(path, kind: str, mesh: Mesh, fields: dict, chunks: dict) ->
 
 def _map_chunks(mesh: Mesh):
     """``(lattice, state)``: each map array's chunks by name, the arrays
-    that follow from the mesh's configuration and centre (the face table a
-    block of faces at a time), then its ring state in canonical order."""
-    vx, vy = mesh.vertex_positions()
+    that follow from the mesh's configuration and centre (the vertex
+    coordinates a grid row at a time, the face table a block of faces at a
+    time), then its ring state in canonical order."""
+    xs, ys = mesh._axes()
+    rows = {"vertex_x": itertools.repeat(xs, ys.size), "vertex_y": (np.full(xs.size, y) for y in ys)}
     state = {name: mesh.canonical_chunks(name) for name in ("z_mean", "z_var", "touched", "alpha")}
-    return {"vertex_x": (vx,), "vertex_y": (vy,), "face_vertices": mesh.face_vertex_chunks()}, state
+    return {**rows, "face_vertices": mesh.face_vertex_chunks()}, state
 
 
 def save_map(mesh: Mesh, path, class_names, frame_count: int = 0, extra: dict | None = None) -> None:
@@ -343,10 +348,12 @@ def write_bundle(directory, frames, class_names, scenario: dict | None = None) -
     """Write a frame-bundle directory consumable by the mapping pipeline and
     return its manifest.  ``frames`` may be any iterable: each frame's files
     are written as it arrives, and the manifest last.  A frame with a finite
-    depth that float32 cannot hold raises :class:`FormatError` before its
-    files are written, and no manifest is written."""
+    depth that float32 cannot hold, or with an earlier frame's id, raises
+    :class:`FormatError` before its files are written, and no manifest is
+    written."""
     directory = Path(directory)
     entries = []
+    frame_ids = set()
     width = height = num_classes = None
     intrinsics = None
     for frame in frames:
@@ -357,6 +364,9 @@ def write_bundle(directory, frames, class_names, scenario: dict | None = None) -
             intrinsics = frame.intrinsics
         elif (w, h, k) != (width, height, num_classes):
             raise FormatError("all frames in a bundle must share image geometry")
+        if frame.frame_id in frame_ids:
+            raise FormatError(f"frame {frame.frame_id}: an earlier frame has the same id")
+        frame_ids.add(frame.frame_id)
         depth_name = f"frame_{frame.frame_id:06d}.depth.f32"
         scores_name = f"frame_{frame.frame_id:06d}.scores.f32"
         with np.errstate(over="ignore"):
@@ -453,7 +463,8 @@ def decode_intrinsics(where: str, doc) -> CameraIntrinsics:
 def open_bundle(directory):
     """Check a bundle's manifest and return ``(manifest, frames)``; ``frames``
     stats, reads and yields one :class:`FrameBundle` at a time.  Any manifest
-    fault, missing file or file of the wrong size raises :class:`FormatError`."""
+    fault (a frame id two entries share is one), missing file or file of the
+    wrong size raises :class:`FormatError`."""
     directory = Path(directory)
     try:
         manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
@@ -468,11 +479,14 @@ def open_bundle(directory):
     intrinsics = decode_intrinsics("bundle manifest intrinsics", manifest["intrinsics"])
     # the validity flag is optional and defaults to true
     entries = [{"valid": True, **e} if isinstance(e, dict) else e for e in manifest["frames"]]
-    poses = []
+    poses, first_entry = [], {}
     for i, entry in enumerate(entries):
         where = f"bundle manifest frames[{i}]"
         _check_fields(where, entry, _FRAME_FIELDS)
         poses.append(decode_pose(f"{where} pose", entry["pose"]))
+        first = first_entry.setdefault(entry["frame_id"], i)
+        if first != i:
+            raise FormatError(f"bundle manifest frames[{first}] and frames[{i}] share frame_id {entry['frame_id']}")
 
     def frames():
         for entry, pose in zip(entries, poses):

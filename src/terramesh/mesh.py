@@ -9,7 +9,7 @@ updates stay vectorizable.  Nothing derived from the lattice is stored: a
 face's corner vertex ids follow from its id (:meth:`Mesh.face_corners`),
 and their coordinates from the one placement ``origin + index*side``
 (:meth:`Mesh.corner_xy`), so a shift leaves no cache to clear.
-``face_vertex_ids`` builds the whole table only when it is asked for.
+``face_vertex_ids`` and ``vertex_positions`` build whole arrays on request.
 
 Vertex and face state is stored as a ring buffer over the window, as grid_map
 stores a moving map (Fankhauser & Hutter, "A Universal Grid Map Library",
@@ -109,20 +109,18 @@ class MeshConfig:
 class FramePoints:
     """One frame's in-window points in projection order, grouped by face.
 
-    ``face_ids`` names the owning face of each point and ``scores`` is
-    class-major: row ``j`` holds every point's score for class ``j``.
-    ``faces`` (m,) are the observed window face ids, ascending, and
-    ``inverse`` (n,) gives each point's row in ``faces``: together they are
-    ``np.unique(face_ids, return_inverse=True)``.  ``vertices`` (h,) are the
-    distinct corners of the observed faces, ascending, and ``corners`` (m, 3)
-    names each observed face's corners by their rows in ``vertices``, so a
-    point's three corners are ``corners[inverse]``.
+    ``z`` holds each point's map height and ``scores`` is class-major: row
+    ``j`` holds every point's score for class ``j``.  ``faces`` (m,) are the
+    observed window face ids, ascending, and ``inverse`` (n,) gives each
+    point's row in ``faces``, so a point's face is ``faces[inverse]``.
+    ``vertices`` (h,) are the distinct corners of the observed faces,
+    ascending, and ``corners`` (m, 3) names each observed face's corners by
+    their rows in ``vertices``, so a point's corners are ``corners[inverse]``.
     """
 
-    pos_map: np.ndarray
+    z: np.ndarray
     pos_sensor: np.ndarray
     scores: np.ndarray
-    face_ids: np.ndarray
     faces: np.ndarray
     inverse: np.ndarray
     vertices: np.ndarray
@@ -142,7 +140,7 @@ class FramePoints:
         keep = np.flatnonzero(face_ids >= 0)
         # np.take gathers rows of a 2-D array far faster than fancy indexing
         scores = np.take(np.asarray(scores), rows[keep], axis=0)
-        pos_map = np.take(pos_map, keep, axis=0)
+        z = np.take(pos_map[:, 2], keep)
         pos_sensor = np.take(pos_sensor, keep, axis=0)
         scores = scores.T.astype(float, order="C")
         face_ids = face_ids[keep]
@@ -152,9 +150,7 @@ class FramePoints:
         faces, inverse = _group(face_ids, mesh._scratch)
         corner_ids = mesh.face_corners(faces)
         vertices, corners = _group(corner_ids.reshape(-1), mesh._scratch)
-        return cls(
-            pos_map, pos_sensor, scores, face_ids, faces, inverse, vertices, corners.reshape(corner_ids.shape)
-        )
+        return cls(z, pos_sensor, scores, faces, inverse, vertices, corners.reshape(corner_ids.shape))
 
 
 @dataclass

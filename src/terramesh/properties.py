@@ -124,7 +124,6 @@ class ForceLog:
     times_s: np.ndarray
     forces_n: np.ndarray
     mass_kg: float
-    gravity: float = GRAVITY
 
     def __post_init__(self):
         self.times_s = np.asarray(self.times_s, dtype=float)
@@ -175,7 +174,7 @@ def friction_from_force(log: ForceLog, cutoff_hz: float = 5.0) -> np.ndarray:
             raise InputError("timestamps must be increasing")
         tau = 1.0 / (2.0 * math.pi * cutoff_hz)
         forces = smooth_exponential(forces, dt / (dt + tau))
-    return forces / (log.mass_kg * log.gravity)
+    return forces / (log.mass_kg * GRAVITY)
 
 
 # -- distribution fitting -----------------------------------------------------
@@ -248,17 +247,17 @@ class FitSelection:
     best_family: str
     params: dict
     ks: dict
-    skipped: dict
     n: int
 
 
 def fit_and_select(samples) -> FitSelection:
     """Fit Gaussian / log-normal / Weibull by ML and rank by KS distance.
 
-    At least :data:`MIN_FIT_SAMPLES` samples are needed.  Families needing
-    positive support are skipped (and reported) when the data contains
-    non-positive values.  The family with the smallest KS statistic wins;
-    ties break in the fixed family order.
+    At least :data:`MIN_FIT_SAMPLES` samples are needed.  A family without
+    a fit is absent from ``params`` and ``ks``: both families needing
+    positive support when the data contains non-positive values, and the
+    log-normal when the logs have no spread.  The family with the smallest
+    KS statistic wins; ties break in the fixed family order.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < MIN_FIT_SAMPLES:
@@ -269,26 +268,20 @@ def fit_and_select(samples) -> FitSelection:
         raise DegenerateDataError("samples have zero spread; fit is undefined")
 
     params: dict = {"gaussian": {"mu": float(x.mean()), "sigma": float(x.std())}}
-    skipped: dict = {}
     if np.all(x > 0):
         logs = np.log(x)
         shape = float(logs.std())
-        if shape == 0.0:
-            skipped["lognormal"] = "degenerate log-spread"
-        else:
+        if shape != 0.0:  # a zero log-spread has no log-normal fit
             params["lognormal"] = {"shape": shape, "scale": float(np.exp(logs.mean()))}
         c, w_scale = weibull_fit(x)
         params["weibull"] = {"shape": c, "scale": w_scale}
-    else:
-        skipped["lognormal"] = "non-positive samples"
-        skipped["weibull"] = "non-positive samples"
     ks = {family: ks_statistic(x, partial(FAMILY_CDFS[family], **p)) for family, p in params.items()}
 
     best = min(
         (family for family in FIT_FAMILIES if family in ks),
         key=lambda family: (ks[family], FIT_FAMILIES.index(family)),
     )
-    return FitSelection(best_family=best, params=params, ks=ks, skipped=skipped, n=int(x.size))
+    return FitSelection(best_family=best, params=params, ks=ks, n=int(x.size))
 
 
 # -- model file I/O -----------------------------------------------------------

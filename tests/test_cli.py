@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terramesh.cli import main
+from terramesh.cli import _merge_run_config, build_parser, main
 from terramesh.evaluation import evaluate_estimator
 from terramesh.formats import (
     load_estimates,
     load_map,
     read_arrays,
     read_bundle,
+    save_map,
     validate_bundle,
     write_arrays,
 )
@@ -186,6 +187,20 @@ class TestRun:
     def test_outputs_exist(self, run_dir):
         for name in ("map.bin", "map.bin.txt", "estimates.bin", "timing.csv", "summary.json"):
             assert (run_dir / name).exists(), name
+
+    def test_defaults_are_the_library_defaults(self, sim_dir, run_dir, tmp_path):
+        cfg = _merge_run_config(build_parser().parse_args(["run", "--bundle", "b", "--out", "o"]))
+        pipeline = PipelineConfig()
+        noise = pipeline.noise_model
+        assert cfg["noise"] == [noise.a, noise.b, noise.c] == [0.001, 0.0, 0.0019]
+        assert (cfg["update_mode"], cfg["recenter"], cfg["pose_cov"]) == ("soft", False, None)
+        assert (pipeline.update_mode, pipeline.recenter, pipeline.pose_cov_override) == ("soft", False, None)
+        # a run without flags maps the bundle as a Mapper with PipelineConfig() does
+        manifest, frames = read_bundle(sim_dir)
+        mapper = Mapper(init_mesh(MeshConfig(0.25, 2.5, manifest["num_classes"])), pipeline).run(frames)
+        extra = {"estimator": "recursive", "scenario_hash": manifest["scenario"]["hash"]}
+        save_map(mapper.mesh, tmp_path / "map.bin", manifest["class_names"], mapper.frames_processed, extra)
+        assert (tmp_path / "map.bin").read_bytes() == (run_dir / "map.bin").read_bytes()
 
     def test_summary_contents(self, run_dir):
         summary = json.loads((run_dir / "summary.json").read_text())
@@ -1076,6 +1091,18 @@ class TestBundleReader:
         assert run_cli("validate", "--bundle", sim_dir, "--models", tmp_path / "models.tsv") == 1
         assert capsys.readouterr().out == "invalid: bundle class names disagree with the model catalog\n"
 
+    def test_repeated_frame_id_is_one_fault(self, sim_dir, tmp_path, capsys):
+        # frame 1 takes frame 0's id: it would map frame 1's data as a second frame 0
+        repeated = copy_bundle(
+            sim_dir, tmp_path / "repeated", lambda m: m["frames"][1].update(frame_id=m["frames"][0]["frame_id"])
+        )
+        capsys.readouterr()
+        assert run_cli("validate", "--bundle", repeated) == 1
+        assert capsys.readouterr().out == "invalid: bundle manifest frames[0] and frames[1] share frame_id 0\n"
+        assert run_cli("run", "--bundle", repeated, "--out", tmp_path / "out") == 2
+        assert "frames[0] and frames[1] share frame_id 0" in one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_validate_refuses_absolute_name_of_real_frame_file(self, sim_dir, tmp_path, capsys):
         target = sorted(sim_dir.glob("*.depth.f32"))[0].resolve()
         broken = copy_bundle(sim_dir, tmp_path / "abs", lambda m: m["frames"][0].update(depth_file=str(target)))
@@ -1104,8 +1131,9 @@ class TestBundleReader:
     def test_run_memory_does_not_grow_with_stream_length(self, sim_dir, tmp_path):
         import tracemalloc
 
-        # the same four frames listed ten times over
-        long_bundle = copy_bundle(sim_dir, tmp_path / "long", lambda m: m.update(frames=m["frames"] * 10))
+        # the same four frames listed ten times over, each entry with its own id
+        relisted = lambda m: m.update(frames=[{**e, "frame_id": i} for i, e in enumerate(m["frames"] * 10)])
+        long_bundle = copy_bundle(sim_dir, tmp_path / "long", relisted)
         mesh = ["--mesh-side", 0.25, "--mesh-extent", 2.5]
         assert run_cli("run", "--bundle", sim_dir, "--out", tmp_path / "warm", *mesh) == 0
         peaks = []
@@ -1192,6 +1220,9 @@ class TestMutatedInputs:
         paths = [p for p in leaf_paths(doc) if target != "manifest" or p[0] != "frames" or p[1] == 0]
         path = data.draw(st.sampled_from(paths), label="path")
         doc = edit_json(doc, path, data.draw(st.sampled_from(MUTATIONS), label="value"))
+        if target == "manifest" and data.draw(st.booleans(), label="repeat id"):
+            # the last frame takes the first one's id as well
+            doc["frames"][-1]["frame_id"] = doc["frames"][0].get("frame_id")
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             (tmp / "in.json").write_text(json.dumps(doc))

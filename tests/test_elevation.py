@@ -233,7 +233,7 @@ class TestUpdateElevation:
         mesh = init_mesh(MeshConfig(0.5, 1.0, 2))
         before = mesh.z_mean.copy()
         points = make_frame_points(mesh, np.empty((0, 3)))
-        assert points.face_ids.size == 0
+        assert points.inverse.size == 0
         update_elevation(mesh, points, Pose.identity(), SensorNoiseModel())
         assert np.array_equal(mesh.z_mean, before)
         assert not mesh.touched.any()
@@ -329,7 +329,7 @@ class TestUpdateElevation:
                 pts.pos_sensor, model.variance(pts.pos_sensor[:, 2]), pose, pose.rotation_cov
             )
             bad = sequential_vertex_fusion(
-                pts.face_ids, mesh.face_vertex_ids, pts.pos_map[:, 2], var, z_mean, z_var, touched
+                pts.faces[pts.inverse], mesh.face_vertex_ids, pts.z, var, z_mean, z_var, touched
             )
             assert bad == -1
             update_elevation(mesh, pts, pose, model)

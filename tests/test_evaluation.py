@@ -177,7 +177,8 @@ class TestPrCurve:
         pr = pr_curve(est, truth, self.models, positive="low")
         # only half the positives are ever retrievable
         assert pr.recall.max() == pytest.approx(0.5)
-        assert pr.positives == 4
+        # at each threshold, two of the four positives are found and two missed
+        assert np.array_equal(pr.recall, [0.5, 0.5])
         assert pr.average_precision <= 0.5 + 1e-9
 
     def test_high_friction_direction(self):

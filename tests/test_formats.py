@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import json
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -26,7 +28,7 @@ from terramesh.formats import (
     write_bundle,
 )
 from terramesh.mesh import MeshConfig, init_mesh, recenter
-from terramesh.pipeline import EstimatorKind, FaceScores, estimate_properties
+from terramesh.pipeline import EstimatorKind, FaceScores, Mapper, PipelineConfig, estimate_properties
 from terramesh.properties import load_default_models
 from terramesh.sim import scenario_library, render_frames, world_to_dict
 
@@ -296,10 +298,13 @@ class TestContainerLayout:
 
     @pytest.mark.parametrize("kind", [MAP_KIND, ESTIMATES_KIND])
     def test_intact_file_reads_its_arrays(self, files, monkeypatch, kind):
-        # the counter sees the reads of a file that passes
+        # the counter sees the reads of a file that passes: a map's four
+        # state arrays, its vertex coordinates a grid row at a time, and
+        # its face table in one block
+        mesh, paths = files
         reads = count_reads(monkeypatch)
-        LOADERS[kind](files[1][kind])
-        assert len(reads) == {MAP_KIND: 7, ESTIMATES_KIND: 2}[kind]
+        LOADERS[kind](paths[kind])
+        assert len(reads) == {MAP_KIND: 4 + 2 * mesh.cfg.vertices_per_side + 1, ESTIMATES_KIND: 2}[kind]
 
     def test_writer_refuses_chunks_that_miss_the_shape(self, tmp_path):
         with pytest.raises(FormatError, match="'a' of shape \\(2, 3\\) was given 40 bytes"):
@@ -375,6 +380,42 @@ class TestBundleIO:
     def test_missing_manifest(self, tmp_path):
         assert validate_bundle(tmp_path / "nowhere") != []
 
+    def test_writer_refuses_a_repeated_frame_id(self, small_bundle, tmp_path):
+        _, frames, truth = small_bundle
+        # the third frame carries the first one's id
+        repeated = [*frames[:2], dataclasses.replace(frames[2], frame_id=frames[0].frame_id)]
+        with pytest.raises(FormatError, match=f"frame {frames[0].frame_id}: an earlier frame has the same id"):
+            write_bundle(tmp_path / "b", iter(repeated), truth.class_names)
+        # the first frame's files were not overwritten, and no manifest was written
+        depth = (tmp_path / "b" / f"frame_{frames[0].frame_id:06d}.depth.f32").read_bytes()
+        assert depth == frames[0].depth.astype("<f4").tobytes()
+        assert not (tmp_path / "b" / "manifest.json").exists()
+
+    def test_reader_refuses_a_repeated_frame_id(self, small_bundle, tmp_path):
+        out, _, _ = small_bundle
+        broken = tmp_path / "repeated"
+        shutil.copytree(out, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        manifest["frames"][2]["frame_id"] = manifest["frames"][0]["frame_id"]
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        fid = manifest["frames"][0]["frame_id"]
+        assert validate_bundle(broken) == [f"bundle manifest frames[0] and frames[2] share frame_id {fid}"]
+        with pytest.raises(FormatError, match="frames\\[0\\] and frames\\[2\\]"):
+            read_bundle(broken)
+
+    def test_entries_may_share_a_data_file(self, small_bundle, tmp_path):
+        out, frames, _ = small_bundle
+        shared = tmp_path / "shared"
+        shutil.copytree(out, shared)
+        manifest = json.loads((shared / "manifest.json").read_text())
+        first, last = manifest["frames"][0], manifest["frames"][2]
+        last.update(depth_file=first["depth_file"], scores_file=first["scores_file"])
+        (shared / "manifest.json").write_text(json.dumps(manifest))
+        assert validate_bundle(shared) == []
+        back = read_bundle(shared)[1]
+        assert back[2].frame_id == frames[2].frame_id
+        assert back[2].depth.tobytes() == back[0].depth.tobytes()
+
 
 class TestTruthAndEstimates:
     def test_truth_roundtrip(self, tmp_path):
@@ -424,8 +465,6 @@ class TestContainerMemory:
 
     def test_export_copies_no_array(self, mapped, tmp_path):
         mesh, names, estimates = mapped
-        # the vertex lattice, two (V,) float64 arrays, is built for the file
-        lattice = 2 * mesh.num_vertices * 8
         tracemalloc.start()
         try:
             save_map(mesh, tmp_path / "map.bin", names)
@@ -433,7 +472,31 @@ class TestContainerMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < lattice + 0.1 * mesh.alpha.nbytes
+        assert peak < 0.1 * mesh.alpha.nbytes
+
+    def test_recentred_map_streams_its_lattice(self, tmp_path):
+        # a map whose ring offset wraps both axes: its (V,) vertex
+        # coordinates, 4.0 MB as whole arrays, go to and from the file a grid
+        # row at a time; a load holds the new mesh's 2 MB int32 scratch
+        catalog, _ = load_default_models()
+        mesh = init_mesh(MeshConfig(0.02, 5.0, catalog.k))
+        mesh.ring.alpha[:50_000] = 1.0
+        mesh.ring.touched[::7] = True
+        recenter(mesh, (1.23, -2.47))
+        assert all(mesh._start)
+        path = tmp_path / "map.bin"
+        tracemalloc.start()
+        try:
+            save_map(mesh, path, catalog.names)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back, _ = load_map(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 2e6 and load_peak < 4e6, (save_peak, load_peak)
+        save_map(back, tmp_path / "again.bin", catalog.names)
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
     def test_map_loads_into_ring_storage(self, mapped, tmp_path):
         mesh, names, _ = mapped
@@ -524,3 +587,36 @@ class TestRingExport:
         _, back = load_estimates(tmp_path / "ring" / "estimates.bin")
         save_estimates(tmp_path / "again.bin", back, ring, kind.value, "cafe")
         assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "ring" / "estimates.bin").read_bytes()
+
+
+class TestMapResumes:
+    """A map saved after the first four frames of a bundle, loaded and given
+    the last four, is the map of all eight mapped in one run."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self, tmp_path_factory):
+        spec = scenario_library()["two-class-split-noisy"].with_seed(3)
+        frames, truth = render_frames(spec, limit=8)
+        out = tmp_path_factory.mktemp("resume")
+        write_bundle(out, frames, truth.class_names)
+        _, frames = read_bundle(out)
+        assert len(frames) == 8
+        return frames, truth.class_names
+
+    @pytest.mark.parametrize("recentre", [False, True], ids=["fixed", "recentred"])
+    def test_resumed_map_is_the_whole_run(self, bundle, tmp_path, recentre):
+        frames, names = bundle
+        cfg, config = MeshConfig(0.1, 2.5, len(names)), PipelineConfig(recenter=recentre)
+        whole = Mapper(init_mesh(cfg), config).run(frames)
+        save_map(whole.mesh, tmp_path / "whole.bin", names, whole.frames_processed)
+        first = Mapper(init_mesh(cfg), config).run(frames[:4])
+        save_map(first.mesh, tmp_path / "first.bin", names, first.frames_processed)
+        mesh, header = load_map(tmp_path / "first.bin")
+        rest = Mapper(mesh, config).run(frames[4:])
+        save_map(rest.mesh, tmp_path / "resumed.bin", names, header["frame_count"] + rest.frames_processed)
+        assert whole.frames_processed > 4 and rest.frames_processed > 0
+        # recentring moved the window before the save and again after the load
+        assert any(header["center"]) == any(rest.mesh._start) == recentre
+        for suffix in ("", ".txt"):
+            whole_bytes = (tmp_path / f"whole.bin{suffix}").read_bytes()
+            assert (tmp_path / f"resumed.bin{suffix}").read_bytes() == whole_bytes, suffix

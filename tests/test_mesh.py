@@ -303,8 +303,10 @@ class TestBulkAssignment:
         pos = rng.uniform(-2, 2, size=(100, 3))
         fids = assign_face_ids(m, pos[:, :2])
         fp = FramePoints.from_assignment(m, pos, pos, np.full((100, 3), 1 / 3), fids, np.arange(100))
-        assert fp.face_ids.size == int((fids >= 0).sum())
-        assert np.all(fp.face_ids >= 0)
+        inside = fids >= 0
+        assert np.array_equal(fp.faces[fp.inverse], fids[inside])
+        assert np.array_equal(fp.z, pos[inside, 2])
+        assert np.array_equal(fp.pos_sensor, pos[inside])
 
 
 class TestPointGroups:
@@ -316,7 +318,7 @@ class TestPointGroups:
         pos = np.zeros((n, 3))
         points = FramePoints.from_assignment(m, pos, pos, np.zeros((n, 1)), fids, np.arange(n))
         kept = fids[fids >= 0]
-        assert np.array_equal(points.face_ids, kept)
+        assert np.array_equal(points.faces[points.inverse], kept)
         faces, inverse = np.unique(kept, return_inverse=True)
         assert np.array_equal(points.faces, faces)
         assert np.array_equal(points.inverse, inverse)

@@ -521,18 +521,19 @@ class TestScalarCallsMatchRun:
         (pts,) = passed
         est = estimate_properties(mesh, EstimatorKind.RECURSIVE, load_default_models()[1])
 
-        faces = np.unique(pts.face_ids)
+        face_ids = pts.faces[pts.inverse]
+        faces = np.unique(face_ids)
         assert faces.size > 20
         for f in faces:
-            alpha = dirichlet_update(np.zeros(10), pts.scores[:, pts.face_ids == f].T, mode)
+            alpha = dirichlet_update(np.zeros(10), pts.scores[:, face_ids == f].T, mode)
             assert alpha.tobytes() == mesh.alpha[f].tobytes()
             assert class_predictive(mesh.alpha[f]).tobytes() == dense_weights(est)[f].tobytes()
 
-        z = pts.pos_map[:, 2]
+        z = pts.z
         var = point_height_variances(
             pts.pos_sensor, config.noise_model.variance(pts.pos_sensor[:, 2]), frame.pose
         )
-        corners = mesh.face_vertex_ids[pts.face_ids]
+        corners = mesh.face_vertex_ids[face_ids]
         for v in np.flatnonzero(mesh.touched):
             (seen,) = np.nonzero((corners == v).any(axis=1))
             mean, v_var = z[seen[0]], var[seen[0]]

@@ -269,9 +269,9 @@ class TestFitAndSelect:
         assert (x <= 0).any()
         sel = fit_and_select(x)
         assert sel.best_family == "gaussian"
-        assert sel.skipped["lognormal"] == "non-positive samples"
-        assert sel.skipped["weibull"] == "non-positive samples"
         assert "lognormal" not in sel.ks
+        assert "weibull" not in sel.ks
+        assert list(sel.params) == ["gaussian"]
 
     def test_gaussian_scale_consistency(self, rng):
         x = rng.normal(0.4, 0.07, size=2_000)
