@@ -10,13 +10,17 @@ its classes to the same model catalog
 it), so that a bundle it calls valid is one ``run`` accepts.
 Seeds are mandatory wherever randomness exists; nothing is seeded from the
 wall clock.
+
+The simulator (:mod:`terramesh.sim`) and the evaluation code
+(:mod:`terramesh.evaluation`) are imported inside the commands that run
+them (``simulate``, ``eval`` and ``bench``), so that the other commands
+never load them; every other module is imported here.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -25,13 +29,6 @@ import numpy as np
 
 from .elevation import SensorNoiseModel
 from .errors import ConfigurationError, TerrameshError
-from .evaluation import (
-    bench_update,
-    evaluate_estimator,
-    write_bench_csv,
-    write_pr_csv,
-    write_summary_csv,
-)
 from .formats import (
     _check_fields,
     _is_int,
@@ -42,6 +39,7 @@ from .formats import (
     load_truth,
     open_bundle,
     read_bundle,  # noqa: F401  loads a whole bundle as a list; importable from here
+    read_json,
     save_estimates,
     save_map,
     save_truth,
@@ -64,7 +62,6 @@ from .properties import (
     save_models,
 )
 from .semantics import UPDATE_MODES
-from .sim import iter_frames, scenario_library, world_from_dict, world_to_dict
 
 
 class CliError(TerrameshError):
@@ -92,6 +89,8 @@ def _entries(text: str, sep: str, convert) -> list:
 
 
 def cmd_simulate(args) -> int:
+    from .sim import iter_frames, scenario_library, world_from_dict, world_to_dict
+
     _check_flag("--frames", args.frames, args.frames is None or args.frames >= 1, "at least 1")
     if args.scenario:
         library = scenario_library()
@@ -100,8 +99,7 @@ def cmd_simulate(args) -> int:
             raise CliError(f"unknown scenario {args.scenario!r}; valid scenarios: {known}")
         spec = library[args.scenario]
     else:
-        doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        spec = world_from_dict(doc)
+        spec = world_from_dict(read_json(args.spec, "world-spec file"))
     spec = spec.with_seed(args.seed)
 
     # frames are rendered one at a time, as the bundle writer asks for them
@@ -154,10 +152,7 @@ def _merge_run_config(args) -> dict:
         "recenter": pipeline.recenter,
     }
     if args.config:
-        try:
-            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config file: {exc}") from exc
+        file_cfg = read_json(args.config, "config file")
         if not isinstance(file_cfg, dict):
             raise CliError("config file is not a JSON object")
         unknown = set(file_cfg) - set(cfg)
@@ -259,6 +254,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import evaluate_estimator, write_pr_csv, write_summary_csv
+    from .sim import world_from_dict
+
     truth_doc = load_truth(args.truth)
     world = world_from_dict(truth_doc["world"])
     truth_hash = truth_doc["scenario_hash"]
@@ -428,6 +426,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .evaluation import bench_update, write_bench_csv
+
     _check_flag("--trials", args.trials, args.trials >= 1, "at least 1")
     sides = _entries(args.sides, ",", float)
     ok = all(_is_number(s) and s > 0 for s in sides)
@@ -516,7 +516,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (TerrameshError, OSError, ValueError, MemoryError) as exc:
-        # json.JSONDecodeError is a ValueError; a MemoryError is an impossible array size
+        # a MemoryError is an impossible array size
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,11 @@ import numpy as np
 
 from .errors import EvaluationError
 from .formats import write_csv
-from .pipeline import FaceEstimates
-from .properties import median, ndtr, normal_pdf
+from .geometry import CameraIntrinsics, pose_from_camera
+from .mesh import MeshConfig, init_mesh
+from .pipeline import FaceEstimates, Mapper, PipelineConfig
+from .properties import load_default_models, median, ndtr, normal_pdf
+from .sim import ClassMap, Heightfield, WorldSpec, render_frame
 
 KL_GRID_LO = -0.5
 KL_GRID_HI = 1.5
@@ -227,10 +230,6 @@ def bench_frame(half_extent_m: float, image_size=(424, 240), altitude: float = 1
     with the mesh lattice (an axis-aligned straight-down view is a
     degenerate geometry no real trajectory produces).
     """
-    from .geometry import CameraIntrinsics, pose_from_camera
-    from .properties import load_default_models
-    from .sim import ClassMap, Heightfield, WorldSpec, render_frame
-
     catalog, _ = load_default_models()
     w, h = image_size
     pitch = math.radians(12.0)
@@ -273,9 +272,6 @@ def bench_update(
     warmed-up process.  Trials are interleaved round-robin across
     configurations so slow load drift hits every configuration equally.
     """
-    from .mesh import MeshConfig, init_mesh
-    from .pipeline import Mapper, PipelineConfig
-
     frame = bench_frame(half_extent_m, image_size)
     mappers = []
     for side in side_lengths:

@@ -33,7 +33,8 @@ Frame-bundle directory layout:
 All writers emit deterministic bytes: JSON keys are sorted, floats use
 shortest round-trip representation, and no wall-clock data is embedded.
 Every JSON document (bundle manifest, ground truth, run summary) goes through
-:func:`write_json`, and every CSV report (timing, bench, eval summary,
+:func:`write_json`, and is read, as are run configs and world specs, through
+:func:`read_json`; every CSV report (timing, bench, eval summary,
 precision-recall curves, KS table) through :func:`write_csv`.
 
 Bundles are read through :func:`open_bundle` alone.  It checks the manifest
@@ -83,6 +84,19 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def read_json(path, what: str):
+    """The JSON document in file ``path``.  An unreadable file, bytes that
+    are not UTF-8 and text that is not JSON each raise one
+    :class:`FormatError` naming ``what`` and the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors; too deep a nesting is a RecursionError
+        raise FormatError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def write_csv(path, header, rows) -> None:
     """Write a CSV table: the ``header`` row, then ``rows``.  Each cell is
     written as its ``str()``, the shortest round-trip text of a float."""
@@ -130,7 +144,7 @@ def _read_layout(fh, path):
         raise FormatError(f"{path}: bad magic {magic!r}")
     try:
         meta = json.loads(fh.readline().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: unreadable header: {exc}") from exc
     try:
         header = meta["header"]
@@ -466,12 +480,7 @@ def open_bundle(directory):
     fault (a frame id two entries share is one), missing file or file of the
     wrong size raises :class:`FormatError`."""
     directory = Path(directory)
-    try:
-        manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read bundle manifest: {exc}") from exc
-    except ValueError as exc:
-        raise FormatError(f"bundle manifest is not valid JSON: {exc}") from exc
+    manifest = read_json(directory / "manifest.json", "bundle manifest")
     _check_fields("bundle manifest", manifest, _MANIFEST_FIELDS)
     w, h, k = manifest["width"], manifest["height"], manifest["num_classes"]
     if len(manifest["class_names"]) != k:
@@ -581,12 +590,7 @@ def load_truth(path) -> dict:
     mistyped top-level field or model field, raises :class:`FormatError`.
     :func:`terramesh.sim.world_from_dict` checks the world description
     against field tables, from ``terramesh.sim._WORLD_FIELDS`` down."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read truth file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"truth file is not valid JSON: {exc}") from exc
+    doc = read_json(path, "truth file")
     if not isinstance(doc, dict) or doc.get("format") != TRUTH_FORMAT or doc.get("version") != TRUTH_VERSION:
         raise FormatError("unsupported ground-truth format or version")
     _check_fields("truth file", doc, _TRUTH_FIELDS)

@@ -122,16 +122,10 @@ class FaceScores:
     ids: np.ndarray
     observed_sums: np.ndarray
     observed_counts: np.ndarray
-    num_faces: int
 
     @classmethod
-    def empty(cls, num_faces: int, num_classes: int) -> "FaceScores":
-        return cls(
-            np.empty(0, dtype=np.int64),
-            np.empty((0, num_classes)),
-            np.empty(0, dtype=np.int64),
-            num_faces,
-        )
+    def empty(cls, num_classes: int) -> "FaceScores":
+        return cls(np.empty(0, dtype=np.int64), np.empty((0, num_classes)), np.empty(0, dtype=np.int64))
 
 
 
@@ -203,7 +197,7 @@ def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
         semantics=t4 - t3,
         total=t4 - t0,
     )
-    return timing, FaceScores(observed, sums, counts, mesh.num_faces)
+    return timing, FaceScores(observed, sums, counts)
 
 
 class Mapper:
@@ -216,7 +210,7 @@ class Mapper:
         self.frames_skipped = 0
         self.timings: list[FrameTiming] = []
         # before any frame is processed, no face has a current-frame score
-        self.last_scores = FaceScores.empty(mesh.num_faces, mesh.cfg.num_classes)
+        self.last_scores = FaceScores.empty(mesh.cfg.num_classes)
 
     def process(self, frame: FrameBundle) -> bool:
         """Apply one frame; invalid frames are skipped and counted."""

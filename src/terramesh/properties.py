@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -289,7 +289,7 @@ def fit_and_select(samples) -> FitSelection:
 
 def default_models_path():
     """Path of the friction-model file shipped with the package."""
-    return resources.files("terramesh").joinpath("data/friction_models.tsv")
+    return Path(__file__).parent / "data" / "friction_models.tsv"
 
 
 def load_models(path=None):
@@ -301,13 +301,11 @@ def load_models(path=None):
     if path is None:
         path = default_models_path()
     try:
-        if hasattr(path, "read_text"):
-            text = path.read_text(encoding="utf-8")
-        else:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigurationError(f"cannot read model file: {exc}") from exc
+        raise ConfigurationError(f"cannot read model file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"model file {path} is not UTF-8 text: {exc}") from exc
 
     lines = text.splitlines()
     if not lines or lines[0].strip() != MODEL_FILE_MAGIC:

@@ -277,15 +277,17 @@ class GroundTruth:
 
 
 _BLOCK_CELLS = 1 << 16  # ray-steps per march block: 512 KiB per float64 scratch array
+_D_MIN = 1e-3  # nearest depth a ray is marched from [m]
+_BISECT_ITERS = 48
 
 
-def _raycast(heightfield, origin, dirs, d_max, steps, d_min=1e-3, bisect_iters=48):
+def _raycast(heightfield, origin, dirs, d_max, steps):
     """First surface crossing along each ray, parameterized by sensor depth.
 
     Rays are marched on a uniform grid to bracket the first sign change of
     camera-height-above-terrain, then bisected; the bracket is one march
     step wide, so terrain features narrower than that can be stepped over.
-    Returns NaN where no crossing exists in (d_min, d_max].
+    Returns NaN where no crossing exists in (``_D_MIN``, d_max].
 
     A grid step whose ray height is above ``heightfield.max_height()`` has a
     positive gap, so it cannot be the first crossing.  Each ray's march
@@ -294,7 +296,7 @@ def _raycast(heightfield, origin, dirs, d_max, steps, d_min=1e-3, bisect_iters=4
     ``_BLOCK_CELLS`` ray-steps in all.  The depths are bit for bit those of
     a march over every step: every gap is the same floating-point expression.
     """
-    grid = np.linspace(d_min, d_max, steps + 1)
+    grid = np.linspace(_D_MIN, d_max, steps + 1)
     ox, oy, oz = origin
     cols = [np.ascontiguousarray(c) for c in dirs.T]
 
@@ -340,7 +342,7 @@ def _raycast(heightfield, origin, dirs, d_max, steps, d_min=1e-3, bisect_iters=4
     dx, dy, dz = (c[rays] for c in cols)
     mid, x, y, z = (np.empty(rays.size) for _ in range(4))
     above = np.empty(rays.size, dtype=bool)
-    for _ in range(bisect_iters):
+    for _ in range(_BISECT_ITERS):
         np.add(lo, hi, out=mid)
         mid *= 0.5
         np.multiply(mid, dx, out=x)

@@ -1175,6 +1175,8 @@ RUN_CONFIG = {
 MUTATIONS = [DELETE, None, "x", float("nan"), -1, 0, [], {}]
 # a force-log row cut at the mutated cell, and the mutated cell repeated
 CUT_ROW, REPEAT_CELL = object(), object()
+# bytes that are not UTF-8, text that is not JSON, and JSON nested too deep to decode
+NOT_JSON = {"not-utf8": b"\xff{}", "not-json": b"{bad", "too-deep": b"[" * 100_000}
 
 
 class TestMutatedInputs:
@@ -1296,6 +1298,45 @@ class TestMutatedInputs:
             else:
                 assert code == 2 and len(lines) == 1 and lines[0].startswith("error:"), lines
 
+    @pytest.mark.parametrize(
+        "target, content",
+        [
+            *(
+                pytest.param(target, content, id=f"{target}-{name}")
+                for target in ("spec", "config", "manifest", "truth")
+                for name, content in NOT_JSON.items()
+            ),
+            pytest.param("models", b"\xff\tmodels", id="models-not-utf8"),
+        ],
+    )
+    def test_unreadable_text_names_its_file(self, sim_dir, run_dir, tmp_path, target, content):
+        """Bytes that are not UTF-8, or text that is not JSON, in any of the
+        five text inputs: one error line naming the file, exit code 2
+        (``validate`` lists a bad manifest as invalid, exit code 1)."""
+        path = tmp_path / "in.txt"
+        if target == "manifest":
+            path = copy_bundle(sim_dir, tmp_path / "bundle") / "manifest.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        if target == "spec":
+            argv = ["simulate", "--spec", path, "--seed", 3, "--out", out]
+        elif target == "config":
+            argv = ["run", "--bundle", sim_dir, "--out", out, "--config", path]
+        elif target == "truth":
+            argv = ["eval", "--truth", path, "--out", out, "--estimates", run_dir / "estimates.bin"]
+        elif target == "models":
+            argv = ["run", "--bundle", sim_dir, "--out", out, "--models", path]
+            code, _, err = self.streams("validate", "--bundle", sim_dir, "--models", path)
+            assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1 and str(path) in err, err
+        else:
+            argv = ["run", "--bundle", path.parent, "--out", out]
+            code, lines, err = self.streams("validate", "--bundle", path.parent)
+            assert code == 1 and err == "" and len(lines) == 1, lines
+            assert lines[0].startswith("invalid: ") and str(path) in lines[0], lines
+        code, _, err = self.streams(*argv)
+        assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert str(path) in err
+
 
 class TestEntryPoints:
     def test_module_invocation(self):
@@ -1338,17 +1379,109 @@ print("scipy modules: " + " ".join(sorted(m for m in sys.modules if m.split(".")
 """
 
 
+# one command in a fresh interpreter, then whether it loaded the simulator and the evaluation code
+LOADED_SCRIPT = """
+import sys
+from terramesh.cli import main
+
+try:
+    main(sys.argv[1:])
+finally:
+    print(*("terramesh." + m in sys.modules for m in ("sim", "evaluation")))
+"""
+
+
+def fresh_interpreter(script, *args):
+    import terramesh
+
+    env = dict(os.environ, PYTHONPATH=str(Path(terramesh.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env
+    )
+
+
 class TestRuntimeDependencies:
     def test_commands_never_import_scipy(self, tmp_path):
         logs = tmp_path / "logs"
         logs.mkdir()
         TestFitdist().write_log(logs / "ice.csv", 0.19, 2.0, n=500, seed=1)
-        import terramesh
-
-        env = dict(os.environ, PYTHONPATH=str(Path(terramesh.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", NUMPY_ONLY_SCRIPT, str(tmp_path)], capture_output=True, text=True, env=env
-        )
+        proc = fresh_interpreter(NUMPY_ONLY_SCRIPT, tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "models.tsv").exists()
         assert proc.stdout.splitlines()[-1] == "scipy modules: "
+
+    @pytest.mark.parametrize(
+        "command, loaded",
+        [
+            ("--help", "False False"),
+            ("validate", "False False"),
+            ("run", "False False"),
+            ("fitdist", "False False"),
+            ("simulate", "True False"),
+            ("eval", "True True"),
+        ],
+    )
+    def test_command_loads_only_what_it_runs(self, sim_dir, run_dir, tmp_path, command, loaded):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        TestFitdist().write_log(logs / "ice.csv", 0.19, 2.0, n=500, seed=1)
+        argv = {
+            "--help": [],
+            "validate": ["--bundle", sim_dir],
+            "run": ["--bundle", sim_dir, "--out", tmp_path / "run", "--mesh-side", 0.5, "--mesh-extent", 2.5],
+            "fitdist": ["--logs", logs, "--out", tmp_path / "models.tsv", "--mass", 2.0],
+            "simulate": ["--scenario", "two-class-split", "--seed", 5, "--frames", 1, "--out", tmp_path / "bundle"],
+            "eval": ["--truth", sim_dir / "truth.json", "--out", tmp_path / "report", "--estimates", run_dir / "estimates.bin"],
+        }[command]
+        proc = fresh_interpreter(LOADED_SCRIPT, command, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == loaded
+
+
+# the package namespace: each public name and the module that defines it
+PUBLIC_NAMES = {
+    "elevation": ["SensorNoiseModel", "height_variance", "kalman_update", "update_elevation"],
+    "errors": ["TerrameshError"],
+    "geometry": ["CameraIntrinsics", "Pose", "barycentric", "transform_to_map"],
+    "mesh": ["Mesh", "MeshConfig", "face_lookup", "init_mesh", "recenter"],
+    "pipeline": ["EstimatorKind", "FrameBundle", "Mapper", "PipelineConfig", "estimate_properties"],
+    "properties": [
+        "ForceLog", "PropertyMixture", "PropertyModel", "fit_and_select", "friction_from_force",
+        "load_default_models", "load_models", "save_models",
+    ],
+    "semantics": ["ClassCatalog", "class_predictive", "dirichlet_update"],
+    "sim": ["WorldSpec", "render_frames", "scenario_library"],
+}
+
+
+class TestPackageNamespace:
+    def test_all_lists_each_public_name(self):
+        import terramesh
+
+        names = [name for group in PUBLIC_NAMES.values() for name in group]
+        assert len(names) == 33
+        assert sorted(terramesh.__all__) == sorted(names)
+
+    @pytest.mark.parametrize("module, name", [(m, n) for m, group in PUBLIC_NAMES.items() for n in group])
+    def test_name_is_its_modules_object(self, module, name):
+        import importlib
+
+        import terramesh
+
+        assert getattr(terramesh, name) is getattr(importlib.import_module(f"terramesh.{module}"), name)
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from terramesh import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(n for group in PUBLIC_NAMES.values() for n in group)
+
+    def test_submodules_and_unknown_names(self):
+        import importlib
+
+        import terramesh
+        from terramesh import formats
+
+        assert formats is importlib.import_module("terramesh.formats")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            terramesh.no_such_name

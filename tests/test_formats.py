@@ -65,6 +65,13 @@ class TestBinaryContainer:
         with pytest.raises(FormatError):
             read_arrays(path)
 
+    @pytest.mark.parametrize("header", [b"\xff", b"{bad", b"[" * 100_000], ids=["not-utf8", "not-json", "too-deep"])
+    def test_unreadable_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"TERRAMESH-BIN v1\n" + header + b"\n")
+        with pytest.raises(FormatError, match="unreadable header"):
+            read_arrays(path)
+
     def test_truncation_detected(self, tmp_path, rng):
         path = tmp_path / "trunc.bin"
         write_arrays(path, {}, {"a": rng.standard_normal(64)})
@@ -556,7 +563,7 @@ class TestRingExport:
         # per-face sums of `counts` score vectors that each sum to one, as a frame gives
         sums, counts = rng.random((seen.size, catalog.k)), rng.integers(1, 9, seen.size)
         sums *= counts[:, None] / sums.sum(axis=1, keepdims=True)
-        scores = FaceScores(seen, sums, counts, ring.num_faces)
+        scores = FaceScores(seen, sums, counts)
         return ring, ref, catalog.names, models, scores
 
     def test_export_peak_is_below_one_face_by_class_array(self, meshes, tmp_path):

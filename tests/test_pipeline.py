@@ -576,7 +576,7 @@ class TestEstimatorMemory:
         mesh.alpha[ids] = rng.random((ids.size, 10))
         # one frame observes a few thousand faces
         seen = ids[::30]
-        scores = FaceScores(seen, rng.random((seen.size, 10)), rng.integers(1, 9, seen.size), mesh.num_faces)
+        scores = FaceScores(seen, rng.random((seen.size, 10)), rng.integers(1, 9, seen.size))
         return mesh, models, scores
 
     @pytest.mark.parametrize("kind", list(EstimatorKind))
