@@ -46,8 +46,9 @@ def _truth_terms(p_dens):
     return p, np.log(p), p_dens > SUPPORT_LEVEL
 
 
-def _kl_on_grid(p_floor, log_p, p_support, q, grid, scratch) -> np.ndarray:
-    """KL(p || q) along the last axis by trapezoidal quadrature over ``grid``.
+def _kl_on_grid(p_floor, log_p, p_support, q, spacing, scratch) -> np.ndarray:
+    """KL(p || q) along the last axis by trapezoidal quadrature over the
+    grid whose node spacing ``np.diff(grid)`` is ``spacing``.
 
     The truth terms come from :func:`_truth_terms`.  Overwrites the estimate
     densities ``q`` and ``scratch`` (one node fewer than ``q``).  The sum is
@@ -61,7 +62,7 @@ def _kl_on_grid(p_floor, log_p, p_support, q, grid, scratch) -> np.ndarray:
     np.subtract(log_p, q, out=q)
     np.multiply(p_floor, q, out=q)
     np.add(q[..., 1:], q[..., :-1], out=scratch)
-    np.multiply(np.diff(grid), scratch, out=scratch)
+    np.multiply(spacing, scratch, out=scratch)
     np.divide(scratch, 2.0, out=scratch)
     kl = np.where(no_mass, np.inf, scratch.sum(axis=-1))
     # quadrature may dip a hair negative for identical inputs
@@ -74,7 +75,7 @@ def kl_mixture(p_true, q_est) -> float:
     """KL(p || q) between two property mixtures by fixed-grid quadrature."""
     grid = _grid()
     q = q_est.pdf(grid)
-    return float(_kl_on_grid(*_truth_terms(p_true.pdf(grid)), q, grid, np.empty(q.size - 1)))
+    return float(_kl_on_grid(*_truth_terms(p_true.pdf(grid)), q, np.diff(grid), np.empty(q.size - 1)))
 
 
 def kl_per_face(estimates: FaceEstimates, truth_classes, models):
@@ -97,12 +98,13 @@ def kl_per_face(estimates: FaceEstimates, truth_classes, models):
         # a one-row product goes through BLAS gemv, which rounds differently
         # from the gemm every other row sees: fold the lone row into the block
         del bounds[-2]
-    scratch = np.empty((KL_BLOCK_ROWS + 1, grid.size - 1))
+    spacing = np.diff(grid)
+    scratch = np.empty((KL_BLOCK_ROWS + 1, spacing.size))
     for start, stop in zip(bounds[:-1], bounds[1:]):
         rows = faces[start:stop]
         cls = truth_classes[rows]
         q = estimates.known_weights[start:stop] @ comp
-        out[rows] = _kl_on_grid(p_floor[cls], log_p[cls], p_support[cls], q, grid, scratch[: rows.size])
+        out[rows] = _kl_on_grid(p_floor[cls], log_p[cls], p_support[cls], q, spacing, scratch[: rows.size])
     return out
 
 

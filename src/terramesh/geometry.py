@@ -1,7 +1,11 @@
 """Coordinate transforms, pinhole projection and barycentric coordinates.
 
 All operations here are pure functions over immutable inputs and safe to call
-from any number of concurrent contexts.  :func:`check_image_size` and
+from any number of concurrent contexts.  Point batches are handled
+coordinate-major: :func:`transform_to_map` multiplies the (3, n) transpose of
+a batch and :func:`project_frame_arrays` writes each sensor coordinate as
+one row of a (3, n) array, so the (n, 3) arrays they return are transposed
+views whose coordinate columns are contiguous.  :func:`check_image_size` and
 :func:`check_covariance` are the package's one image-size and one
 covariance rule.
 """
@@ -120,11 +124,17 @@ def check_image_size(depth, scores, intrinsics: CameraIntrinsics) -> None:
 def transform_to_map(p_sensor, pose: Pose) -> np.ndarray:
     """Map sensor-frame points into the map frame: ``R^T p - t``.
 
-    Accepts a single point ``(3,)`` or a batch ``(..., 3)``.
+    Accepts a single point ``(3,)`` or a batch ``(..., 3)`` and returns the
+    same shape.  The product runs coordinate-major, on the (3, n) transpose
+    of the batch, and an (n, 3) result is the transpose of a (3, n) array:
+    each coordinate is one contiguous column.
     """
     p = np.asarray(p_sensor, dtype=float)
-    # row-vector form of R^T @ p is p @ R
-    return p @ pose.rotation - pose.translation
+    out = pose.rotation.T @ p.reshape(-1, 3).T
+    # in place and n-wide: a broadcast (n, 3) subtraction runs a 3-wide
+    # inner loop n times
+    out -= pose.translation[:, None]
+    return out.T.reshape(p.shape)
 
 
 def project_frame_arrays(depth, scores, intrinsics: CameraIntrinsics, pose: Pose, max_range_m: float = math.inf):
@@ -132,10 +142,11 @@ def project_frame_arrays(depth, scores, intrinsics: CameraIntrinsics, pose: Pose
 
     Returns ``(positions_map (n,3), positions_sensor (n,3), pixels (n,))``
     for the pixels with finite, positive depth no greater than
-    ``max_range_m``, in row-major pixel order.  ``pixels`` holds each
-    point's flat index ``v * width + u``, its row in ``scores.reshape(-1,
-    k)``; the scores themselves are not gathered here.  Depth values are
-    metric z along the camera axis.
+    ``max_range_m``, in row-major pixel order.  Both position arrays are
+    transposed views of coordinate-major (3, n) arrays, so each coordinate
+    column is contiguous.  ``pixels`` holds each point's flat index ``v *
+    width + u``, its row in ``scores.reshape(-1, k)``; the scores themselves
+    are not gathered here.  Depth values are metric z along the camera axis.
     """
     depth = np.asarray(depth)
     check_image_size(depth, np.asarray(scores), intrinsics)
@@ -143,18 +154,19 @@ def project_frame_arrays(depth, scores, intrinsics: CameraIntrinsics, pose: Pose
 
     d = depth.astype(float, copy=False).reshape(-1)
     pixels = np.flatnonzero(np.isfinite(d) & (d > 0) & (d <= max_range_m))
-    if pixels.size == 0:
-        empty3 = np.empty((0, 3))
-        return empty3, empty3.copy(), pixels
-
-    d = d[pixels]
     vv = pixels // w
     uu = pixels - vv * w
-    x = (uu - intrinsics.cx) * d / intrinsics.fx
-    y = (vv - intrinsics.cy) * d / intrinsics.fy
-    pos_sensor = np.column_stack([x, y, d])
-    pos_map = transform_to_map(pos_sensor, pose)
-    return pos_map, pos_sensor, pixels
+    # rows x, y and d of the sensor points, each written in place
+    sensor = np.empty((3, pixels.size))
+    x, y, z = sensor
+    np.take(d, pixels, out=z)
+    np.subtract(uu, intrinsics.cx, out=x)
+    x *= z
+    x /= intrinsics.fx
+    np.subtract(vv, intrinsics.cy, out=y)
+    y *= z
+    y /= intrinsics.fy
+    return transform_to_map(sensor.T, pose), sensor.T, pixels
 
 
 def barycentric(p_xy, v1, v2, v3) -> np.ndarray:

@@ -109,7 +109,9 @@ class MeshConfig:
 class FramePoints:
     """One frame's in-window points in projection order, grouped by face.
 
-    ``z`` holds each point's map height and ``scores`` is class-major: row
+    ``z`` holds each point's map height, and ``pos_sensor`` (n, 3) their
+    sensor coordinates as the transpose of a coordinate-major (3, n) array,
+    so each coordinate column is contiguous.  ``scores`` is class-major: row
     ``j`` holds every point's score for class ``j``.  ``faces`` (m,) are the
     observed window face ids, ascending, and ``inverse`` (n,) gives each
     point's row in ``faces``, so a point's face is ``faces[inverse]``.
@@ -133,15 +135,16 @@ class FramePoints:
 
         ``scores`` is a (N, K) table and ``rows`` each point's row in it;
         the points in the window read theirs with one gather into a
-        class-major (K, n) float array.  The grouping goes through the
-        mesh's scratch array, sorting only the observed face ids and the
-        corners of those faces.
+        class-major (K, n) float array, and their sensor coordinates with
+        one gather along the points axis of ``pos_sensor.T``.  The grouping
+        goes through the mesh's scratch array, sorting only the observed
+        face ids and the corners of those faces.
         """
         keep = np.flatnonzero(face_ids >= 0)
         # np.take gathers rows of a 2-D array far faster than fancy indexing
         scores = np.take(np.asarray(scores), rows[keep], axis=0)
         z = np.take(pos_map[:, 2], keep)
-        pos_sensor = np.take(pos_sensor, keep, axis=0)
+        pos_sensor = np.take(pos_sensor.T, keep, axis=1).T
         scores = scores.T.astype(float, order="C")
         face_ids = face_ids[keep]
         # the (n, K) gather and the index of the kept points are freed

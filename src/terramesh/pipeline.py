@@ -7,9 +7,12 @@ the map persists between frames.  Exactly one frame update mutates a mesh
 at a time (the mesh is single-writer); the stages themselves are vectorized
 internally.
 
-Projection keeps each point's flat pixel index, not its scores.  After
-assignment, :meth:`FramePoints.from_assignment` drops the points outside the
-window, reads their scores once from the frame's (H*W, K) score view into
+Projection keeps each point's flat pixel index, not its scores, and its
+coordinates coordinate-major: the (n, 3) position arrays are views of
+(3, n) arrays, so assignment, the height variance and the depth-noise model
+each read contiguous columns.  After assignment,
+:meth:`FramePoints.from_assignment` drops the points outside the window,
+reads their scores once from the frame's (H*W, K) score view into
 class-major (K, n) rows, and groups them by face (all timed as part of
 assignment).  Height fusion and the class reduction share that grouping, so
 neither sorts the points nor scans the map.
@@ -168,6 +171,10 @@ def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):
     points = FramePoints.from_assignment(
         mesh, pos_map, pos_sensor, scores.reshape(-1, scores.shape[2]), fids, pixels
     )
+    # the whole-frame arrays are freed before fusion, so that none of them
+    # coexists with its temporaries (about 3 MB less peak RSS on a 424x240
+    # frame)
+    del pos_map, pos_sensor, fids, pixels
     t2 = time.perf_counter()
 
     sigma_pose = (

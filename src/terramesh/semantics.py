@@ -50,8 +50,20 @@ def non_probability_row(vectors):
     """The first row of ``vectors.reshape(-1, K)`` that is not a probability
     vector (non-negative, summing to one within :data:`SCORE_TOL`; NaN and
     inf fail), or ``None``.  Per-row verdicts are computed only after two
-    whole-array reductions fail."""
+    whole-array reductions fail.
+
+    Float32 input, every bundle frame's scores, is first decided in float32:
+    a float32 sum of K non-negative terms lies within (K-1) * 2**-24 of its
+    exact value in any summation order, so sums within ``SCORE_TOL - 4 K
+    2**-24`` of one pass the float64 rule too.  Anything else goes to the
+    float64 sums below."""
     v = np.asarray(vectors)
+    # a NaN entry makes the minimum NaN, and an inf entry makes its sum inf
+    if v.dtype == np.float32 and v.size and v.min() >= 0:
+        k = v.shape[-1]
+        sums = v.reshape(-1, k) @ np.ones(k, dtype=np.float32)
+        if max(float(sums.max()) - 1.0, 1.0 - float(sums.min())) <= SCORE_TOL - 4 * k * 2.0**-24:
+            return None
     off = np.abs(np.einsum("...k->...", v, dtype=float) - 1.0)
     # written so that NaN fails both comparisons (a NaN entry makes the minimum NaN)
     if off.size == 0 or (off.max() <= SCORE_TOL and v.min() >= 0):

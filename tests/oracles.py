@@ -20,12 +20,19 @@ Estimates, which hold known faces only, are compared in the dense (F, K)
 form of the estimates file through :func:`estimates_from_dense` and
 :func:`dense_weights`.  The closed-form face corners are checked against the
 face table the mesh once stored, built below from a meshgrid of cells.
+The coordinate-major projection is checked against the row-major one
+below, which stacks the sensor coordinates as (n, 3) rows and transforms
+them as ``p @ R - t``.  The score rule's float32 pass is checked against
+the float64 rule below, which sums every row in float64 by ``einsum``.
 """
+
+import math
 
 import numpy as np
 
-from terramesh.geometry import camera_center, project_frame_arrays
+from terramesh.geometry import camera_center, check_image_size, project_frame_arrays
 from terramesh.mesh import assign_face_ids, recenter
+from terramesh.semantics import SCORE_TOL
 
 
 def _gauss_legendre_01(n):
@@ -416,3 +423,38 @@ def dense_weights(estimates):
     out = np.zeros((estimates.num_faces, estimates.known_weights.shape[1]))
     out[estimates.ids] = estimates.known_weights
     return out
+
+
+def row_major_projection(depth, scores, intrinsics, pose, max_range_m=math.inf):
+    """The original ``geometry.project_frame_arrays``: the sensor
+    coordinates stacked as (n, 3) rows by ``np.column_stack`` and
+    transformed as ``p @ R - t``."""
+    depth = np.asarray(depth)
+    check_image_size(depth, np.asarray(scores), intrinsics)
+    w = depth.shape[1]
+
+    d = depth.astype(float, copy=False).reshape(-1)
+    pixels = np.flatnonzero(np.isfinite(d) & (d > 0) & (d <= max_range_m))
+    if pixels.size == 0:
+        empty3 = np.empty((0, 3))
+        return empty3, empty3.copy(), pixels
+
+    d = d[pixels]
+    vv = pixels // w
+    uu = pixels - vv * w
+    x = (uu - intrinsics.cx) * d / intrinsics.fx
+    y = (vv - intrinsics.cy) * d / intrinsics.fy
+    pos_sensor = np.column_stack([x, y, d])
+    pos_map = pos_sensor @ pose.rotation - pose.translation
+    return pos_map, pos_sensor, pixels
+
+
+def einsum_non_probability_row(vectors):
+    """The original ``semantics.non_probability_row``: every row summed in
+    float64 by ``einsum``, whatever the input's dtype."""
+    v = np.asarray(vectors)
+    off = np.abs(np.einsum("...k->...", v, dtype=float) - 1.0)
+    # written so that NaN fails both comparisons (a NaN entry makes the minimum NaN)
+    if off.size == 0 or (off.max() <= SCORE_TOL and v.min() >= 0):
+        return None
+    return int(np.argmin(((off <= SCORE_TOL) & (v >= 0).all(axis=-1)).reshape(-1)))

@@ -14,9 +14,10 @@ from terramesh.geometry import (
     project_frame_arrays,
     transform_to_map,
 )
+from terramesh.mesh import FramePoints, MeshConfig, assign_face_ids, init_mesh
 from terramesh.pipeline import PipelineConfig
 
-from oracles import random_rotation
+from oracles import random_rotation, row_major_projection
 
 
 def yaw(angle):
@@ -181,6 +182,45 @@ class TestProjection:
         scores = np.full((1, 5, 2), 0.5)
         pos, _, _ = project_frame_arrays(depth, scores, intr, Pose.identity(), max_range_m=30.0)
         assert np.array_equal(pos[:, 2], [1.5, 30.0, 2.5])
+
+    @pytest.mark.parametrize("max_range_m", [np.inf, 3.0])
+    def test_matches_row_major_projection(self, rng, max_range_m):
+        # random poses and intrinsics, invalid depths, depths past the range
+        # and, first, a frame without a valid depth
+        for trial in range(20):
+            h, w = rng.integers(1, 40, size=2)
+            intr = CameraIntrinsics(
+                fx=rng.uniform(20, 400), fy=rng.uniform(20, 400),
+                cx=rng.uniform(0, w), cy=rng.uniform(0, h), width=int(w), height=int(h),
+            )
+            depth = rng.uniform(0.1, 6.0, size=(h, w))
+            depth[rng.random((h, w)) < 0.2] = np.nan
+            depth[rng.random((h, w)) < 0.05] = -1.0
+            if trial == 0:
+                depth[:] = np.nan
+            scores = np.full((h, w, 2), 0.5, dtype=np.float32)
+            pose = Pose(random_rotation(rng), rng.standard_normal(3) * 5)
+            got = project_frame_arrays(depth.astype(np.float32), scores, intr, pose, max_range_m)
+            want = row_major_projection(depth.astype(np.float32), scores, intr, pose, max_range_m)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+    def test_coordinate_columns_are_contiguous(self, rng):
+        intr = CameraIntrinsics(fx=40.0, fy=40.0, cx=9.5, cy=7.5, width=20, height=16)
+        depth = rng.uniform(0.5, 2.0, size=(16, 20))
+        scores = np.full((16, 20, 2), 0.5)
+        pose = pose_from_camera([0.0, 0.0, 1.0], np.diag([1.0, -1.0, -1.0]))
+        pos_map, pos_sensor, pixels = project_frame_arrays(depth, scores, intr, pose)
+        mesh = init_mesh(MeshConfig(side_length_m=0.1, half_extent_m=0.3, num_classes=2))
+        fids = assign_face_ids(mesh, pos_map[:, :2])
+        points = FramePoints.from_assignment(mesh, pos_map, pos_sensor, scores.reshape(-1, 2), fids, pixels)
+        assert 0 < points.z.size < pixels.size
+        for j in range(3):
+            assert pos_map[:, j].flags.c_contiguous
+            assert pos_sensor[:, j].flags.c_contiguous
+            assert points.pos_sensor[:, j].flags.c_contiguous
+        assert np.array_equal(points.pos_sensor, pos_sensor[fids >= 0])
 
 
 class TestBarycentric:

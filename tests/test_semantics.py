@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from terramesh.errors import ConfigurationError, InputError
 from terramesh.semantics import (
+    SCORE_TOL,
     ClassCatalog,
     class_predictive,
     dirichlet_update,
+    non_probability_row,
 )
 
-from oracles import predictive_by_quadrature
+from oracles import einsum_non_probability_row, predictive_by_quadrature
 
 
 class TestCatalog:
@@ -89,6 +91,65 @@ def test_update_mass_property(alpha, n):
     out = dirichlet_update(np.array(alpha), thetas, mode="soft")
     assert out.sum() == pytest.approx(sum(alpha) + n, abs=1e-9)
     assert np.all(out >= np.array(alpha) - 1e-12)
+
+
+def near_tolerance_rows(rng, k, n, edges=(-SCORE_TOL, 0.0, SCORE_TOL)):
+    """float32 probability rows rescaled to sum to one plus one of
+    ``edges``, each off by up to 8 float32 ulps of one."""
+    rows = rng.dirichlet(np.ones(k), size=n)
+    target = 1.0 + rng.choice(edges, size=n) + rng.integers(-8, 9, size=n) * 2.0**-24
+    return (rows * target[:, None]).astype(np.float32)
+
+
+def special_rows(rng, k):
+    """Valid float32 rows with one entry replaced by NaN, +inf, -inf, -0.0,
+    a tiny or a plain negative value."""
+    out = []
+    for value in (np.nan, np.inf, -np.inf, -0.0, -1e-30, -0.5):
+        row = rng.dirichlet(np.ones(k)).astype(np.float32)
+        row[rng.integers(k)] = value
+        out.append(row)
+    if k > 1:
+        # -0.0 entries in a row that sums to one
+        row = np.full(k, -0.0, dtype=np.float32)
+        row[0] = 1.0
+        out.append(row)
+    return np.array(out)
+
+
+class TestScoreRule:
+    """``non_probability_row`` decides float32 rows in float32 first; its
+    verdicts stay those of the float64 rule."""
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 64])
+    def test_rows_match_float64_rule(self, rng, k):
+        rows = np.concatenate([near_tolerance_rows(rng, k, 600), special_rows(rng, k)])
+        verdicts = [non_probability_row(row) for row in rows]
+        assert verdicts == [einsum_non_probability_row(row) for row in rows]
+        assert None in verdicts and 0 in verdicts
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 64])
+    def test_frames_match_float64_rule(self, rng, k):
+        rows = np.concatenate([near_tolerance_rows(rng, k, 600), special_rows(rng, k)])
+        good = rows[[einsum_non_probability_row(row) is None for row in rows]]
+        bad = rows[[einsum_non_probability_row(row) is not None for row in rows]]
+        frame = good[rng.integers(good.shape[0], size=12 * 9)].reshape(12, 9, k)
+        assert non_probability_row(frame) is einsum_non_probability_row(frame) is None
+        # a frame whose rows all sum to one within a few ulps
+        centred = near_tolerance_rows(rng, k, 12 * 9, edges=(0.0,)).reshape(12, 9, k)
+        assert non_probability_row(centred) is einsum_non_probability_row(centred) is None
+        # one bad row inside the valid frame, and a second one after it
+        for row in bad:
+            spoiled = frame.copy()
+            at = rng.integers(12 * 9 - 1)
+            spoiled.reshape(-1, k)[at] = row
+            assert non_probability_row(spoiled) == einsum_non_probability_row(spoiled) == at
+            spoiled.reshape(-1, k)[-1] = bad[0]
+            assert non_probability_row(spoiled) == at
+
+    def test_float64_input_is_unchanged(self, rng):
+        rows = near_tolerance_rows(rng, 10, 600).astype(float)
+        assert [non_probability_row(r) for r in rows] == [einsum_non_probability_row(r) for r in rows]
 
 
 class TestPredictive:
