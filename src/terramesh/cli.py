@@ -159,20 +159,11 @@ def _merge_run_config(args) -> dict:
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
-    # explicit flags win over the config file
-    for key, value in (
-        ("estimator", args.estimator),
-        ("update_mode", args.update_mode),
-        ("mesh_side", args.mesh_side),
-        ("mesh_extent", args.mesh_extent),
-        ("models", args.models),
-    ):
+    # explicit flags win over the config file (pose_cov has no flag)
+    for key in cfg:
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    if args.noise is not None:
-        cfg["noise"] = _entries(args.noise, ",", float)
-    if args.recenter:
-        cfg["recenter"] = True
     _check_fields("run config", cfg, _RUN_FIELDS)
     return cfg
 
@@ -477,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh-side", dest="mesh_side", type=float, help="triangle leg length [m]")
     p.add_argument("--mesh-extent", dest="mesh_extent", type=float, help="window half extent [m]")
     p.add_argument("--models", help="friction-model file (default: shipped)")
-    p.add_argument("--noise", help="depth noise coefficients a,b,c")
-    p.add_argument("--recenter", action="store_true", help="recenter the mesh under the camera")
+    p.add_argument("--noise", type=lambda text: _entries(text, ",", float), help="depth noise coefficients a,b,c")
+    p.add_argument("--recenter", action="store_true", default=None, help="recenter the mesh under the camera")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="score estimate files against ground truth")

@@ -229,10 +229,9 @@ def update_elevation(mesh, points, pose, noise_model: SensorNoiseModel, sigma_po
     six), in one :func:`fuse_heights` call.  A vertex seen for the first
     time has no prior; its state is the frame's posterior alone.  The sums
     run over the vertices of the points' face grouping, each adding its
-    terms in point order.  A raise leaves the mesh unchanged.
+    terms in point order.  An empty frame writes nothing; a raise leaves
+    the mesh unchanged.
     """
-    if points.inverse.size == 0:
-        return mesh
     if sigma_pose is None:
         sigma_pose = pose.rotation_cov
 

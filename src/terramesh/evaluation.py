@@ -4,6 +4,9 @@ KL divergences between property mixtures have no closed form, so they are
 computed by fixed-grid trapezoidal quadrature (4096 uniform nodes on
 [-0.5, 1.5]) with a hard density floor; this is deterministic and
 reproducible across runs, unlike Monte-Carlo estimates.
+
+Every metric reads an estimate's known rows in ``ids`` order
+(:class:`~terramesh.pipeline.FaceEstimates`); unknown faces enter only as counts.
 """
 
 from __future__ import annotations
@@ -119,13 +122,11 @@ def kl_summary(estimates: FaceEstimates, truth_classes, models):
 
 def low_friction_scores(estimates: FaceEstimates, models) -> np.ndarray:
     """Detector statistic for "low friction": mixture CDF mass at the
-    threshold, per face; zero on unknown faces."""
+    threshold, per known face, in ``estimates.ids`` order."""
     mus = np.array([m.mu for m in models])
     sigmas = np.array([m.sigma for m in models])
     phi = ndtr((LOW_FRICTION_THRESHOLD - mus) / sigmas)
-    out = np.zeros(estimates.num_faces)
-    out[estimates.ids] = estimates.known_weights @ phi
-    return out
+    return estimates.known_weights @ phi
 
 
 def _true_low(truth_classes: np.ndarray, models) -> np.ndarray:
@@ -149,7 +150,8 @@ def pr_curve(estimates: FaceEstimates, truth_classes, models, positive: str = "l
     is the estimated probability mass on the positive side of the threshold.
     Faces without an estimate are never predicted positive but still count
     in the recall denominator (missed positives).  The decision threshold
-    sweeps every distinct score in [0, 1] (the exact curve).
+    sweeps every distinct score in [0, 1] (the exact curve).  A class that
+    no face has gets an empty curve with AP ``nan``.
     """
     truth_classes = np.asarray(truth_classes)
     if truth_classes.size == 0:
@@ -157,35 +159,32 @@ def pr_curve(estimates: FaceEstimates, truth_classes, models, positive: str = "l
     true_low = _true_low(truth_classes, models)
     if positive == "low":
         is_positive = true_low
-        scores_all = low_friction_scores(estimates, models)
+        scores = low_friction_scores(estimates, models)
     elif positive == "high":
         is_positive = ~true_low
-        scores_all = 1.0 - low_friction_scores(estimates, models)
+        scores = 1.0 - low_friction_scores(estimates, models)
     else:
         raise EvaluationError(f"unknown positive class {positive!r}")
 
     total_pos = int(is_positive.sum())
     if total_pos == 0:
-        raise EvaluationError(f"no faces of positive class {positive!r}")
+        empty = np.array([])
+        return PRResult(empty, empty, empty, average_precision=math.nan)
 
-    scores = scores_all[estimates.ids]
-    positives = is_positive[estimates.ids]
     order = np.argsort(-scores, kind="stable")
     scores = scores[order]
-    positives = positives[order]
+    positives = is_positive[estimates.ids[order]]
 
     # one PR point per distinct score value (predict positive at score >= t)
-    boundaries = np.nonzero(np.diff(scores))[0]
-    idx = np.append(boundaries, scores.size - 1) if scores.size else np.array([], dtype=int)
+    idx = np.flatnonzero(np.diff(scores, append=np.nan))
     thresholds = scores[idx]
-    tp = np.cumsum(positives)[idx] if idx.size else np.array([], dtype=float)
-    predicted = idx + 1
+    tp = np.cumsum(positives)[idx]
     recall = tp / total_pos
-    precision = tp / np.maximum(predicted, 1)
+    precision = tp / (idx + 1)
 
     # anchor the curve at zero recall with the earliest precision
     r = np.concatenate([[0.0], recall])
-    p = np.concatenate([[precision[0] if precision.size else 1.0], precision])
+    p = np.concatenate([precision[:1], precision])
     ap = float(np.sum(np.diff(r) * 0.5 * (p[1:] + p[:-1])))
     return PRResult(thresholds=thresholds, recall=recall, precision=precision, average_precision=ap)
 
@@ -193,15 +192,13 @@ def pr_curve(estimates: FaceEstimates, truth_classes, models, positive: str = "l
 def accuracy(estimates: FaceEstimates, truth_classes, models) -> float:
     """Fraction of faces whose low/high call at threshold 0.5 matches truth.
 
-    Unknown faces count as incorrect.
+    Only known faces are called; unknown faces count as incorrect.
     """
     truth_classes = np.asarray(truth_classes)
     if truth_classes.size == 0:
         raise EvaluationError("empty face set")
-    true_low = _true_low(truth_classes, models)
-    scores = low_friction_scores(estimates, models)
-    predicted_low = scores >= 0.5
-    correct = estimates.known & (predicted_low == true_low)
+    true_low = _true_low(truth_classes, models)[estimates.ids]
+    correct = (low_friction_scores(estimates, models) >= 0.5) == true_low
     return float(correct.sum() / truth_classes.size)
 
 
@@ -329,19 +326,12 @@ class EstimatorReport:
     pr_high: PRResult = field(repr=False, default=None)
 
 
-def _no_positives() -> PRResult:
-    """The curve of a class that no face has: no points, AP ``nan``."""
-    empty = np.array([])
-    return PRResult(empty, empty, empty, average_precision=math.nan)
-
-
 def evaluate_estimator(name: str, estimates: FaceEstimates, truth_classes, models) -> EstimatorReport:
     """KL, accuracy and both precision-recall curves of one estimator.  A
     friction class that no truth face has gets an empty curve and AP ``nan``."""
     kl_mean, kl_median, _ = kl_summary(estimates, truth_classes, models)
-    true_low = _true_low(np.asarray(truth_classes), models)
-    pr_low = pr_curve(estimates, truth_classes, models, "low") if true_low.any() else _no_positives()
-    pr_high = pr_curve(estimates, truth_classes, models, "high") if not true_low.all() else _no_positives()
+    pr_low = pr_curve(estimates, truth_classes, models, "low")
+    pr_high = pr_curve(estimates, truth_classes, models, "high")
     return EstimatorReport(
         estimator=name,
         kl_mean=kl_mean,

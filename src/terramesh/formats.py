@@ -646,7 +646,10 @@ def load_estimates(path):
     with open(path, "rb") as fh:
         header, cfg, layout = _open_container(fh, path, ESTIMATES_KIND, [_ESTIMATOR_FIELD])
         f, k = cfg.num_faces, cfg.num_classes
-        ids = np.flatnonzero(_read_array(fh, *layout["known"]))
+        known = _read_array(fh, *layout["known"])
+        if np.any(known > 1):
+            raise FormatError(f"{path}: known holds a byte other than 0 or 1")
+        ids = np.flatnonzero(known)
         rows = np.empty((ids.size, k))
         dtype, _, offset = layout["weights"]
         for start in range(0, f, ESTIMATE_BLOCK_ROWS):

@@ -139,19 +139,13 @@ class FaceEstimates:
     Only the known faces are stored, as :class:`FaceScores` stores only the
     observed ones: ``ids`` (ascending window face ids) with their
     ``known_weights`` (m, K).  Face ``ids[i]`` has the property mixture
-    ``PropertyMixture(known_weights[i], models)``; every other face is
-    unknown.  The dense (F,) ``known`` mask is built on demand.
+    ``PropertyMixture(known_weights[i], models)``; the other faces of the
+    ``num_faces`` are unknown, and no dense (F,) mask of them is kept.
     """
 
     ids: np.ndarray
     known_weights: np.ndarray
     num_faces: int
-
-    @property
-    def known(self) -> np.ndarray:
-        out = np.zeros(self.num_faces, dtype=bool)
-        out[self.ids] = True
-        return out
 
 
 def _run_frame(mesh: Mesh, frame: FrameBundle, config: PipelineConfig):

@@ -442,19 +442,12 @@ def render_frame(spec: WorldSpec, frame_idx: int) -> FrameBundle:
         depth = noisy
 
     reported = pose_true
-    if noise.pose_rot_cov is not None and np.any(noise.pose_rot_cov):
-        delta = rng.multivariate_normal(np.zeros(3), noise.pose_rot_cov, method="cholesky")
-        reported = Pose(
-            rotation=_rodrigues(delta) @ pose_true.rotation,
-            translation=pose_true.translation,
-            rotation_cov=noise.pose_rot_cov,
-        )
-    elif noise.pose_rot_cov is not None:
-        reported = Pose(
-            rotation=pose_true.rotation,
-            translation=pose_true.translation,
-            rotation_cov=noise.pose_rot_cov,
-        )
+    if noise.pose_rot_cov is not None:
+        rotation = pose_true.rotation
+        if np.any(noise.pose_rot_cov):
+            delta = rng.multivariate_normal(np.zeros(3), noise.pose_rot_cov, method="cholesky")
+            rotation = _rodrigues(delta) @ rotation
+        reported = Pose(rotation, pose_true.translation, noise.pose_rot_cov)
 
     return FrameBundle(
         depth=depth.reshape(h, w),

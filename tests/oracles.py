@@ -24,6 +24,9 @@ The coordinate-major projection is checked against the row-major one
 below, which stacks the sensor coordinates as (n, 3) rows and transforms
 them as ``p @ R - t``.  The score rule's float32 pass is checked against
 the float64 rule below, which sums every row in float64 by ``einsum``.
+The precision-recall curve and the accuracy, which read the known faces'
+rows, are checked against the original ones below, which score every face
+of the window densely (zero on unknown faces) and index the known ones back.
 """
 
 import math
@@ -458,3 +461,81 @@ def einsum_non_probability_row(vectors):
     if off.size == 0 or (off.max() <= SCORE_TOL and v.min() >= 0):
         return None
     return int(np.argmin(((off <= SCORE_TOL) & (v >= 0).all(axis=-1)).reshape(-1)))
+
+
+def dense_low_friction_scores(estimates, models) -> np.ndarray:
+    """The original ``evaluation.low_friction_scores``: an (F,) array, zero
+    on unknown faces."""
+    from terramesh.evaluation import LOW_FRICTION_THRESHOLD
+    from terramesh.properties import ndtr
+
+    mus = np.array([m.mu for m in models])
+    sigmas = np.array([m.sigma for m in models])
+    phi = ndtr((LOW_FRICTION_THRESHOLD - mus) / sigmas)
+    out = np.zeros(estimates.num_faces)
+    out[estimates.ids] = estimates.known_weights @ phi
+    return out
+
+
+def dense_pr_curve(estimates, truth_classes, models, positive: str = "low"):
+    """The original ``evaluation.pr_curve``: dense scores indexed back by
+    ``ids``, an empty-input branch per array, and a raise for a positive
+    class that no face has."""
+    from terramesh.errors import EvaluationError
+    from terramesh.evaluation import PRResult, _true_low
+
+    truth_classes = np.asarray(truth_classes)
+    if truth_classes.size == 0:
+        raise EvaluationError("empty face set")
+    true_low = _true_low(truth_classes, models)
+    if positive == "low":
+        is_positive = true_low
+        scores_all = dense_low_friction_scores(estimates, models)
+    elif positive == "high":
+        is_positive = ~true_low
+        scores_all = 1.0 - dense_low_friction_scores(estimates, models)
+    else:
+        raise EvaluationError(f"unknown positive class {positive!r}")
+
+    total_pos = int(is_positive.sum())
+    if total_pos == 0:
+        raise EvaluationError(f"no faces of positive class {positive!r}")
+
+    scores = scores_all[estimates.ids]
+    positives = is_positive[estimates.ids]
+    order = np.argsort(-scores, kind="stable")
+    scores = scores[order]
+    positives = positives[order]
+
+    # one PR point per distinct score value (predict positive at score >= t)
+    boundaries = np.nonzero(np.diff(scores))[0]
+    idx = np.append(boundaries, scores.size - 1) if scores.size else np.array([], dtype=int)
+    thresholds = scores[idx]
+    tp = np.cumsum(positives)[idx] if idx.size else np.array([], dtype=float)
+    predicted = idx + 1
+    recall = tp / total_pos
+    precision = tp / np.maximum(predicted, 1)
+
+    # anchor the curve at zero recall with the earliest precision
+    r = np.concatenate([[0.0], recall])
+    p = np.concatenate([[precision[0] if precision.size else 1.0], precision])
+    ap = float(np.sum(np.diff(r) * 0.5 * (p[1:] + p[:-1])))
+    return PRResult(thresholds=thresholds, recall=recall, precision=precision, average_precision=ap)
+
+
+def dense_accuracy(estimates, truth_classes, models) -> float:
+    """The original ``evaluation.accuracy``: dense scores and an (F,) known
+    mask, built as the removed ``FaceEstimates.known`` built it."""
+    from terramesh.errors import EvaluationError
+    from terramesh.evaluation import _true_low
+
+    truth_classes = np.asarray(truth_classes)
+    if truth_classes.size == 0:
+        raise EvaluationError("empty face set")
+    true_low = _true_low(truth_classes, models)
+    scores = dense_low_friction_scores(estimates, models)
+    predicted_low = scores >= 0.5
+    known = np.zeros(estimates.num_faces, dtype=bool)
+    known[estimates.ids] = True
+    correct = known & (predicted_low == true_low)
+    return float(correct.sum() / truth_classes.size)

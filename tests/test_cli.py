@@ -236,7 +236,7 @@ class TestRun:
         assert np.all(mesh.alpha == 0.0)
         assert header["estimator"] == "unimodal_nonrecursive"
         _, est = load_estimates(out / "estimates.bin")
-        assert est.known.any()
+        assert est.ids.size > 0
 
     def test_rerun_exports_identical(self, sim_dir, run_dir, tmp_path):
         out = tmp_path / "again"
@@ -283,6 +283,33 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["mesh"]["side_length_m"] == 0.25  # flag wins
         assert summary["mesh"]["half_extent_m"] == 2.5
+
+    @pytest.mark.parametrize(
+        "key, flags, value, file_value",
+        [
+            ("estimator", ["--estimator", "unimodal_nonrecursive"], "unimodal_nonrecursive", "recursive"),
+            ("update_mode", ["--update-mode", "hard"], "hard", "soft"),
+            ("mesh_side", ["--mesh-side", "0.25"], 0.25, 0.5),
+            ("mesh_extent", ["--mesh-extent", "2.5"], 2.5, 4.0),
+            ("models", ["--models", "flag.json"], "flag.json", "file.json"),
+            ("noise", ["--noise", "0.002,0,0.003"], [0.002, 0.0, 0.003], [0.001, 0.0, 0.0019]),
+            ("recenter", ["--recenter"], True, False),
+        ],
+        ids=["estimator", "update-mode", "mesh-side", "mesh-extent", "models", "noise", "recenter"],
+    )
+    def test_each_flag_beats_the_config_file(self, tmp_path, key, flags, value, file_value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: file_value}))
+        base = ["run", "--bundle", "b", "--out", "o", "--config", str(cfg)]
+        assert _merge_run_config(build_parser().parse_args(base))[key] == file_value
+        assert _merge_run_config(build_parser().parse_args([*base, *flags]))[key] == value
+
+    def test_config_recenter_holds_without_the_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"recenter": True}))
+        args = build_parser().parse_args(["run", "--bundle", "b", "--out", "o", "--config", str(cfg)])
+        assert args.recenter is None
+        assert _merge_run_config(args)["recenter"] is True
 
     def test_unknown_config_key_rejected(self, sim_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -754,6 +781,15 @@ class TestEvalInputs:
         assert self.eval_one(sim_dir, tmp_path / "bad.bin", tmp_path) == 2
         line = one_error_line(capsys)
         assert "bad.bin" in line and f"face {face} " in line
+
+    def test_known_byte_other_than_0_or_1(self, sim_dir, run_dir, tmp_path, capsys):
+        header, arrays = read_arrays(run_dir / "estimates.bin")
+        arrays["known"][np.flatnonzero(arrays["known"])[0]] = 2
+        write_arrays(tmp_path / "bad.bin", header, arrays)
+        capsys.readouterr()
+        assert self.eval_one(sim_dir, tmp_path / "bad.bin", tmp_path) == 2
+        assert "bad.bin: known holds a byte other than 0 or 1" in one_error_line(capsys)
+        assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize(
         "name, dtype", [("weights", "|V8"), ("weights", "<i8"), ("known", "|b1")], ids=["void", "int", "bool"]

@@ -231,12 +231,14 @@ def make_frame_points(mesh, pos_map, scores=None):
 class TestUpdateElevation:
     def test_no_points_no_change(self):
         mesh = init_mesh(MeshConfig(0.5, 1.0, 2))
-        before = mesh.z_mean.copy()
+        before = mesh.z_mean.copy(), mesh.z_var.copy()
         points = make_frame_points(mesh, np.empty((0, 3)))
         assert points.inverse.size == 0
-        update_elevation(mesh, points, Pose.identity(), SensorNoiseModel())
-        assert np.array_equal(mesh.z_mean, before)
-        assert not mesh.touched.any()
+        # the general path, with and without the pose term, writes nothing
+        for sigma_pose in (None, np.eye(3) * 1e-4):
+            update_elevation(mesh, points, Pose.identity(), SensorNoiseModel(), sigma_pose)
+            assert np.array_equal(mesh.z_mean, before[0]) and np.array_equal(mesh.z_var, before[1])
+            assert not mesh.touched.any()
 
     def test_first_touch_adopts_observation(self):
         mesh = init_mesh(MeshConfig(1.0, 1.0, 2))

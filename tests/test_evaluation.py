@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from terramesh.evaluation import (
     kl_mixture,
     kl_per_face,
     kl_summary,
+    low_friction_scores,
     pr_curve,
     write_bench_csv,
     write_pr_csv,
@@ -20,7 +22,14 @@ from terramesh.evaluation import (
 )
 from terramesh.properties import PropertyMixture, PropertyModel, load_default_models
 
-from oracles import dense_kl_per_face, estimates_from_dense, gaussian_kl_reference
+from oracles import (
+    dense_accuracy,
+    dense_kl_per_face,
+    dense_low_friction_scores,
+    dense_pr_curve,
+    estimates_from_dense,
+    gaussian_kl_reference,
+)
 
 
 def polygon_area(polygon) -> float:
@@ -192,11 +201,78 @@ class TestPrCurve:
         with pytest.raises(EvaluationError):
             pr_curve(est, np.array([], dtype=int), self.models)
 
-    def test_no_positive_faces_rejected(self):
+    def test_no_positive_faces_empty_curve(self):
         truth = np.array([self.concrete] * 5)
         est = one_hot_estimates(truth, 10)
-        with pytest.raises(EvaluationError):
-            pr_curve(est, truth, self.models, positive="low")
+        pr = pr_curve(est, truth, self.models, positive="low")
+        for arr in (pr.thresholds, pr.recall, pr.precision):
+            assert arr.shape == (0,) and arr.dtype == np.float64
+        assert math.isnan(pr.average_precision)
+        # the other class still has its curve
+        assert pr_curve(est, truth, self.models, positive="high").average_precision == pytest.approx(1.0)
+
+    def test_unknown_positive_class_rejected(self):
+        truth = np.array([self.ice, self.concrete])
+        with pytest.raises(EvaluationError, match="unknown positive class"):
+            pr_curve(one_hot_estimates(truth, 10), truth, self.models, positive="middle")
+
+
+def assert_same_curve(got, want):
+    for name in ("thresholds", "recall", "precision"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.average_precision == want.average_precision
+
+
+class TestAgainstDenseOracle:
+    """The known-row curve and accuracy against the dense originals in
+    :mod:`oracles`, bit for bit."""
+
+    def setup_method(self):
+        _, self.models = load_default_models()
+
+    def random_case(self, rng, f, p_known):
+        # weights drawn from a pool of 6 rows, so that many scores tie
+        pool = np.vstack([rng.dirichlet(np.ones(10), size=4), np.eye(10)[[0, 4]]])
+        weights = pool[rng.integers(0, pool.shape[0], size=f)]
+        known = rng.random(f) < p_known
+        weights[~known] = 0.0
+        return estimates_from_dense(weights, known), rng.integers(0, 10, size=f)
+
+    def check(self, est, truth):
+        for positive in ("low", "high"):
+            assert_same_curve(
+                pr_curve(est, truth, self.models, positive), dense_pr_curve(est, truth, self.models, positive)
+            )
+        assert accuracy(est, truth, self.models) == dense_accuracy(est, truth, self.models)
+
+    @pytest.mark.parametrize("f, p_known", [(40, 0.7), (500, 0.9), (3000, 0.3)])
+    def test_random_tied_estimates(self, rng, f, p_known):
+        for _ in range(5):
+            est, truth = self.random_case(rng, f, p_known)
+            assert 0 < est.ids.size < f
+            assert np.unique(low_friction_scores(est, self.models)).size < est.ids.size  # ties
+            self.check(est, truth)
+
+    def test_single_known_face(self, rng):
+        for face in (0, 7, 19):
+            known = np.arange(20) == face
+            weights = np.where(known[:, None], rng.dirichlet(np.ones(10)), 0.0)
+            self.check(estimates_from_dense(weights, known), rng.integers(0, 10, size=20))
+
+    def test_no_known_face(self, rng):
+        est = estimates_from_dense(np.zeros((20, 10)), np.zeros(20, dtype=bool))
+        truth = rng.integers(0, 10, size=20)
+        self.check(est, truth)
+        pr = pr_curve(est, truth, self.models, "low")
+        assert pr.average_precision == 0.0 and pr.recall.size == 0
+        assert accuracy(est, truth, self.models) == 0.0
+
+    def test_scores_are_the_dense_scores_at_ids(self, rng):
+        est, _ = self.random_case(rng, 200, 0.6)
+        rows = low_friction_scores(est, self.models)
+        assert rows.shape == est.ids.shape
+        assert np.array_equal(rows, dense_low_friction_scores(est, self.models)[est.ids])
 
 
 class TestAccuracy:

@@ -447,8 +447,24 @@ class TestTruthAndEstimates:
         header, back = load_estimates(path)
         assert header["estimator"] == "recursive"
         assert header["scenario_hash"] == "deadbeef"
-        assert np.array_equal(back.known, known)
+        assert np.array_equal(back.ids, np.flatnonzero(known))
         assert np.array_equal(dense_weights(back), weights)
+
+    @pytest.mark.parametrize("value", [2, 255])
+    @pytest.mark.parametrize("was_known", [True, False], ids=["known", "unknown"])
+    def test_estimates_reject_a_known_byte_other_than_0_or_1(self, tmp_path, rng, value, was_known):
+        mesh = init_mesh(MeshConfig(0.5, 1.0, 3))
+        known = np.arange(mesh.num_faces) % 2 == 0
+        weights = np.where(known[:, None], rng.dirichlet(np.ones(3), size=mesh.num_faces), 0.0)
+        path = tmp_path / "est.bin"
+        save_estimates(path, estimates_from_dense(weights, known), mesh, "recursive", None)
+        header, arrays = read_arrays(path)
+        # a known face keeps valid weights; an unknown one has all-zero weights,
+        # which are refused only if they are read as a known row
+        arrays["known"][np.flatnonzero(known == was_known)[0]] = value
+        write_arrays(path, header, arrays)
+        with pytest.raises(FormatError, match="est.bin: known holds a byte other than 0 or 1"):
+            load_estimates(path)
 
     def test_scenario_hash_sensitivity(self):
         spec = scenario_library()["ramp"]

@@ -115,7 +115,7 @@ def face_mixture(alpha, models):
     evidence[0] = alpha
     mesh.alpha = evidence
     estimates = estimate_properties(mesh, EstimatorKind.RECURSIVE, models)
-    return PropertyMixture(estimates.known_weights[0], models) if estimates.known[0] else None
+    return PropertyMixture(estimates.known_weights[0], models) if 0 in estimates.ids else None
 
 
 class TestMixture:
