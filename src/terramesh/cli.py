@@ -11,15 +11,20 @@ it), so that a bundle it calls valid is one ``run`` accepts.
 Seeds are mandatory wherever randomness exists; nothing is seeded from the
 wall clock.
 
-The simulator (:mod:`terramesh.sim`) and the evaluation code
+The arguments are parsed in :mod:`terramesh.parser`, which imports this
+module only once they parse, so ``--help`` and usage errors load no numpy;
+:func:`run` then looks the command up in :data:`COMMANDS`.  ``main`` and
+``build_parser`` are the parser module's, importable from here.  The
+simulator (:mod:`terramesh.sim`) and the evaluation code
 (:mod:`terramesh.evaluation`) are imported inside the commands that run
 them (``simulate``, ``eval`` and ``bench``), so that the other commands
-never load them; every other module is imported here.
+never load them; every other data module is imported at the top of this
+module, and its names stay here, where the benchmark harness wraps and
+calls them.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import sys
 from dataclasses import astuple, fields
@@ -50,6 +55,8 @@ from .formats import (
     write_json,
 )
 from .mesh import MeshConfig, init_mesh
+from .parser import ESTIMATORS, UPDATE_MODES, _entries
+from .parser import build_parser, main  # noqa: F401  importable from here
 from .pipeline import EstimatorKind, FrameTiming, Mapper, PipelineConfig, estimate_properties
 from .properties import (
     FIT_FAMILIES,
@@ -61,7 +68,6 @@ from .properties import (
     load_models,
     save_models,
 )
-from .semantics import UPDATE_MODES
 
 
 class CliError(TerrameshError):
@@ -71,18 +77,6 @@ class CliError(TerrameshError):
 def _check_flag(flag: str, value, ok: bool, what: str) -> None:
     if not ok:
         raise CliError(f"{flag} must be {what}, not {value!r}")
-
-
-def _entries(text: str, sep: str, convert) -> list:
-    """The ``sep``-separated entries of a flag, each converted where it
-    parses and kept as text where not, for a check that names the flag."""
-    out = []
-    for entry in text.split(sep):
-        try:
-            out.append(convert(entry))
-        except ValueError:
-            out.append(entry)
-    return out
 
 
 # -- simulate ----------------------------------------------------------------
@@ -122,11 +116,10 @@ def cmd_simulate(args) -> int:
 # -- run ----------------------------------------------------------------------
 
 
-_ESTIMATORS = [k.value for k in EstimatorKind]
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number")
 _RUN_FIELDS = (
-    ("estimator", lambda v: v in _ESTIMATORS, f"one of {_ESTIMATORS}"),
-    ("update_mode", lambda v: v in UPDATE_MODES, f"one of {list(UPDATE_MODES)}"),
+    ("estimator", lambda v: v in ESTIMATORS, f"one of {ESTIMATORS}"),
+    ("update_mode", lambda v: v in UPDATE_MODES, f"one of {UPDATE_MODES}"),
     ("mesh_side", *_POSITIVE),
     ("mesh_extent", *_POSITIVE),
     ("models", lambda v: v is None or isinstance(v, str), "null or a file path"),
@@ -440,77 +433,24 @@ def cmd_bench(args) -> int:
     return 0
 
 
-# -- parser -------------------------------------------------------------------------------
+# -- dispatch -------------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="terramesh",
-        description="Probabilistic terrain mapping: simulate scenes, build maps, evaluate estimators.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="render a synthetic scenario into a frame bundle")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--scenario", help="name from the built-in scenario library")
-    group.add_argument("--spec", help="path to a world-spec JSON file")
-    p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
-    p.add_argument("--out", required=True, help="output bundle directory")
-    p.add_argument("--frames", type=int, default=None, help="limit the number of frames")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("run", help="process a frame bundle into a map export")
-    p.add_argument("--bundle", required=True, help="frame-bundle directory")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON run-config file (flags win over it)")
-    p.add_argument("--estimator", choices=_ESTIMATORS)
-    p.add_argument("--update-mode", dest="update_mode", choices=UPDATE_MODES)
-    p.add_argument("--mesh-side", dest="mesh_side", type=float, help="triangle leg length [m]")
-    p.add_argument("--mesh-extent", dest="mesh_extent", type=float, help="window half extent [m]")
-    p.add_argument("--models", help="friction-model file (default: shipped)")
-    p.add_argument("--noise", type=lambda text: _entries(text, ",", float), help="depth noise coefficients a,b,c")
-    p.add_argument("--recenter", action="store_true", default=None, help="recenter the mesh under the camera")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("eval", help="score estimate files against ground truth")
-    p.add_argument("--truth", required=True, help="truth.json written by simulate")
-    p.add_argument("--estimates", nargs="+", required=True, help="estimates.bin files")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("fitdist", help="fit friction models from force logs")
-    p.add_argument("--logs", required=True, help="directory of per-class force CSVs")
-    p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--mass", type=float, default=None, help="device mass [kg]")
-    p.add_argument("--cutoff", type=float, default=5.0, help="low-pass cutoff [Hz]")
-    p.set_defaults(func=cmd_fitdist)
-
-    p = sub.add_parser("validate", help="check a frame bundle against the documented format and a model catalog")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--models", help="friction-model file, as run takes it (default: shipped)")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("bench", help="time the map update across mesh resolutions")
-    p.add_argument("--out", required=True, help="output CSV")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--sides", default="0.01,0.02,0.04,0.08", help="comma-separated element lengths [m]")
-    p.add_argument("--extent", type=float, default=0.48, help="mesh half extent [m]")
-    p.add_argument("--frame", default="424x240", help="synthetic frame size WxH")
-    p.set_defaults(func=cmd_bench)
-
-    return parser
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "run": cmd_run,
+    "eval": cmd_eval,
+    "fitdist": cmd_fitdist,
+    "validate": cmd_validate,
+    "bench": cmd_bench,
+}
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(args) -> int:
+    """Run the command that :func:`terramesh.parser.build_parser` parsed."""
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except (TerrameshError, OSError, ValueError, MemoryError) as exc:
         # a MemoryError is an impossible array size
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

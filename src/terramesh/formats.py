@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FormatError, InputError
 from .geometry import CameraIntrinsics, Pose
-from .mesh import Mesh, MeshConfig
+from .mesh import CHUNK_BYTES, Mesh, MeshConfig
 from .pipeline import ESTIMATE_BLOCK_ROWS, EstimatorKind, FaceEstimates, FrameBundle
 from .semantics import SCORE_TOL, non_probability_row
 
@@ -333,9 +333,10 @@ def load_map(path):
     The file is checked against the map layout (:func:`_open_container`)
     before any array is read.  Its ring state is read straight into a new
     mesh's ring storage, and its lattice compared with :func:`_map_chunks`; a
-    lattice array that differs, or a ``touched`` byte other than 0 or 1,
-    raises :class:`FormatError` naming the file and the array.  Every stored
-    array comes back bit for bit; ``observed`` is not stored, so it reads all False.
+    lattice array that differs, a ``touched`` byte other than 0 or 1, or a
+    state value that :func:`_check_ring_values` refuses raises
+    :class:`FormatError` naming the file and the array.  Every stored array
+    comes back bit for bit; ``observed`` is not stored, so it reads all False.
     """
     with open(path, "rb") as fh:
         header, cfg, layout = _open_container(fh, path, MAP_KIND)
@@ -352,7 +353,23 @@ def load_map(path):
                 offset += chunk.size * dtype.itemsize
     if np.any(mesh.ring.touched.view(np.uint8) > 1):
         raise FormatError(f"{path}: touched holds a byte other than 0 or 1")
+    _check_ring_values(path, mesh)
     return mesh, header
+
+
+def _check_ring_values(path, mesh: Mesh) -> None:
+    """Refuse a map whose ``z_mean``, ``z_var`` or ``alpha`` holds a value
+    that is not finite, or whose ``z_var`` or ``alpha`` holds a negative one,
+    reading each array in blocks of :data:`CHUNK_BYTES`."""
+    for name, floor in (("z_mean", False), ("z_var", True), ("alpha", True)):
+        values = getattr(mesh.ring, name).reshape(-1)
+        step = CHUNK_BYTES // values.itemsize
+        for start in range(0, values.size, step):
+            block = values[start : start + step]
+            if not np.isfinite(block).all():
+                raise FormatError(f"{path}: {name} holds a value that is not finite")
+            if floor and (block < 0).any():
+                raise FormatError(f"{path}: {name} holds a negative value")
 
 
 # -- frame bundles --------------------------------------------------------------

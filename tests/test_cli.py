@@ -1473,6 +1473,40 @@ class TestRuntimeDependencies:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == loaded
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--help"], 0),
+            *(([sub, "--help"], 0) for sub in ("simulate", "run", "eval", "fitdist", "validate", "bench")),
+            (["run", "--out", "o"], 2),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_arguments_parse_before_numpy_loads(self, argv, code):
+        import terramesh
+
+        # every module the fresh interpreter imports, from its -X importtime log
+        env = dict(os.environ, PYTHONPATH=str(Path(terramesh.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "terramesh", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == code, proc.stderr
+        imported = {
+            line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")
+        }
+        assert "terramesh.parser" in imported
+        assert "numpy" not in imported
+        assert {m for m in imported if m.split(".")[0] == "terramesh"} <= {
+            "terramesh", "terramesh.__main__", "terramesh.parser"
+        }
+
+    def test_parser_choices_are_the_library_names(self):
+        from terramesh import parser
+        from terramesh.semantics import UPDATE_MODES
+
+        assert parser.ESTIMATORS == [k.value for k in EstimatorKind]
+        assert parser.UPDATE_MODES == list(UPDATE_MODES)
+
 
 # the package namespace: each public name and the module that defines it
 PUBLIC_NAMES = {

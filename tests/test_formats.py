@@ -175,6 +175,31 @@ class TestMapExport:
         with pytest.raises(FormatError, match=f"map.bin: {wording}"):
             load_map(path)
 
+    @pytest.mark.parametrize(
+        "name, value, wording",
+        [
+            ("z_mean", np.nan, "value that is not finite"),
+            ("z_mean", -np.inf, "value that is not finite"),
+            ("z_var", np.inf, "value that is not finite"),
+            ("z_var", -1.0, "negative value"),
+            ("alpha", -np.inf, "value that is not finite"),
+            ("alpha", np.nan, "value that is not finite"),
+            ("alpha", -1.0, "negative value"),
+        ],
+    )
+    def test_rejects_a_poisoned_state_value(self, tmp_path, name, value, wording):
+        # 80,000 faces: each state array is checked in several blocks, and its last entry is changed
+        mesh = init_mesh(MeshConfig(0.05, 5.0, 2))
+        mesh.touched[:] = True
+        path = tmp_path / "map.bin"
+        save_map(mesh, path, class_names=["a", "b"])
+        header, arrays = read_arrays(path)
+        assert arrays[name].nbytes > formats.CHUNK_BYTES
+        arrays[name].reshape(-1)[-1] = value
+        write_arrays(path, header, arrays)
+        with pytest.raises(FormatError, match=f"map.bin: {name} holds a {wording}"):
+            load_map(path)
+
     def test_rejects_non_map_container(self, tmp_path):
         path = tmp_path / "not_map.bin"
         write_arrays(path, {"kind": "other"}, {"x": np.zeros(1)})
